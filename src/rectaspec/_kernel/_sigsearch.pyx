@@ -157,6 +157,11 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
                 left = cnt[ci]
                 if left == 0:
                     if acc[ci] != targets[ci]:
+                        # the rewind reverses every constraint of e2, so
+                        # finish the bookkeeping of the ones not reached
+                        for j in range(k + 1, ec_off[e2 + 1]):
+                            cnt[ec_dat[j]] -= 1
+                            acc[ec_dat[j]] ^= b
                         conflict = 1
                         break
                 elif left == 1:
@@ -176,9 +181,11 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
             p += 1
         if p == nf:
             mask = 0
+            bit = 1  # Python ints, so bits past 31 survive
             for i in range(nf):
                 if assign[i] == 1:
-                    mask |= 1 << i
+                    mask |= bit
+                bit <<= 1
             solutions.append(mask)
             continue
         frames[n_frames * 4 + 0] = order_c[p]

@@ -58,6 +58,12 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
                 left = cnt[ci]
                 if left == 0:
                     if acc[ci] != constraint_targets[ci]:
+                        # undo_to reverses every constraint of e, so finish
+                        # the bookkeeping of the ones this loop did not reach
+                        cs = edge_constraints[e]
+                        for cj in cs[cs.index(ci) + 1:]:
+                            cnt[cj] -= 1
+                            acc[cj] ^= b
                         return False
                 elif left == 1:
                     need = constraint_targets[ci] ^ acc[ci]

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: characteristic polynomials, ranks, matrix powers.
+"""Exact integer linear algebra: characteristic polynomials, ranks, exact products.
 
 Everything in here is tolerance-free.  Matrix products use float64 BLAS only
 inside a proven-exact range (entries and all partial sums stay far below
@@ -27,16 +27,6 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return prod.astype(np.int64)
     return a @ b
-
-
-def exact_power(a: np.ndarray, k: int) -> np.ndarray:
-    """a**k for a square integer matrix, exact, k >= 1."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    result = np.asarray(a, dtype=np.int64)
-    for _ in range(k - 1):
-        result = exact_matmul(result, a)
-    return result
 
 
 def charpoly(a) -> list[int]:

@@ -8,7 +8,11 @@ Two searches live here:
   matrix are fully forced (see ``switching.scheme_prefix``); only edges
   between vertices outside that prefix remain free, and A^2 = r I is then
   equivalent to every quadrangle having sign product -1, which becomes one
-  parity constraint per quadrangle for the DFS kernel.
+  parity constraint per quadrangle for the DFS kernel.  Pure switching is
+  quotiented on the kernel's bitmasks: only tail vertices (distance >= 3
+  from the base) can switch, so masks differing by a sum of tail stars form
+  one class; one mask per class is materialised and certified, and
+  switching isomorphism is then decided on those representatives.
 
 * ``search_weighing``: all (n, r) weighing matrices with row intersection
   numbers in {0, 2} extending the weighing row normal form, up to
@@ -21,6 +25,7 @@ Both searches are deterministic and emit enough bookkeeping to replay them
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +34,8 @@ from ._kernel import active_backend, run_search, run_weighing_search
 from .core import SignedGraph, UnderlyingGraph, _as_underlying, quadrangles
 from .formats import write_graph6
 from .spectral import certify_two_sym
-from .switching import class_invariants, scheme_layout, switching_isomorphic
+from .switching import (_spanning_forest_order, class_invariants, scheme_layout,
+                        switching_isomorphic)
 from .weighing import WeighingMatrix, equivalent, scheme_two_prefix
 
 
@@ -45,6 +51,8 @@ class SignatureSearchProblem:
     constraint_targets: tuple[int, ...]
     labelling: tuple[int, ...]  # original vertex -> search label
     tail_size: int
+    # per tail vertex, BFS order: (free-edge bit to its parent, star bitmask)
+    tail_stars: tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -92,20 +100,32 @@ def build_signature_problem(g, base: int = 0) -> SignatureSearchProblem:
                 free.append(edge_index[e])
             else:
                 sign = int(prefix[e[0], e[1]])
-                assert sign != 0, "edge neither free nor fixed"
+                if sign == 0:
+                    raise RuntimeError("edge neither free nor fixed")
                 if sign < 0:
                     parity ^= 1
         if not free:
-            assert parity == 1, "fixed prefix carries a positive quadrangle"
+            if parity != 1:
+                raise RuntimeError("fixed prefix carries a positive quadrangle")
             continue
         constraint_edges.append(tuple(free))
         constraint_targets.append(1 ^ parity)
+
+    # every edge at a tail vertex is free: switching it flips just its star
+    star = [0] * n
+    for i, (v, w) in enumerate(free_edges):
+        star[v] |= 1 << i
+        star[w] |= 1 << i
+    tail_stars = tuple(
+        (1 << edge_index[min(v, parent), max(v, parent)], star[v])
+        for v, parent in _spanning_forest_order(relabelled)
+        if v >= n - layout.tail_size)
 
     return SignatureSearchProblem(
         graph=relabelled, degree=r, prefix_signs=prefix,
         free_edges=tuple(free_edges), constraint_edges=tuple(constraint_edges),
         constraint_targets=tuple(constraint_targets), labelling=layout.perm,
-        tail_size=layout.tail_size)
+        tail_size=layout.tail_size, tail_stars=tail_stars)
 
 
 def kernel_arguments(problem: SignatureSearchProblem, order=None,
@@ -128,41 +148,29 @@ def kernel_arguments(problem: SignatureSearchProblem, order=None,
 
 
 def _solution_graph(problem: SignatureSearchProblem, mask: int) -> SignedGraph:
-    adj = np.array(problem.graph.adj, dtype=np.int8)
-    signs = np.array(problem.prefix_signs)
+    signs = np.array(problem.prefix_signs)  # every edge is fixed or free
     for i, (v, w) in enumerate(problem.free_edges):
         signs[v, w] = signs[w, v] = -1 if (mask >> i) & 1 else 1
-    out = adj * 0
-    nz = np.abs(adj) > 0
-    out[nz] = signs[nz]
-    return SignedGraph(out)
+    return SignedGraph(signs)
 
 
-def canonical_switch_key(g: SignedGraph) -> bytes:
-    """Canonical representative of the pure-switching class (labels fixed).
+def canonical_switch_key(problem: SignatureSearchProblem, mask: int) -> int:
+    """Canonical mask of ``mask``'s pure-switching class (labels fixed).
 
-    Switching so that a spanning forest becomes all-positive normalises the
-    class; per component the switch is unique up to a global flip, which
-    leaves the matrix unchanged.
+    The prefix cannot be switched, so the class is ``mask`` plus every sum
+    of tail stars; switching each tail vertex, in BFS order, to make the
+    edge to its parent positive picks one mask per class.
     """
-    from .switching import _spanning_forest_order
-
-    u = _as_underlying(g)
-    eps = [1] * g.n
-    for v, parent in _spanning_forest_order(u):
-        if parent >= 0:
-            eps[v] = eps[parent] * int(g.adj[parent, v])
-    eps_arr = np.asarray(eps, dtype=np.int8)
-    return (g.adj * np.outer(eps_arr, eps_arr)).astype(np.int8).tobytes()
+    for parent_bit, star in problem.tail_stars:
+        if mask & parent_bit:
+            mask ^= star
+    return mask
 
 
 def dedupe_switching_classes(graphs) -> list[SignedGraph]:
     """Representatives of the switching isomorphism classes in ``graphs``."""
-    by_key = {}
-    for g in graphs:
-        by_key.setdefault(canonical_switch_key(g), g)
     buckets: dict[tuple, list[SignedGraph]] = {}
-    for g in by_key.values():
+    for g in graphs:
         buckets.setdefault(class_invariants(g), []).append(g)
     reps: list[SignedGraph] = []
     for bucket in buckets.values():
@@ -173,6 +181,38 @@ def dedupe_switching_classes(graphs) -> list[SignedGraph]:
                 local.append(g)
         reps.extend(local)
     return reps
+
+
+def _outcome(problem: SignatureSearchProblem, masks, nodes: int, row_cand,
+             exhausted: bool) -> SearchOutcome:
+    """Certify the first mask of each pure-switching class and dedupe those.
+
+    Every other mask of a class is a tail switching of its representative,
+    and switching preserves A^2 = r I, so one certificate decides the class.
+    """
+    classes: dict[int, list[int]] = {}
+    for mask in masks:
+        classes.setdefault(canonical_switch_key(problem, mask), []).append(mask)
+    r = problem.degree
+    valid, raw_count = [], 0
+    for members in classes.values():
+        sol = _solution_graph(problem, members[0])
+        cert = certify_two_sym(sol)
+        if cert and cert.lambda_sq == r:
+            valid.append(sol)
+            raw_count += len(members)
+        elif r != 0:
+            # only the degenerate degree-0 graph may fail: its lone
+            # signature has the one-eigenvalue spectrum {0}
+            raise RuntimeError("search produced a non-solution")
+
+    free_rows = {v for e in problem.free_edges for v in e}
+    candidates = {v + 1: row_cand[v] if v in free_rows else 1
+                  for v in range(r + 1, problem.graph.n)}
+    return SearchOutcome(solutions=dedupe_switching_classes(valid), nodes=nodes,
+                         exhausted=exhausted, raw_count=raw_count,
+                         row_candidates=candidates, problem=problem,
+                         backend=active_backend())
 
 
 def search_signatures(g, node_budget: int | None = None, base: int = 0,
@@ -188,36 +228,12 @@ def search_signatures(g, node_budget: int | None = None, base: int = 0,
     has ``exhausted=False`` and the class list may be incomplete.
     """
     problem = build_signature_problem(g, base)
-    n = problem.graph.n
     order = list(range(len(problem.free_edges)))
     if order_seed is not None:
-        import random
-
         random.Random(order_seed).shuffle(order)
-    masks, nodes, row_cand, exhausted = run_search(
+    return _outcome(problem, *run_search(
         *kernel_arguments(problem, order=order, node_budget=node_budget or 0),
-        progress=progress, progress_every=progress_every)
-    row_free_counts = kernel_arguments(problem)[5]
-
-    raw = [_solution_graph(problem, mask) for mask in masks]
-    r = problem.degree
-    valid = []
-    for sol in raw:
-        cert = certify_two_sym(sol)
-        if cert and cert.lambda_sq == r:
-            valid.append(sol)
-        else:
-            # only the degenerate degree-0 graph reaches this: its lone
-            # signature has the one-eigenvalue spectrum {0}
-            assert r == 0, "search produced a non-solution"
-    reps = dedupe_switching_classes(valid)
-
-    candidates = {}
-    for v in range(r + 1, n):
-        candidates[v + 1] = row_cand[v] if row_free_counts[v] else 1
-    return SearchOutcome(solutions=reps, nodes=nodes, exhausted=exhausted,
-                         raw_count=len(valid), row_candidates=candidates,
-                         problem=problem, backend=active_backend())
+        progress=progress, progress_every=progress_every))
 
 
 def _run_subtree_task(args):
@@ -248,11 +264,9 @@ def search_signatures_parallel(g, workers: int | None = None, base: int = 0,
     from itertools import product
 
     problem = build_signature_problem(g, base)
-    n_free = len(problem.free_edges)
-    first_row = min((min(v, w) for v, w in problem.free_edges), default=None)
-    split = [i for i, (v, w) in enumerate(problem.free_edges)
-             if min(v, w) == first_row]
-    if n_free == 0 or not split:
+    first_row = min((min(e) for e in problem.free_edges), default=None)
+    split = [i for i, e in enumerate(problem.free_edges) if min(e) == first_row]
+    if not split:
         return search_signatures(g, base=base, node_budget=node_budget)
     args = kernel_arguments(problem, node_budget=node_budget or 0)
     jobs = [(args, tuple(zip(split, bits)))
@@ -262,25 +276,10 @@ def search_signatures_parallel(g, workers: int | None = None, base: int = 0,
             results = list(pool.map(_run_subtree_task, jobs))
     else:
         results = [_run_subtree_task(job) for job in jobs]
-
-    masks = [m for r in results for m in r[0]]
-    nodes = sum(r[1] for r in results)
-    exhausted = all(r[3] for r in results)
-    raw = [_solution_graph(problem, mask) for mask in masks]
-    valid = [sol for sol in raw if certify_two_sym(sol)]
-    assert len(valid) == len(raw) or problem.degree == 0
-    reps = dedupe_switching_classes(valid)
-    row_free_counts = args[5]
-    candidates = {}
-    row_cand = [0] * problem.graph.n
-    for r in results:
-        for v, c in enumerate(r[2]):
-            row_cand[v] += c
-    for v in range(problem.degree + 1, problem.graph.n):
-        candidates[v + 1] = row_cand[v] if row_free_counts[v] else 1
-    return SearchOutcome(solutions=reps, nodes=nodes, exhausted=exhausted,
-                         raw_count=len(valid), row_candidates=candidates,
-                         problem=problem, backend=active_backend())
+    return _outcome(problem, [m for res in results for m in res[0]],
+                    sum(res[1] for res in results),
+                    [sum(c) for c in zip(*(res[2] for res in results))],
+                    all(res[3] for res in results))
 
 
 def proof_log(outcome: SearchOutcome) -> str:

@@ -264,7 +264,8 @@ def switching_isomorphic(g: SignedGraph, h: SignedGraph,
             switch_set = frozenset(perm[v] for v in range(g.n) if eps[v] == -1)
             witness = SwitchingWitness(perm=perm_tuple, switch_set=switch_set)
             check = apply_signed_permutation(g, witness.perm, witness.switch_set)
-            assert check == h, "witness failed re-verification"
+            if check != h:
+                raise RuntimeError("witness failed re-verification")
             return True, witness
     return False, None
 

@@ -1,12 +1,18 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 import rectaspec as rs
 from rectaspec._kernel import backends
-from rectaspec.search import (build_signature_problem, kernel_arguments,
+from rectaspec.search import (_solution_graph, build_signature_problem,
+                              canonical_switch_key, kernel_arguments,
                               naive_signature_classes, proof_log,
                               search_signatures, search_weighing,
                               verify_nonexistence)
-from rectaspec.switching import SchemeError
+from rectaspec.switching import SchemeError, solve_switch_for_perm
 
 
 class TestSignatureSearch:
@@ -33,11 +39,36 @@ class TestSignatureSearch:
             assert cert and cert.lambda_sq == 4
 
     def test_order_independence(self):
-        for g in [rs.hypercube(3), rs.hypercube(4), rs.clebsch_graph()]:
+        for g in [rs.hypercube(3), rs.hypercube(4), rs.clebsch_graph(),
+                  rs.folded_cube(5)]:
             baseline = len(search_signatures(g).solutions)
-            for seed in (1, 2, 3):
+            for seed in (0, 1, 2, 3):
                 out = search_signatures(g, order_seed=seed)
                 assert len(out.solutions) == baseline and out.exhausted
+
+    @pytest.mark.parametrize("maker,raw", [
+        (lambda: rs.hypercube(5), 65536),  # 55 free edges: bits past 31
+        (lambda: rs.underlying(rs.catalog("R6.7")), 2048),
+    ])
+    def test_one_class_from_many_raw_solutions(self, maker, raw):
+        out = search_signatures(maker())
+        assert len(out.solutions) == 1 and out.raw_count == raw and out.exhausted
+        r = out.problem.degree
+        assert rs.certify_two_sym(out.solutions[0]).lambda_sq == r
+
+    def test_switch_key_classes_are_switching_classes(self):
+        # Q4's tail has a vertex at distance 4, whose BFS parent is in the tail
+        problem = build_signature_problem(rs.hypercube(4))
+        rng = random.Random(3)
+        masks = [rng.getrandbits(len(problem.free_edges)) for _ in range(20)]
+        masks += [m ^ star for m in masks[:6] for _bit, star in problem.tail_stars]
+        graphs = [_solution_graph(problem, m) for m in masks]
+        keys = [canonical_switch_key(problem, m) for m in masks]
+        identity = list(range(problem.graph.n))
+        for ga, ka in zip(graphs, keys):
+            for gb, kb in zip(graphs, keys):
+                switched = solve_switch_for_perm(ga, gb, identity) is not None
+                assert (ka == kb) == switched
 
     def test_precondition_fault_names_predicate(self):
         k3 = rs.UnderlyingGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -118,10 +149,12 @@ class TestParallelSearch:
     def test_matches_sequential(self):
         from rectaspec.search import search_signatures_parallel
 
-        for g in [rs.hypercube(3), rs.hypercube(4), rs.clebsch_graph()]:
+        for g in [rs.hypercube(3), rs.hypercube(4), rs.clebsch_graph(),
+                  rs.underlying(rs.catalog("R6.7"))]:
             seq = search_signatures(g)
             par = search_signatures_parallel(g)
             assert len(par.solutions) == len(seq.solutions)
+            assert par.raw_count == seq.raw_count
             assert par.exhausted and seq.exhausted
 
     def test_process_pool(self):
@@ -129,6 +162,35 @@ class TestParallelSearch:
 
         out = search_signatures_parallel(rs.folded_cube(5), workers=2)
         assert out.exhausted and not out.solutions
+
+
+# Replaces the kernel with one that returns a genuine Q4 solution mask with
+# one edge sign flipped, then searches Q4: certification must catch it.
+CORRUPT_KERNEL_SEARCH = """
+import rectaspec as rs
+import rectaspec.search as search
+
+real = search.run_search
+
+def corrupted(*args, **kwargs):
+    masks, nodes, row_cand, exhausted = real(*args, **kwargs)
+    return [masks[0] ^ 1], nodes, row_cand, exhausted
+
+search.run_search = corrupted
+search.search_signatures(rs.hypercube(4))
+"""
+
+
+class TestCertificationGate:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+    def test_non_solution_raises(self, flags):
+        src = os.path.dirname(os.path.dirname(rs.__file__))
+        done = subprocess.run(
+            [sys.executable, *flags, "-W", "ignore", "-c", CORRUPT_KERNEL_SEARCH],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode != 0
+        assert "RuntimeError: search produced a non-solution" in done.stderr
 
 
 class TestProofLog:
@@ -154,6 +216,7 @@ class TestKernelParity:
     @pytest.mark.parametrize("maker", [
         lambda: rs.hypercube(3),
         lambda: rs.hypercube(4),
+        lambda: rs.hypercube(5),
         lambda: rs.clebsch_graph(),
         lambda: rs.folded_cube(5),
         lambda: rs.bibd_incidence(rs.constructions.biplane_7_4_2()),

@@ -87,6 +87,14 @@ class TestSwitchingIsomorphic:
         assert ok
         assert apply_signed_permutation(g, witness.perm, witness.switch_set) == h
 
+    def test_failed_reverification_raises(self, monkeypatch):
+        import rectaspec.switching as switching
+
+        monkeypatch.setattr(switching, "apply_signed_permutation",
+                            lambda *args: all_positive_c4())
+        with pytest.raises(RuntimeError, match="re-verification"):
+            rs.switching_isomorphic(rs.signed_cube(2), rs.signed_cube(2))
+
     def test_equivalence_relation_spot_checks(self):
         rng = random.Random(5)
         g = rs.signed_cube(3)
