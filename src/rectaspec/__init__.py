@@ -27,7 +27,7 @@ from .weighing import (EquivalenceWitness, WeighingMatrix, equivalent,
                        to_bipartite_sr2se, verify_weighing,
                        write_weighing_text)
 from .search import (SearchOutcome, naive_signature_classes, proof_log,
-                     search_signatures, search_signatures_parallel,
+                     search_signatures, search_signatures_dfs,
                      search_weighing, verify_nonexistence)
 from .extension import (GramResidual, classify_constant_diag_gram,
                         classify_gram, classify_small_spectrum_02graph,

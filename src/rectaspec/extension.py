@@ -347,7 +347,9 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
     if not np.array_equal(witness.apply(m), canonical):
         return fail(f"case {case} witness failed verification")
     for vec in canonical_vectors:
-        assert np.array_equal(canonical @ vec, lam * vec)
+        if not np.array_equal(canonical @ vec, lam * vec):
+            raise RuntimeError(
+                f"case {case} eigenvector candidate failed verification")
     originals = tuple(tuple(int(x) for x in witness.pull_back(vec))
                       for vec in canonical_vectors)
     return ClassifiedGram(case=case, witness=witness, canonical=canonical,
@@ -474,7 +476,8 @@ def extend_one_vertex(g: SignedGraph, lambda_sq: int | None = None) -> SignedGra
         raise ExtensionError("residual is not a {0, +-1} rank-1 square")
     out = _border(g, x.array())
     cert = certify_two_sym(out)
-    assert cert and cert.lambda_sq == lam_sq
+    if not (cert and cert.lambda_sq == lam_sq):
+        raise RuntimeError("extended graph failed its A^2 = lambda^2 I certificate")
     return out
 
 

@@ -286,7 +286,10 @@ def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:
 def underlying_certificate(g) -> str:
     """Isomorphism-invariant fingerprint of the underlying graph."""
     u = _as_underlying(g)
-    return nx.weisfeiler_lehman_graph_hash(_to_nx(u), iterations=4)
+    # degrees as the initial colours; without a node attribute networkx
+    # 3.5+ warns that its default labelling changed
+    return nx.weisfeiler_lehman_graph_hash(_to_nx(u, u.degrees), node_attr="c",
+                                           iterations=4)
 
 
 def class_invariants(g: SignedGraph) -> tuple:

@@ -122,7 +122,8 @@ def to_bipartite_sr2se(w: WeighingMatrix) -> SignedGraph:
         raise StructureError("matrix is improper: the bipartite graph disconnects")
     g = _support_bipartite(w)
     cert = certify_two_sym(g)
-    assert cert and cert.lambda_sq == w.r
+    if not (cert and cert.lambda_sq == w.r):
+        raise RuntimeError("bipartite graph failed its A^2 = r I certificate")
     return g
 
 
@@ -144,7 +145,8 @@ def from_bipartite_sr2se(g: SignedGraph) -> WeighingMatrix:
         raise StructureError("bipartition sides differ in size")
     b = g.adj[np.ix_(rows, cols)]
     w = WeighingMatrix(b)
-    assert intersection_numbers(w) <= {0, 2} and is_proper(w)
+    if not (intersection_numbers(w) <= {0, 2} and is_proper(w)):
+        raise RuntimeError("biadjacency block is not a proper zero-two weighing matrix")
     return w
 
 
@@ -237,7 +239,8 @@ def equivalent(m: WeighingMatrix, n: WeighingMatrix,
             rperm[perm[sz + j] - sz] = j
             rsigns[perm[sz + j] - sz] = eps[sz + j]
         witness = _witness_from_transform(rperm, rsigns, cperm, csigns)
-        assert witness.verify(m, n), "equivalence witness failed re-verification"
+        if not witness.verify(m, n):
+            raise RuntimeError("equivalence witness failed re-verification")
         return True, witness
     return False, None
 
@@ -322,7 +325,8 @@ def schem2_normal_form(w: WeighingMatrix):
     witness = _witness_from_transform(tuple(row_order), tuple(rsigns),
                                       tuple(col_order), tuple(csigns))
     result = WeighingMatrix(norm.astype(np.int8))
-    assert witness.verify(w, result), "normal-form witness failed re-verification"
+    if not witness.verify(w, result):
+        raise RuntimeError("normal-form witness failed re-verification")
     return result, witness
 
 

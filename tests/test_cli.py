@@ -40,7 +40,8 @@ def test_search_catalog(capsys, tmp_path):
                          "--log", str(log))
     assert code == 0
     assert "classes 1" in out
-    assert log.read_text().startswith("sigsearch v1")
+    assert log.read_text().startswith("sigsearch v2")
+    assert "\nmethod gf2 rank " in log.read_text()
     assert "exhausted true" in log.read_text()
 
 

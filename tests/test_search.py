@@ -8,9 +8,10 @@ import pytest
 import rectaspec as rs
 from rectaspec._kernel import backends
 from rectaspec.search import (_solution_graph, build_signature_problem,
-                              canonical_switch_key, kernel_arguments,
-                              naive_signature_classes, proof_log,
-                              search_signatures, search_weighing,
+                              canonical_switch_key, check_refutation,
+                              kernel_arguments, naive_signature_classes,
+                              proof_log, search_signatures,
+                              search_signatures_dfs, search_weighing,
                               verify_nonexistence)
 from rectaspec.switching import SchemeError, solve_switch_for_perm
 
@@ -41,14 +42,17 @@ class TestSignatureSearch:
     def test_order_independence(self):
         for g in [rs.hypercube(3), rs.hypercube(4), rs.clebsch_graph(),
                   rs.folded_cube(5)]:
-            baseline = len(search_signatures(g).solutions)
-            for seed in (0, 1, 2, 3):
-                out = search_signatures(g, order_seed=seed)
-                assert len(out.solutions) == baseline and out.exhausted
+            baseline = search_signatures(g)
+            for search in (search_signatures, search_signatures_dfs):
+                for seed in (0, 1, 2, 3):
+                    out = search(g, order_seed=seed)
+                    assert len(out.solutions) == len(baseline.solutions)
+                    assert out.raw_count == baseline.raw_count and out.exhausted
 
     @pytest.mark.parametrize("maker,raw", [
         (lambda: rs.hypercube(5), 65536),  # 55 free edges: bits past 31
         (lambda: rs.underlying(rs.catalog("R6.7")), 2048),
+        (lambda: rs.hypercube(6), 2 ** 42),  # never finished by the DFS
     ])
     def test_one_class_from_many_raw_solutions(self, maker, raw):
         out = search_signatures(maker())
@@ -65,10 +69,12 @@ class TestSignatureSearch:
         graphs = [_solution_graph(problem, m) for m in masks]
         keys = [canonical_switch_key(problem, m) for m in masks]
         identity = list(range(problem.graph.n))
-        for ga, ka in zip(graphs, keys):
-            for gb, kb in zip(graphs, keys):
+        for ma, ga, ka in zip(masks, graphs, keys):
+            for mb, gb, kb in zip(masks, graphs, keys):
                 switched = solve_switch_for_perm(ga, gb, identity) is not None
                 assert (ka == kb) == switched
+                # the GF(2) search maps a null basis through the key
+                assert canonical_switch_key(problem, ma ^ mb) == ka ^ kb
 
     def test_precondition_fault_names_predicate(self):
         k3 = rs.UnderlyingGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -76,13 +82,34 @@ class TestSignatureSearch:
             search_signatures(k3)
 
     def test_budget_exhaustion_flagged(self):
-        out = search_signatures(rs.folded_cube(5), node_budget=10)
-        assert not out.exhausted
+        # two pure-switching classes, so a budget of one stops short
+        out = search_signatures(rs.underlying(rs.catalog("R6.7")), node_budget=1)
+        assert not out.exhausted and out.nodes == 1
+        assert not search_signatures_dfs(rs.folded_cube(5), node_budget=10).exhausted
+
+    def test_progress_counts_class_masks(self):
+        calls = []
+        out = search_signatures(rs.underlying(rs.catalog("R6.7")),
+                                progress=lambda *a: calls.append(a),
+                                progress_every=1)
+        assert calls == [(1, 1), (2, 1)] and out.nodes == 2
 
     def test_folded_five_cube_empty(self):
         outcome, log = verify_nonexistence(rs.folded_cube(5))
         assert outcome.exhausted and not outcome.solutions
         assert "solutions 0" in log and "exhausted true" in log
+
+    @pytest.mark.parametrize("maker", [lambda: rs.folded_cube(5),
+                                       lambda: rs.folded_cube(6)])
+    def test_refutation_certificate(self, maker):
+        out = search_signatures(maker())
+        assert out.exhausted and not out.solutions and out.raw_count == 0
+        assert out.refutation
+        check_refutation(out.problem, out.refutation)
+        quads = out.refutation
+        for i in range(len(quads)):
+            with pytest.raises(RuntimeError, match="refutation"):
+                check_refutation(out.problem, quads[:i] + quads[i + 1:])
 
     def test_oracle_agreement_small(self):
         for g in [rs.catalog("Q1"), rs.hypercube(2), rs.hypercube(3)]:
@@ -145,52 +172,72 @@ class TestGewirtz:
         assert not _gf2_consistent(build_signature_problem(g))
 
 
-class TestParallelSearch:
-    def test_matches_sequential(self):
-        from rectaspec.search import search_signatures_parallel
+class TestDfsReference:
+    def test_gf2_matches_dfs(self, monkeypatch):
+        import rectaspec.search as search
 
-        for g in [rs.hypercube(3), rs.hypercube(4), rs.clebsch_graph(),
-                  rs.underlying(rs.catalog("R6.7"))]:
-            seq = search_signatures(g)
-            par = search_signatures_parallel(g)
-            assert len(par.solutions) == len(seq.solutions)
-            assert par.raw_count == seq.raw_count
-            assert par.exhausted and seq.exhausted
+        seen = []  # each driver's {canonical class mask: raw solutions}
+        real = search._outcome
 
-    def test_process_pool(self):
-        from rectaspec.search import search_signatures_parallel
+        def recording(problem, classes, *args, **kwargs):
+            seen.append(dict(classes))
+            return real(problem, classes, *args, **kwargs)
 
-        out = search_signatures_parallel(rs.folded_cube(5), workers=2)
-        assert out.exhausted and not out.solutions
+        monkeypatch.setattr(search, "_outcome", recording)
+        for g in [rs.hypercube(3), rs.hypercube(4), rs.hypercube(5),
+                  rs.clebsch_graph(), rs.folded_cube(5), rs.gewirtz_graph(),
+                  rs.underlying(rs.catalog("R6.7")),
+                  rs.bibd_incidence(rs.constructions.biplane_7_4_2())]:
+            gf2 = search_signatures(g)
+            dfs = search_signatures_dfs(g)
+            assert len(gf2.solutions) == len(dfs.solutions)
+            assert gf2.raw_count == dfs.raw_count
+            assert gf2.exhausted and dfs.exhausted
+            assert seen[-2] == seen[-1]
 
 
-# Replaces the kernel with one that returns a genuine Q4 solution mask with
-# one edge sign flipped, then searches Q4: certification must catch it.
-CORRUPT_KERNEL_SEARCH = """
+# Replaces the elimination with one whose particular solution has one edge
+# sign flipped (or whose refutation misses one quadrangle), then searches:
+# the certificate check must catch it.
+CORRUPT_ELIMINATION_SEARCH = """
 import rectaspec as rs
 import rectaspec.search as search
 
-real = search.run_search
+real = search.solve_parity_system
 
 def corrupted(*args, **kwargs):
-    masks, nodes, row_cand, exhausted = real(*args, **kwargs)
-    return [masks[0] ^ 1], nodes, row_cand, exhausted
+    sol = real(*args, **kwargs)
+    if sol.particular is None:
+        return sol._replace(refutation=sol.refutation[1:])
+    return sol._replace(particular=sol.particular ^ 1)
 
-search.run_search = corrupted
-search.search_signatures(rs.hypercube(4))
+search.solve_parity_system = corrupted
+search.search_signatures(rs.%s)
 """
+
+
+def _run_corrupted(flags, graph):
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    return subprocess.run(
+        [sys.executable, *flags, "-W", "ignore", "-c",
+         CORRUPT_ELIMINATION_SEARCH % graph],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
 
 
 class TestCertificationGate:
     @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
     def test_non_solution_raises(self, flags):
-        src = os.path.dirname(os.path.dirname(rs.__file__))
-        done = subprocess.run(
-            [sys.executable, *flags, "-W", "ignore", "-c", CORRUPT_KERNEL_SEARCH],
-            capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": src})
+        done = _run_corrupted(flags, "hypercube(4)")
         assert done.returncode != 0
         assert "RuntimeError: search produced a non-solution" in done.stderr
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+    def test_incomplete_refutation_raises(self, flags):
+        done = _run_corrupted(flags, "folded_cube(5)")
+        assert done.returncode != 0
+        assert ("RuntimeError: refutation leaves a free edge uncancelled"
+                in done.stderr)
 
 
 class TestProofLog:
@@ -198,17 +245,36 @@ class TestProofLog:
         out = search_signatures(rs.hypercube(3))
         log = proof_log(out)
         lines = log.strip().splitlines()
-        assert lines[0] == "sigsearch v1"
+        assert lines[0] == "sigsearch v2"
         assert lines[1].startswith("graph-sha256 ")
         assert lines[2] == "n 8 r 3"
-        row_lines = [ln for ln in lines if ln.startswith("row ")]
+        assert lines[4] == "free-edges 3"
+        assert lines[5] == "method gf2 rank 2 kernel-dim 1 tail 1"
+        assert not [ln for ln in lines if ln.startswith("row ")]
+        assert lines[-1] == "solutions 1 nodes 1 exhausted true"
+        dfs_lines = proof_log(search_signatures_dfs(rs.hypercube(3))).splitlines()
+        assert dfs_lines[5].startswith("method dfs backend ")
+        row_lines = [ln for ln in dfs_lines if ln.startswith("row ")]
         assert len(row_lines) == 8 - 4  # one per row past the prefix
-        assert lines[-1].startswith("solutions 1 nodes ")
+
+    def test_refutation_lists_quadrangles(self):
+        out = search_signatures(rs.folded_cube(5))
+        lines = proof_log(out).strip().splitlines()
+        assert lines[5].startswith("method gf2 rank ")
+        assert lines[5].endswith(" kernel-dim none tail 10")
+        count = len(out.refutation)
+        assert lines[6] == f"refutation {count}"
+        quads = [tuple(int(v) for v in ln.split()[1:]) for ln in lines[7:7 + count]]
+        assert all(ln.startswith("quadrangle ") for ln in lines[7:7 + count])
+        assert quads == list(out.refutation)
+        check_refutation(out.problem, quads)
+        assert lines[-1] == "solutions 0 nodes 0 exhausted true"
 
     def test_row_candidates_deterministic(self):
-        a = search_signatures(rs.clebsch_graph())
-        b = search_signatures(rs.clebsch_graph())
-        assert a.row_candidates == b.row_candidates and a.nodes == b.nodes
+        a = search_signatures_dfs(rs.clebsch_graph())
+        b = search_signatures_dfs(rs.clebsch_graph())
+        assert a.row_candidates and a.row_candidates == b.row_candidates
+        assert a.nodes == b.nodes
 
 
 @pytest.mark.skipif(len(backends()) < 2, reason="compiled kernel unavailable")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -143,6 +147,40 @@ class TestEquivalence:
         assert not ok
         assert rs.is_proper(proper) and not rs.is_proper(improper)
         assert rs.intersection_numbers(proper) != rs.intersection_numbers(improper)
+
+
+# Makes every equivalence witness negate the first row of P, then asks
+# whether H4 is equivalent to itself: the re-verification must catch it.
+CORRUPT_WITNESS_EQUIVALENCE = """
+import numpy as np
+import rectaspec as rs
+import rectaspec.weighing as weighing
+
+real = weighing._witness_from_transform
+
+def corrupted(*args):
+    w = real(*args)
+    return weighing.EquivalenceWitness(w.p_perm, (-w.p_signs[0],) + w.p_signs[1:],
+                                       w.q_perm, w.q_signs)
+
+weighing._witness_from_transform = corrupted
+h4 = rs.verify_weighing(np.array(%r))
+weighing.equivalent(h4, h4)
+"""
+
+
+class TestWitnessGate:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+    def test_wrong_equivalence_witness_raises(self, flags):
+        src = os.path.dirname(os.path.dirname(rs.__file__))
+        done = subprocess.run(
+            [sys.executable, *flags, "-W", "ignore", "-c",
+             CORRUPT_WITNESS_EQUIVALENCE % H4.tolist()],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode != 0
+        assert ("RuntimeError: equivalence witness failed re-verification"
+                in done.stderr)
 
 
 class TestTextFormat:
