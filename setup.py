@@ -1,4 +1,4 @@
-"""Build hook for the compiled search kernel.
+"""Build hook for the compiled weighing-search kernel.
 
 The extension is optional: when Cython or a C compiler is unavailable the
 package installs anyway and falls back to the pure-Python kernel at import

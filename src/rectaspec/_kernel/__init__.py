@@ -1,35 +1,20 @@
-"""Search kernel selection: compiled extension when available, else the
-pure-Python twin.  ``active_backend()`` reports which one is in use; the
-environment variable RECTASPEC_PURE_PYTHON=1 forces the fallback."""
+"""Backtracking kernels.
 
-import os
+The signature DFS (``run_search``) is pure Python.  The weighing search
+(``run_weighing_search``) uses the compiled extension when it imports and its
+pure-Python twin otherwise; ``active_backend()`` reports which one is in use.
+"""
 
 from . import pysearch
+from .pysearch import run_search
 
-if os.environ.get("RECTASPEC_PURE_PYTHON"):
-    _impl = pysearch
-else:
-    try:
-        from . import _sigsearch as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = pysearch
+try:
+    from . import _sigsearch as _weighing  # type: ignore[attr-defined]
+except ImportError:
+    _weighing = pysearch
 
-run_search = _impl.run_search
-run_weighing_search = getattr(_impl, "run_weighing_search",
-                              pysearch.run_weighing_search)
+run_weighing_search = _weighing.run_weighing_search
 
 
 def active_backend() -> str:
-    return _impl.IMPL
-
-
-def backends():
-    """All importable kernel backends, for the benchmark harness."""
-    found = {"python": pysearch.run_search}
-    try:
-        from . import _sigsearch
-
-        found["cython"] = _sigsearch.run_search
-    except ImportError:
-        pass
-    return found
+    return _weighing.IMPL

@@ -1,206 +1,13 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled signature-search kernel.
+"""Compiled weighing-matrix search kernel.
 
-Mirror of ``pysearch.run_search``: same traversal, same propagation order
-(LIFO), same node and row-candidate accounting, so both backends return
-bit-identical results.  Keep the two implementations in sync.
+Mirror of ``pysearch.run_weighing_search``: the same traversal and node
+accounting, so both backends return identical results.  Keep the two
+implementations in sync.  The signature DFS has no compiled form: it is pure
+Python, in ``pysearch``.
 """
 
-from libc.stdlib cimport free, malloc
-
 IMPL = "cython"
-
-
-def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
-               edge_rows, row_free_counts, order, node_budget=0,
-               progress=None, progress_every=0):
-    if n_free == 0:
-        return [0], 0, list(row_free_counts), True
-    cdef int nf = n_free
-    cdef int nc = len(constraint_edges)
-    cdef int nrows = len(row_free_counts)
-
-    # flatten the constraint <-> edge incidence
-    cdef int ce_total = 0, ec_total = 0
-    for es in constraint_edges:
-        ce_total += len(es)
-    for cs in edge_constraints:
-        ec_total += len(cs)
-
-    cdef int *ce_off = <int *> malloc((nc + 1) * sizeof(int))
-    cdef int *ce_dat = <int *> malloc(max(ce_total, 1) * sizeof(int))
-    cdef int *targets = <int *> malloc(max(nc, 1) * sizeof(int))
-    cdef int *ec_off = <int *> malloc((nf + 1) * sizeof(int))
-    cdef int *ec_dat = <int *> malloc(max(ec_total, 1) * sizeof(int))
-    cdef int *row_a = <int *> malloc(nf * sizeof(int))
-    cdef int *row_b = <int *> malloc(nf * sizeof(int))
-    cdef int *assign = <int *> malloc(nf * sizeof(int))
-    cdef int *cnt = <int *> malloc(max(nc, 1) * sizeof(int))
-    cdef int *acc = <int *> malloc(max(nc, 1) * sizeof(int))
-    cdef int *row_left = <int *> malloc(max(nrows, 1) * sizeof(int))
-    cdef long *row_cand = <long *> malloc(max(nrows, 1) * sizeof(long))
-    cdef int *trail = <int *> malloc(nf * sizeof(int))
-    cdef int *order_c = <int *> malloc(nf * sizeof(int))
-    # propagation stack of (edge, bit) pairs; within one step every
-    # constraint forces at most once, so nc + 1 entries bound it
-    cdef int *prop = <int *> malloc(2 * (nc + 2) * sizeof(int))
-    cdef int *completed = <int *> malloc(max(nrows, 1) * sizeof(int))
-    # frames: edge, next sign, trail mark, order ptr
-    cdef int *frames = <int *> malloc(4 * (nf + 1) * sizeof(int))
-
-    cdef int i, j, k
-    k = 0
-    for i, es in enumerate(constraint_edges):
-        ce_off[i] = k
-        targets[i] = constraint_targets[i]
-        for eid in es:
-            ce_dat[k] = eid
-            k += 1
-    ce_off[nc] = k
-    k = 0
-    for i, cs in enumerate(edge_constraints):
-        ec_off[i] = k
-        for cid in cs:
-            ec_dat[k] = cid
-            k += 1
-    ec_off[nf] = k
-    for i in range(nf):
-        row_a[i] = edge_rows[i][0]
-        row_b[i] = edge_rows[i][1]
-        assign[i] = -1
-        order_c[i] = order[i]
-    for i in range(nc):
-        cnt[i] = ce_off[i + 1] - ce_off[i]
-        acc[i] = 0
-    for i in range(nrows):
-        row_left[i] = row_free_counts[i]
-        row_cand[i] = 0
-
-    solutions = []
-    cdef long nodes = 0
-    cdef long budget = node_budget
-    cdef long every = progress_every
-    cdef bint exhausted = True
-    cdef int trail_len = 0
-    cdef int n_frames = 0
-    cdef int e, b, sign, mark, fptr, p, ci, e2, left, need, v
-    cdef int prop_len, n_completed, conflict
-
-    # root frame
-    p = 0
-    while p < nf and assign[order_c[p]] != -1:
-        p += 1
-    frames[0] = order_c[p]
-    frames[1] = 0
-    frames[2] = 0
-    frames[3] = p
-    n_frames = 1
-
-    while n_frames > 0:
-        e = frames[(n_frames - 1) * 4 + 0]
-        sign = frames[(n_frames - 1) * 4 + 1]
-        mark = frames[(n_frames - 1) * 4 + 2]
-        fptr = frames[(n_frames - 1) * 4 + 3]
-        # rewind the trail to this frame's mark
-        while trail_len > mark:
-            trail_len -= 1
-            e2 = trail[trail_len]
-            b = assign[e2]
-            assign[e2] = -1
-            row_left[row_a[e2]] += 1
-            row_left[row_b[e2]] += 1
-            for k in range(ec_off[e2], ec_off[e2 + 1]):
-                ci = ec_dat[k]
-                cnt[ci] += 1
-                acc[ci] ^= b
-        if sign == 2:
-            n_frames -= 1
-            continue
-        frames[(n_frames - 1) * 4 + 1] = sign + 1
-        if budget > 0 and nodes >= budget:
-            exhausted = False
-            break
-        nodes += 1
-        if every > 0 and progress is not None and nodes % every == 0:
-            progress(nodes, n_frames)
-        # assign e := sign and propagate (LIFO, matching the python twin)
-        prop[0] = e
-        prop[1] = sign
-        prop_len = 1
-        n_completed = 0
-        conflict = 0
-        while prop_len > 0 and not conflict:
-            prop_len -= 1
-            e2 = prop[prop_len * 2]
-            b = prop[prop_len * 2 + 1]
-            if assign[e2] != -1:
-                if assign[e2] != b:
-                    conflict = 1
-                continue
-            assign[e2] = b
-            trail[trail_len] = e2
-            trail_len += 1
-            v = row_a[e2]
-            row_left[v] -= 1
-            if row_left[v] == 0:
-                completed[n_completed] = v
-                n_completed += 1
-            v = row_b[e2]
-            row_left[v] -= 1
-            if row_left[v] == 0:
-                completed[n_completed] = v
-                n_completed += 1
-            for k in range(ec_off[e2], ec_off[e2 + 1]):
-                ci = ec_dat[k]
-                cnt[ci] -= 1
-                acc[ci] ^= b
-                left = cnt[ci]
-                if left == 0:
-                    if acc[ci] != targets[ci]:
-                        # the rewind reverses every constraint of e2, so
-                        # finish the bookkeeping of the ones not reached
-                        for j in range(k + 1, ec_off[e2 + 1]):
-                            cnt[ec_dat[j]] -= 1
-                            acc[ec_dat[j]] ^= b
-                        conflict = 1
-                        break
-                elif left == 1:
-                    need = targets[ci] ^ acc[ci]
-                    for j in range(ce_off[ci], ce_off[ci + 1]):
-                        if assign[ce_dat[j]] == -1:
-                            prop[prop_len * 2] = ce_dat[j]
-                            prop[prop_len * 2 + 1] = need
-                            prop_len += 1
-                            break
-        if conflict:
-            continue
-        for k in range(n_completed):
-            row_cand[completed[k]] += 1
-        p = fptr + 1
-        while p < nf and assign[order_c[p]] != -1:
-            p += 1
-        if p == nf:
-            mask = 0
-            bit = 1  # Python ints, so bits past 31 survive
-            for i in range(nf):
-                if assign[i] == 1:
-                    mask |= bit
-                bit <<= 1
-            solutions.append(mask)
-            continue
-        frames[n_frames * 4 + 0] = order_c[p]
-        frames[n_frames * 4 + 1] = 0
-        frames[n_frames * 4 + 2] = trail_len
-        frames[n_frames * 4 + 3] = p
-        n_frames += 1
-
-    row_cand_out = [row_cand[i] for i in range(nrows)]
-    total_nodes = nodes
-    free(ce_off); free(ce_dat); free(targets); free(ec_off); free(ec_dat)
-    free(row_a); free(row_b); free(assign); free(cnt); free(acc)
-    free(row_left); free(row_cand); free(trail); free(order_c)
-    free(prop); free(completed); free(frames)
-    return solutions, total_nodes, row_cand_out, exhausted
 
 
 DEF WMAX = 64

@@ -1,11 +1,13 @@
-"""Pure-Python signature-search kernel.
+"""Pure-Python backtracking kernels.
 
-The compiled kernel in ``_sigsearch`` implements exactly the same traversal;
-either backend must produce identical solutions, node counts and per-row
-candidate counts.  The state is a trail-based DFS over edge sign bits with
-unit propagation on the quadrangle parity constraints: a constraint with one
-unassigned edge forces it, a fully assigned constraint with the wrong parity
-kills the branch.
+``run_search`` is the only signature DFS, the kernel of the reference search
+``search.search_signatures_dfs``.  Its state is a trail-based DFS over edge
+sign bits with unit propagation on the quadrangle parity constraints: a
+constraint with one unassigned edge forces it, a fully assigned constraint
+with the wrong parity kills the branch.
+
+``run_weighing_search`` has a compiled twin in ``_sigsearch``; the two must
+traverse identically and return identical results.
 """
 
 from __future__ import annotations

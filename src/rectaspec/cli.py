@@ -77,8 +77,8 @@ def cmd_check(args) -> int:
 def cmd_search(args) -> int:
     g = _load_graph(args)
 
-    def progress(nodes, depth):
-        print(f"progress depth {depth} nodes {nodes}", file=sys.stderr)
+    def progress(nodes, dim):
+        print(f"progress classes {nodes} dim {dim}", file=sys.stderr)
 
     outcome = search.search_signatures(g, node_budget=args.budget,
                                        progress=progress,
@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--budget", type=int, default=None, help="node budget")
     p.add_argument("--progress-every", type=int, default=1_000_000,
-                   help="stream a progress line every N nodes (0 disables)")
+                   help="stream a progress line every N class masks "
+                        "(0 disables)")
     p.add_argument("--log", help="write the proof log here")
     p.add_argument("--expect-solutions", action="store_true",
                    help="exit 1 when the search finds nothing")

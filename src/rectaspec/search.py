@@ -38,12 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernel import active_backend, run_search, run_weighing_search
+from ._kernel import run_search, run_weighing_search
 from .core import SignedGraph, UnderlyingGraph, _as_underlying, quadrangles
 from .formats import write_graph6
 from .spectral import certify_two_sym
-from .switching import (_spanning_forest_order, class_invariants, scheme_layout,
-                        switching_isomorphic)
+from .switching import _spanning_forest_order, scheme_layout, switching_isomorphic
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
+from .switching import class_invariants  # noqa: F401
 from .weighing import WeighingMatrix, equivalent, scheme_two_prefix
 
 
@@ -75,7 +76,6 @@ class SearchOutcome:
     rank: int = 0  # gf2: rank of the parity rows eliminated
     # gf2, inconsistent system: quadrangles whose equations sum to 0 = 1
     refutation: tuple[tuple[int, int, int, int], ...] = ()
-    backend: str = ""  # dfs: kernel backend
     row_candidates: dict[int, int] = field(default_factory=dict)  # dfs only
 
 
@@ -152,7 +152,7 @@ def build_signature_problem(g, base: int = 0) -> SignatureSearchProblem:
 
 def kernel_arguments(problem: SignatureSearchProblem, order=None,
                      node_budget: int = 0) -> tuple:
-    """Argument tuple for the search kernels (either backend)."""
+    """Argument tuple for the signature DFS kernel ``run_search``."""
     n_free = len(problem.free_edges)
     edge_constraints = [[] for _ in range(n_free)]
     for ci, edges in enumerate(problem.constraint_edges):
@@ -322,21 +322,18 @@ def canonical_switch_key(problem: SignatureSearchProblem, mask: int) -> int:
 
 
 def dedupe_switching_classes(graphs) -> list[SignedGraph]:
-    """Representatives of the switching isomorphism classes in ``graphs``."""
-    graphs = list(graphs)
-    if len(graphs) < 2:  # the invariants only bucket candidates
-        return graphs
-    buckets: dict[tuple, list[SignedGraph]] = {}
-    for g in graphs:
-        buckets.setdefault(class_invariants(g), []).append(g)
+    """Representatives of the switching isomorphism classes in ``graphs``.
+
+    No screening by ``class_invariants``: the candidates of one search share
+    a labelled underlying graph and A^2 = r I, so their invariants (n,
+    degrees, WL hash, charpoly (x^2 - r)^(n/2), all quadrangles negative)
+    are equal.
+    """
     reps: list[SignedGraph] = []
-    for bucket in buckets.values():
-        local: list[SignedGraph] = []
-        for g in bucket:
-            cap = max(g.n, 128)
-            if not any(switching_isomorphic(g, rep, cap=cap)[0] for rep in local):
-                local.append(g)
-        reps.extend(local)
+    for g in graphs:
+        cap = max(g.n, 128)
+        if not any(switching_isomorphic(g, rep, cap=cap)[0] for rep in reps):
+            reps.append(g)
     return reps
 
 
@@ -423,11 +420,12 @@ def search_signatures_dfs(g, node_budget: int | None = None, base: int = 0,
                           progress_every: int = 0) -> SearchOutcome:
     """Reference for ``search_signatures``: the paper's backtracking search.
 
-    The kernel (``run_search``) completes one adjacency-matrix row at a time
-    (ties broken by lowest index) with unit propagation on the parity
-    equations, and enumerates every raw solution; ``order_seed`` shuffles
-    its free-edge order.  ``node_budget`` caps the number of decisions.  The
-    outcome records the per-row candidate counts of the paper's tables.
+    The pure-Python kernel (``run_search``) completes one adjacency-matrix
+    row at a time (ties broken by lowest index) with unit propagation on the
+    parity equations, and enumerates every raw solution; ``order_seed``
+    shuffles its free-edge order.  ``node_budget`` caps the number of
+    decisions.  The outcome records the per-row candidate counts of the
+    paper's tables.
     """
     problem = build_signature_problem(g, base)
     masks, nodes, row_cand, exhausted = run_search(
@@ -439,7 +437,7 @@ def search_signatures_dfs(g, node_budget: int | None = None, base: int = 0,
     candidates = {v + 1: row_cand[v] if v in free_rows else 1
                   for v in range(problem.degree + 1, problem.graph.n)}
     return _outcome(problem, classes, nodes, exhausted, method="dfs",
-                    backend=active_backend(), row_candidates=candidates)
+                    row_candidates=candidates)
 
 
 def proof_log(outcome: SearchOutcome) -> str:
@@ -472,7 +470,7 @@ def proof_log(outcome: SearchOutcome) -> str:
             lines += ["quadrangle " + " ".join(str(v) for v in quad)
                       for quad in outcome.refutation]
     else:
-        lines.append(f"method dfs backend {outcome.backend}")
+        lines.append("method dfs")
         lines += [f"row {row} candidates {count}"
                   for row, count in sorted(outcome.row_candidates.items())]
     lines.append(f"solutions {len(outcome.solutions)} nodes {outcome.nodes} "

@@ -45,6 +45,14 @@ def test_search_catalog(capsys, tmp_path):
     assert "exhausted true" in log.read_text()
 
 
+def test_search_progress_lines(capsys):
+    code, _, err = run(capsys, "search", "--catalog", "CLEBSCH",
+                       "--progress-every", "1")
+    assert code == 0
+    lines = [ln for ln in err.splitlines() if ln.startswith("progress ")]
+    assert lines == ["progress classes 1 dim 1", "progress classes 2 dim 1"]
+
+
 def test_search_expect_solutions_failure(capsys, tmp_path):
     g6 = tmp_path / "fc5.g6"
     from rectaspec.formats import write_graph6

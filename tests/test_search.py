@@ -6,14 +6,14 @@ import sys
 import pytest
 
 import rectaspec as rs
-from rectaspec._kernel import backends
+from rectaspec._kernel import pysearch
 from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
-                              kernel_arguments, naive_signature_classes,
-                              proof_log, search_signatures,
-                              search_signatures_dfs, search_weighing,
-                              verify_nonexistence)
+                              naive_signature_classes, proof_log,
+                              search_signatures, search_signatures_dfs,
+                              search_weighing, verify_nonexistence)
 from rectaspec.switching import SchemeError, solve_switch_for_perm
+from rectaspec.weighing import scheme_two_prefix
 
 
 class TestSignatureSearch:
@@ -253,7 +253,7 @@ class TestProofLog:
         assert not [ln for ln in lines if ln.startswith("row ")]
         assert lines[-1] == "solutions 1 nodes 1 exhausted true"
         dfs_lines = proof_log(search_signatures_dfs(rs.hypercube(3))).splitlines()
-        assert dfs_lines[5].startswith("method dfs backend ")
+        assert dfs_lines[5] == "method dfs"
         row_lines = [ln for ln in dfs_lines if ln.startswith("row ")]
         assert len(row_lines) == 8 - 4  # one per row past the prefix
 
@@ -277,28 +277,17 @@ class TestProofLog:
         assert a.nodes == b.nodes
 
 
-@pytest.mark.skipif(len(backends()) < 2, reason="compiled kernel unavailable")
-class TestKernelParity:
-    @pytest.mark.parametrize("maker", [
-        lambda: rs.hypercube(3),
-        lambda: rs.hypercube(4),
-        lambda: rs.hypercube(5),
-        lambda: rs.clebsch_graph(),
-        lambda: rs.folded_cube(5),
-        lambda: rs.bibd_incidence(rs.constructions.biplane_7_4_2()),
+class TestWeighingKernelParity:
+    @pytest.mark.parametrize("n, r, budget", [
+        (8, 4, 0), (12, 5, 0), (13, 4, 0), (12, 5, 100),
     ])
-    def test_backends_agree_bitwise(self, maker):
-        problem = build_signature_problem(maker())
-        args = kernel_arguments(problem)
-        results = [fn(*args) for _, fn in sorted(backends().items())]
-        assert all(r == results[0] for r in results)
-
-    def test_budget_behaviour_matches(self):
-        problem = build_signature_problem(rs.folded_cube(5))
-        args = kernel_arguments(problem, node_budget=100)
-        results = [fn(*args) for _, fn in sorted(backends().items())]
-        assert all(r == results[0] for r in results)
-        assert results[0][3] is False or results[0][3] == 0  # exhausted flag off
+    def test_backends_agree(self, n, r, budget):
+        compiled = pytest.importorskip("rectaspec._kernel._sigsearch")
+        prefix_rows = [tuple(int(v) for v in row)
+                       for row in scheme_two_prefix(r, n)]
+        args = (n, r, prefix_rows, budget)
+        assert compiled.run_weighing_search(*args) == \
+            pysearch.run_weighing_search(*args)
 
 
 class TestWeighingSearch:
