@@ -156,6 +156,8 @@ cdef void _w_rec(WState *st, int i, int j, int weight_left, int seen_nonzero,
             continue
         if still_equal and i > st.n_prefix and v < prev:
             continue
+        if st.budget > 0 and st.nodes >= st.budget:
+            return
         st.nodes += 1
         ok = 1
         for jj in range(j):

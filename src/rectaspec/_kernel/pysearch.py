@@ -217,6 +217,8 @@ def run_weighing_search(n, r, prefix_rows, node_budget=0):
                     continue
                 if still_equal and prev_tail is not None and v < prev_tail[j]:
                     continue
+                if node_budget and state["nodes"] >= node_budget:
+                    return
                 state["nodes"] += 1
                 ok = True
                 for jj in range(j):  # column pairs inside the current row

@@ -168,9 +168,11 @@ def gewirtz_graph() -> UnderlyingGraph:
         mask = sum(1 << i for i in combo)
         if all((mask & line).bit_count() <= 2 for line in lines):
             hyperovals.append(mask)
-    assert len(hyperovals) == 168
+    if len(hyperovals) != 168:
+        raise RuntimeError(f"found {len(hyperovals)} hyperovals in PG(2, 4), not 168")
     cls = [h for h in hyperovals if (h & hyperovals[0]).bit_count() % 2 == 0]
-    assert len(cls) == 56
+    if len(cls) != 56:
+        raise RuntimeError(f"hyperoval class has {len(cls)} members, not 56")
     adj = np.zeros((56, 56), dtype=np.int8)
     for i in range(56):
         for j in range(i + 1, 56):
@@ -178,7 +180,8 @@ def gewirtz_graph() -> UnderlyingGraph:
                 adj[i, j] = adj[j, i] = 1
     g = UnderlyingGraph(adj)
     rep = structure_report(g)
-    assert rep.degree == 10 and rep.connected and rep.triangle_free and rep.zero_two
+    if not (rep.degree == 10 and rep.connected and rep.triangle_free and rep.zero_two):
+        raise RuntimeError("Gewirtz construction is not a 10-regular rectagraph")
     _GEWIRTZ_CACHE.append(g)
     return g
 
@@ -200,7 +203,8 @@ def fano_plane() -> list[frozenset[int]]:
         a, b, c = (p + 1 for p in triple)
         if a ^ b ^ c == 0:
             lines.append(frozenset(triple))
-    assert len(lines) == 7
+    if len(lines) != 7:
+        raise RuntimeError(f"found {len(lines)} Fano lines, not 7")
     return lines
 
 
@@ -284,7 +288,8 @@ def _recorded(key: str) -> SignedGraph:
     relabelled = relabel(base.all_positive(), layout.perm)
     adj = relabelled.adj.copy()
     for u, v in neg_edges:
-        assert adj[u, v] == 1
+        if adj[u, v] != 1:
+            raise RuntimeError(f"recorded signature {key} negates non-edge ({u}, {v})")
         adj[u, v] = adj[v, u] = -1
     return SignedGraph(adj)
 

@@ -3,8 +3,9 @@
 A signed graph is stored as a symmetric n x n matrix with entries in
 {-1, 0, +1} and zero diagonal: the entry carries the edge sign, zero means
 non-edge.  The underlying (unsigned) graph is the entrywise absolute value.
-All predicates here are computed exactly; the per-row bitmask view of the
-underlying support keeps common-neighbour counting cheap for the search code.
+Both graph types share one base class.  Every structural predicate reads
+only the per-row bitmasks of the support (``row_bits``), so it accepts
+either type and never builds an underlying graph first.
 """
 
 from __future__ import annotations
@@ -15,44 +16,35 @@ from itertools import combinations
 
 import numpy as np
 
-from .exactlinalg import exact_matmul
-
 
 class StructureError(ValueError):
     """A structural precondition (regular / triangle-free / ...) failed."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int8)
-    arr.setflags(write=False)
-    return arr
-
-
-def _check_signed_matrix(adj: np.ndarray) -> None:
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency matrix must be square")
-    if adj.shape[0] == 0:
-        raise ValueError("graph must have at least one vertex")
-    if np.any(np.diagonal(adj)):
-        raise ValueError("diagonal entries must be zero")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency matrix must be symmetric")
-    if np.any(np.abs(adj) > 1):
-        raise ValueError("entries must lie in {-1, 0, +1}")
-
-
-@dataclass(frozen=True)
-class SignedGraph:
-    """Immutable signed graph; ``adj`` is a read-only int8 matrix."""
+@dataclass(frozen=True, eq=False)
+class _Graph:
+    """Read-only, validated int8 adjacency matrix and its support bitmasks;
+    equal only to a graph of the same type with the same matrix."""
 
     adj: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "adj", _freeze(self.adj))
-        _check_signed_matrix(self.adj)
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label count must match vertex count")
+        adj = np.ascontiguousarray(self.adj, dtype=np.int8)
+        if adj is not self.adj and not np.array_equal(adj, self.adj):
+            # the cast changed an entry (257 wraps to 1, 0.5 truncates to 0)
+            raise ValueError("entries must lie in {-1, 0, +1}")
+        adj.setflags(write=False)
+        object.__setattr__(self, "adj", adj)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError("adjacency matrix must be square")
+        if adj.shape[0] == 0:
+            raise ValueError("graph must have at least one vertex")
+        if np.any(np.diagonal(adj)):
+            raise ValueError("diagonal entries must be zero")
+        if not np.array_equal(adj, adj.T):
+            raise ValueError("adjacency matrix must be symmetric")
+        if np.any(np.abs(adj) > 1):
+            raise ValueError("entries must lie in {-1, 0, +1}")
 
     @property
     def n(self) -> int:
@@ -60,29 +52,36 @@ class SignedGraph:
 
     @cached_property
     def row_bits(self) -> tuple[int, ...]:
-        """Underlying support of each row packed into a Python int bitmask."""
-        out = []
-        for row in np.abs(self.adj):
-            bits = 0
-            for j in np.flatnonzero(row):
-                bits |= 1 << int(j)
-            out.append(bits)
-        return tuple(out)
+        """Support of each row as a Python int: bit j set iff j is a neighbour."""
+        packed = np.packbits(self.adj != 0, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in np.abs(self.adj).sum(axis=1))
+        return tuple(bits.bit_count() for bits in self.row_bits)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and np.array_equal(self.adj, other.adj)
+
+    def __hash__(self):
+        return hash(self.adj.tobytes())
+
+
+@dataclass(frozen=True, eq=False)
+class SignedGraph(_Graph):
+    """Immutable signed graph; ``adj`` is a read-only int8 matrix."""
+
+    labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.labels is not None and len(self.labels) != self.n:
+            raise ValueError("label count must match vertex count")
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Sorted (u, v, sign) triples with u < v."""
         us, vs = np.nonzero(np.triu(self.adj))
         return [(int(u), int(v), int(self.adj[u, v])) for u, v in zip(us, vs)]
-
-    def __eq__(self, other):
-        return isinstance(other, SignedGraph) and np.array_equal(self.adj, other.adj)
-
-    def __hash__(self):
-        return hash(self.adj.tobytes())
 
     @staticmethod
     def from_edges(n: int, edges, labels=None) -> "SignedGraph":
@@ -98,35 +97,14 @@ class SignedGraph:
         return SignedGraph(adj, labels=tuple(labels) if labels else None)
 
 
-@dataclass(frozen=True)
-class UnderlyingGraph:
+@dataclass(frozen=True, eq=False)
+class UnderlyingGraph(_Graph):
     """Unsigned graph: symmetric 0/1 matrix with zero diagonal."""
 
-    adj: np.ndarray
-
     def __post_init__(self):
-        object.__setattr__(self, "adj", _freeze(self.adj))
-        _check_signed_matrix(self.adj)
+        super().__post_init__()
         if np.any(self.adj < 0):
             raise ValueError("underlying graph entries must be 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return self.adj.shape[0]
-
-    @cached_property
-    def row_bits(self) -> tuple[int, ...]:
-        out = []
-        for row in self.adj:
-            bits = 0
-            for j in np.flatnonzero(row):
-                bits |= 1 << int(j)
-            out.append(bits)
-        return tuple(out)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(int(d) for d in self.adj.sum(axis=1))
 
     def edges(self) -> list[tuple[int, int]]:
         us, vs = np.nonzero(np.triu(self.adj))
@@ -134,12 +112,6 @@ class UnderlyingGraph:
 
     def all_positive(self) -> SignedGraph:
         return SignedGraph(self.adj.copy())
-
-    def __eq__(self, other):
-        return isinstance(other, UnderlyingGraph) and np.array_equal(self.adj, other.adj)
-
-    def __hash__(self):
-        return hash(self.adj.tobytes())
 
     @staticmethod
     def from_edges(n: int, edges) -> "UnderlyingGraph":
@@ -171,70 +143,94 @@ def _as_underlying(g) -> UnderlyingGraph:
     return underlying(g) if isinstance(g, SignedGraph) else g
 
 
+def _vertices(mask: int):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _neighbours(bits, mask: int) -> int:
+    """Bitmask of every neighbour of a vertex in ``mask``."""
+    out = 0
+    for v in _vertices(mask):
+        out |= bits[v]
+    return out
+
+
+def _reach(bits, frontier: int) -> int:
+    """Bitmask of every vertex reachable from the vertices in ``frontier``."""
+    seen = frontier
+    while frontier:
+        frontier = _neighbours(bits, frontier) & ~seen
+        seen |= frontier
+    return seen
+
+
 def components(g) -> list[list[int]]:
     """Connected components of the underlying graph, each sorted."""
-    u = _as_underlying(g)
-    bits = u.row_bits
+    bits = g.row_bits
     seen = 0
     comps = []
-    for start in range(u.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            v = frontier
-            while v:
-                low = (v & -v).bit_length() - 1
-                nxt |= bits[low]
-                v &= v - 1
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append([i for i in range(u.n) if comp >> i & 1])
+    for start in range(g.n):
+        if not seen >> start & 1:
+            comp = _reach(bits, 1 << start)
+            seen |= comp
+            comps.append(list(_vertices(comp)))
     return comps
 
 
 def is_connected(g) -> bool:
-    return len(components(g)) == 1
+    return _reach(g.row_bits, 1) == (1 << g.n) - 1
 
 
 def bipartition(g) -> tuple[list[int], list[int]] | None:
-    """Two-colouring of the underlying graph, or None if an odd cycle exists."""
-    u = _as_underlying(g)
-    colour = [-1] * u.n
-    for start in range(u.n):
-        if colour[start] != -1:
+    """Two-colouring of the underlying graph, or None if an odd cycle exists.
+
+    Breadth-first by layers, each component's smallest vertex on side 0.  A
+    layer's neighbours lie in the layers just before it, in it and just
+    after it, so an odd cycle shows as a neighbour on the layer's own side.
+    """
+    bits = g.row_bits
+    sides = [0, 0]
+    for start in range(g.n):
+        if (sides[0] | sides[1]) >> start & 1:
             continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in range(u.n):
-                if u.adj[v, w]:
-                    if colour[w] == -1:
-                        colour[w] = 1 - colour[v]
-                        stack.append(w)
-                    elif colour[w] == colour[v]:
-                        return None
-    return ([i for i, c in enumerate(colour) if c == 0],
-            [i for i, c in enumerate(colour) if c == 1])
+        frontier, side = 1 << start, 0
+        while frontier:
+            sides[side] |= frontier
+            nxt = _neighbours(bits, frontier)
+            if nxt & sides[side]:
+                return None
+            frontier = nxt & ~sides[1 - side]
+            side = 1 - side
+    return list(_vertices(sides[0])), list(_vertices(sides[1]))
 
 
-def common_neighbour_counts(g) -> np.ndarray:
-    """Matrix of |N(u) cap N(v)| of the underlying graph."""
-    a = np.abs(np.asarray(_as_underlying(g).adj, dtype=np.int64))
-    return exact_matmul(a, a)
+def is_triangle_free(g) -> bool:
+    bits = g.row_bits
+    # an edge vw lies on a triangle iff v and w share a neighbour; each edge
+    # is tested once, from its smaller end
+    return not any(bits[v] & bits[w] for v in range(g.n)
+                   for w in _vertices(bits[v] >> v << v))
+
+
+def _codegrees(g):
+    """Common-neighbour count of every unordered vertex pair, row by row."""
+    for row, other in combinations(g.row_bits, 2):
+        yield (row & other).bit_count()
+
+
+def _zero_two(g) -> bool:
+    return all(c == 0 or c == 2 for c in _codegrees(g))
 
 
 def common_neighbour_profile(g) -> list[int]:
     """Sorted multiset of common-neighbour counts over unordered vertex pairs."""
-    u = _as_underlying(g)
-    if u.n < 2:
+    if g.n < 2:
         raise ValueError("profile needs at least two vertices")
-    sq = common_neighbour_counts(u)
-    return sorted(int(sq[i, j]) for i, j in combinations(range(u.n), 2))
+    return sorted(_codegrees(g))
 
 
 def quadrangle_count(g) -> int:
@@ -243,13 +239,7 @@ def quadrangle_count(g) -> int:
     Every 4-cycle is determined by its two diagonal pairs, so summing
     C(codegree, 2) over unordered pairs counts each quadrangle twice.
     """
-    u = _as_underlying(g)
-    sq = common_neighbour_counts(u)
-    total = 0
-    for i, j in combinations(range(u.n), 2):
-        c = int(sq[i, j])
-        total += c * (c - 1) // 2
-    return total // 2
+    return sum(c * (c - 1) // 2 for c in _codegrees(g)) // 2
 
 
 def quadrangles(g) -> list[tuple[int, int, int, int]]:
@@ -257,30 +247,13 @@ def quadrangles(g) -> list[tuple[int, int, int, int]]:
 
     Reported once each, with a the smallest vertex and b < d.
     """
-    u = _as_underlying(g)
-    bits = u.row_bits
+    bits = g.row_bits
     out = []
-    for a, c in combinations(range(u.n), 2):
-        common = bits[a] & bits[c] & ~((1 << (a + 1)) - 1)
-        ws = []
-        v = common
-        while v:
-            low = (v & -v).bit_length() - 1
-            ws.append(low)
-            v &= v - 1
-        for b, d in combinations(ws, 2):
-            if a < min(b, c, d):
-                out.append((a, b, c, d))
+    for a, c in combinations(range(g.n), 2):
+        common = (bits[a] & bits[c]) >> (a + 1) << (a + 1)
+        for b, d in combinations(_vertices(common), 2):
+            out.append((a, b, c, d))
     return out
-
-
-def is_triangle_free(g) -> bool:
-    u = _as_underlying(g)
-    bits = u.row_bits
-    for v, w in u.edges():
-        if bits[v] & bits[w]:
-            return False
-    return True
 
 
 def structure_report(g) -> StructureReport:
@@ -289,27 +262,23 @@ def structure_report(g) -> StructureReport:
     ``zero_two`` is vacuously true when no vertex pair exists; disconnected
     inputs are fine (connectivity is just reported).
     """
-    u = _as_underlying(g)
-    degs = u.degrees
+    degs = g.degrees
     regular = len(set(degs)) == 1
-    sq = common_neighbour_counts(u)
-    zero_two = all(int(sq[i, j]) in (0, 2)
-                   for i, j in combinations(range(u.n), 2))
     return StructureReport(
         regular=regular,
         degree=degs[0] if regular else None,
-        connected=is_connected(u),
-        bipartite=bipartition(u) is not None,
-        triangle_free=is_triangle_free(u),
-        zero_two=zero_two,
-        quadrangle_count=quadrangle_count(u),
+        connected=is_connected(g),
+        bipartite=bipartition(g) is not None,
+        triangle_free=is_triangle_free(g),
+        zero_two=_zero_two(g),
+        quadrangle_count=quadrangle_count(g),
     )
 
 
 def is_rectagraph(g) -> bool:
-    """Connected, triangle-free, every vertex pair with 0 or 2 common neighbours."""
-    rep = structure_report(g)
-    return rep.connected and rep.triangle_free and rep.zero_two
+    """Connected, triangle-free, every vertex pair with 0 or 2 common neighbours;
+    the tests run in that order and stop at the first that fails."""
+    return is_connected(g) and is_triangle_free(g) and _zero_two(g)
 
 
 def delete_vertices(g: SignedGraph, remove) -> SignedGraph:

@@ -2,7 +2,8 @@
 
 Everything in here is tolerance-free.  Matrix products use float64 BLAS only
 inside a proven-exact range (entries and all partial sums stay far below
-2**53, so no rounding can occur) and are converted back to int64; elimination
+2**53, so no rounding can occur) and are converted back to int64; products
+that could leave the int64 range are taken over Python integers; elimination
 routines are fraction-free over the integers.
 """
 
@@ -12,21 +13,30 @@ import numpy as np
 
 # float64 holds every integer of magnitude < 2**53 exactly; a product of two
 # matrices with |entries| <= b has |partial sums| <= n*b*b, so BLAS is exact
-# whenever n*b*b < 2**53.
+# whenever n*b*b < 2**53, and int64 arithmetic cannot wrap while n*b*b < 2**63.
 _EXACT_F64_BOUND = 1 << 53
+_INT64_BOUND = 1 << 63
+
+
+def _magnitude(m: np.ndarray) -> int:
+    return max(int(m.max(initial=0)), -int(m.min(initial=0)))
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product of two integer matrices (int64 result)."""
+    """Exact integer product of two integer matrices.
+
+    The result is int64 when n * max|a| * max|b| < 2**63, which bounds every
+    entry and partial sum; otherwise it is an object array of Python ints.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    n = a.shape[1]
-    bound_a = int(np.abs(a).max(initial=0))
-    bound_b = int(np.abs(b).max(initial=0))
-    if n * bound_a * bound_b < _EXACT_F64_BOUND:
+    bound = a.shape[1] * _magnitude(a) * _magnitude(b)
+    if bound < _EXACT_F64_BOUND:
         prod = a.astype(np.float64) @ b.astype(np.float64)
         return prod.astype(np.int64)
-    return a @ b
+    if bound < _INT64_BOUND:
+        return a @ b
+    return a.astype(object) @ b.astype(object)
 
 
 def charpoly(a) -> list[int]:

@@ -60,7 +60,8 @@ class ExtensionVector:
     @staticmethod
     def from_entries(entries) -> "ExtensionVector":
         entries = tuple(int(x) for x in entries)
-        assert all(abs(x) <= 1 for x in entries)
+        if any(abs(x) > 1 for x in entries):
+            raise ValueError("extension vector entries must lie in {-1, 0, +1}")
         return ExtensionVector(entries=entries,
                                norm_sq=sum(x * x for x in entries))
 
@@ -102,7 +103,8 @@ def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
     eig = _shape_eigenvalue(m, rk)
     case = None
     if rk == 2 and counts is not None and eig is not None:
-        assert int(np.trace(m)) == counts[1] + 2 * counts[2]
+        if int(np.trace(m)) != counts[1] + 2 * counts[2]:
+            raise RuntimeError("residual trace disagrees with its diagonal counts")
         case = _case_of(m, counts, eig)
     d0, d1, d2 = counts if counts is not None else (None, None, None)
     return GramResidual(matrix=m, lambda_sq=lambda_sq, d0=d0, d1=d1, d2=d2,

@@ -17,8 +17,7 @@ from math import comb
 import networkx as nx
 import numpy as np
 
-from .core import (SignedGraph, StructureError, UnderlyingGraph, _as_underlying,
-                   quadrangles, structure_report)
+from .core import SignedGraph, StructureError, quadrangles, structure_report
 from .exactlinalg import charpoly
 
 DEFAULT_SIZE_CAP = 128
@@ -108,14 +107,13 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
     """Order vertices as: base, its neighbours, one common neighbour per
     neighbour pair, then everything at distance >= 3 (in original index
     order, which the enumeration itself does not prescribe)."""
-    u = _as_underlying(g)
-    rep = structure_report(u)
+    rep = structure_report(g)
     for name in ("connected", "regular", "triangle_free", "zero_two"):
         if not getattr(rep, name):
             raise SchemeError(f"normal form needs a {name.replace('_', '-')} graph")
     r = rep.degree
-    bits = u.row_bits
-    nbrs = sorted(np.flatnonzero(u.adj[base]).tolist())
+    bits = g.row_bits
+    nbrs = np.flatnonzero(g.adj[base]).tolist()
     order = [base] + nbrs
     pair_vertex = {}
     for ia, a in enumerate(nbrs, start=1):
@@ -131,13 +129,13 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
     placed = set(order)
     if len(placed) != len(order):
         raise SchemeError("enumeration revisited a vertex; graph is not zero-two")
-    tail = [v for v in range(u.n) if v not in placed]
+    tail = [v for v in range(g.n) if v not in placed]
     order.extend(tail)
-    perm = [0] * u.n
+    perm = [0] * g.n
     for new, old in enumerate(order):
         perm[old] = new
-    expected = 1 + r + comb(r, 2)
-    assert len(order) - len(tail) == expected
+    if len(order) - len(tail) != 1 + r + comb(r, 2):
+        raise RuntimeError("layout placed the wrong number of prefix vertices")
     return SchemeLayout(perm=tuple(perm), degree=r, pair_vertex=pair_vertex,
                         tail_size=len(tail))
 
@@ -174,18 +172,19 @@ def schem_normal_form(g: SignedGraph, base: int = 0) -> SwitchingClass:
                           tail_size=layout.tail_size)
 
 
-def _to_nx(u: UnderlyingGraph, colours=None) -> nx.Graph:
-    g = nx.Graph()
-    for v in range(u.n):
-        g.add_node(v, c=None if colours is None else colours[v])
-    g.add_edges_from(u.edges())
-    return g
+def _to_nx(g, colours=None) -> nx.Graph:
+    """Underlying graph of either graph type as networkx, edges in row order."""
+    out = nx.Graph()
+    for v in range(g.n):
+        out.add_node(v, c=None if colours is None else colours[v])
+    us, vs = np.nonzero(np.triu(g.adj))
+    out.add_edges_from(zip(us.tolist(), vs.tolist()))
+    return out
 
 
 def underlying_isomorphisms(u1, u2, colours1=None, colours2=None):
     """Yield dict isomorphisms from u1's vertices onto u2's, respecting the
     optional vertex colourings."""
-    u1, u2 = _as_underlying(u1), _as_underlying(u2)
     if u1.n != u2.n or sorted(u1.degrees) != sorted(u2.degrees):
         return
     match = nx.isomorphism.categorical_node_match("c", None)
@@ -194,12 +193,12 @@ def underlying_isomorphisms(u1, u2, colours1=None, colours2=None):
     yield from gm.isomorphisms_iter()
 
 
-def _spanning_forest_order(u: UnderlyingGraph):
+def _spanning_forest_order(g):
     """(vertex, parent) pairs in BFS order per component; roots have parent -1."""
-    bits = u.row_bits
+    bits = g.row_bits
     seen = set()
     order = []
-    for root in range(u.n):
+    for root in range(g.n):
         if root in seen:
             continue
         seen.add(root)
@@ -227,9 +226,8 @@ def solve_switch_for_perm(g: SignedGraph, h: SignedGraph, perm):
     uniquely up to a global flip (which changes nothing), so one pass plus
     one verification decides.
     """
-    u = _as_underlying(g)
     eps = [0] * g.n
-    for v, parent in _spanning_forest_order(u):
+    for v, parent in _spanning_forest_order(g):
         if parent < 0:
             eps[v] = 1
         else:
@@ -285,10 +283,9 @@ def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:
 
 def underlying_certificate(g) -> str:
     """Isomorphism-invariant fingerprint of the underlying graph."""
-    u = _as_underlying(g)
     # degrees as the initial colours; without a node attribute networkx
     # 3.5+ warns that its default labelling changed
-    return nx.weisfeiler_lehman_graph_hash(_to_nx(u, u.degrees), node_attr="c",
+    return nx.weisfeiler_lehman_graph_hash(_to_nx(g, g.degrees), node_attr="c",
                                            iterations=4)
 
 

@@ -281,20 +281,23 @@ def schem2_normal_form(w: WeighingMatrix):
     support0 = np.flatnonzero(ent[row0]).tolist()
     anchor = support0[0]
     sharing = [i for i in np.flatnonzero(ent[:, anchor]).tolist() if i != row0]
-    assert len(sharing) == r - 1
+    if len(sharing) != r - 1:
+        raise RuntimeError(f"column {anchor} does not have weight {r}")
     row_order = [row0] + sharing
     # row i's second meeting column with row 0 becomes column i
     col_order = [anchor]
     for i in row_order[1:]:
         both = [c for c in support0 if c != anchor and ent[i, c]]
-        assert len(both) == 1
+        if len(both) != 1:
+            raise RuntimeError(f"rows {row0} and {i} do not meet in two columns")
         col_order.append(both[0])
     for a_pos in range(1, r):
         for b_pos in range(a_pos + 1, r):
             a, b = row_order[a_pos], row_order[b_pos]
             shared = [c for c in np.flatnonzero(ent[a]).tolist()
                       if c != anchor and ent[b, c]]
-            assert len(shared) == 1
+            if len(shared) != 1:
+                raise RuntimeError(f"rows {a} and {b} do not meet in two columns")
             col_order.append(shared[0])
     col_order += [c for c in range(sz) if c not in set(col_order)]
     row_order += [i for i in range(sz) if i not in set(row_order)]

@@ -68,6 +68,15 @@ def test_search_weighing(capsys):
     assert code == 0 and "classes 1" in out
 
 
+@pytest.mark.parametrize("order, weight", [(12, 5), (13, 4), (8, 4)])
+@pytest.mark.parametrize("budget", [1, 10, 100])
+def test_search_weighing_budget(capsys, order, weight, budget):
+    code, out, _ = run(capsys, "search-weighing", "--order", str(order),
+                       "--weight", str(weight), "--budget", str(budget))
+    assert code == 0
+    assert out.splitlines()[-1].endswith(f"nodes {budget} exhausted false")
+
+
 def test_construct_expression(capsys):
     code, out, _ = run(capsys, "construct", "ltimes-k2(R5.4)")
     assert code == 0

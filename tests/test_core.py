@@ -1,9 +1,11 @@
+import networkx as nx
 import numpy as np
 import pytest
 
 import rectaspec as rs
-from rectaspec.core import (components, disjoint_union, is_rectagraph,
-                            quadrangle_count, quadrangles)
+from rectaspec.core import (StructureReport, bipartition, components,
+                            disjoint_union, is_rectagraph, quadrangle_count,
+                            quadrangles)
 from rectaspec.switching import switch
 
 
@@ -18,6 +20,12 @@ def test_signed_graph_validation():
         rs.SignedGraph(np.array([[1]], dtype=np.int8))  # diagonal
     with pytest.raises(ValueError):
         rs.SignedGraph(np.array([[0, 2], [2, 0]], dtype=np.int8))  # entry range
+    for entry in (257, 256, 0.5):  # entries an int8 cast would turn into 1, 0, 0
+        adj = np.array([[0, entry], [entry, 0]])
+        with pytest.raises(ValueError):
+            rs.SignedGraph(adj)
+        with pytest.raises(ValueError):
+            rs.UnderlyingGraph(adj)
     with pytest.raises(ValueError):
         rs.SignedGraph.from_edges(3, [(0, 1, 1), (0, 1, -1)])  # duplicate
 
@@ -131,3 +139,83 @@ def test_is_rectagraph():
     assert is_rectagraph(rs.hypercube(3))
     assert is_rectagraph(rs.clebsch_graph())
     assert not is_rectagraph(rs.catalog("K4"))  # triangles
+
+
+def _oracle_inputs():
+    """Seeded random graphs up to order 70 (so row bitmasks pass bit 63),
+    relabelled zero-two graphs and disjoint unions, each unsigned, with
+    random signs, and switched."""
+    rng = np.random.default_rng(2024)
+
+    def random_graph(n, p, sides=None):
+        upper = np.triu(rng.random((n, n)) < p, 1)
+        if sides is not None:
+            upper &= sides[:, None] != sides[None, :]
+        return rs.UnderlyingGraph((upper | upper.T).astype(np.int8))
+
+    def relabelled(u):
+        perm = rng.permutation(u.n)
+        return rs.UnderlyingGraph(u.adj[np.ix_(perm, perm)])
+
+    orders = list(range(1, 13)) + [30, 63, 64, 65, 70]
+    bases = [random_graph(n, p) for n in orders for p in (0.1, 0.3, 0.6)]
+    bases += [random_graph(n, 0.1, rng.random(n) < 0.5) for n in (12, 66, 70)]
+    bases += [relabelled(u) for u in (rs.hypercube(6), rs.folded_cube(7),
+                                      rs.clebsch_graph(), rs.catalog("K4"))]
+    # the unions with Q6 put a 4-cycle or a K4 entirely past bit 63
+    unions = [(rs.hypercube(6), rs.catalog("Q2")), (rs.hypercube(6), rs.catalog("K4")),
+              (rs.clebsch_graph(), random_graph(54, 0.05)),
+              (random_graph(40, 0.2), random_graph(30, 0.2))]
+    for a, b in unions:
+        bases.append(rs.underlying(disjoint_union(a.all_positive(), b.all_positive())))
+    for u in bases:
+        signs = np.triu(np.where(rng.random((u.n, u.n)) < 0.5, -1, 1), 1)
+        signed = rs.SignedGraph(u.adj * (signs + signs.T))
+        flipped = np.flatnonzero(rng.random(u.n) < 0.5).tolist()
+        yield from (u, signed, switch(signed, flipped))
+
+
+def test_structure_matches_matrix_and_networkx_oracle():
+    seen = set()
+    for g in _oracle_inputs():
+        a = np.abs(np.asarray(g.adj, dtype=np.int64))
+        n = len(a)
+        sq = a @ a
+        degs = a.sum(axis=1)
+        codeg = sq[np.triu_indices(n, 1)]
+        nxg = nx.from_numpy_array(a)
+        # tr(A^4) counts 8 closed 4-walks per 4-cycle, plus sum d^2 + sum
+        # d(d-1) walks that backtrack along one or two edges
+        cycle_walks = (int(np.trace(sq @ sq)) - 2 * int((degs ** 2).sum())
+                       + int(degs.sum()))
+        regular = len(set(degs.tolist())) == 1
+        expected = StructureReport(
+            regular=regular,
+            degree=int(degs[0]) if regular else None,
+            connected=nx.is_connected(nxg),
+            bipartite=nx.is_bipartite(nxg),
+            triangle_free=not np.any(sq * a),
+            zero_two=bool(np.all((codeg == 0) | (codeg == 2))),
+            quadrangle_count=cycle_walks // 8,
+        )
+        assert rs.structure_report(g) == expected
+        assert quadrangle_count(g) == expected.quadrangle_count
+        assert is_rectagraph(g) == (expected.connected and expected.triangle_free
+                                    and expected.zero_two)
+        assert components(g) == sorted(sorted(c) for c in nx.connected_components(nxg))
+        if n >= 2:
+            assert rs.common_neighbour_profile(g) == sorted(codeg.tolist())
+        parts = bipartition(g)
+        if expected.bipartite:
+            left, right = parts
+            assert sorted(left + right) == list(range(n))
+            side = np.isin(np.arange(n), right)
+            assert not np.any(a[np.ix_(side, side)])
+            assert not np.any(a[np.ix_(~side, ~side)])
+        else:
+            assert parts is None
+        seen.add((n > 64, expected.connected, expected.bipartite,
+                  expected.triangle_free, expected.zero_two))
+    # the inputs reach every predicate outcome past bit 63
+    for flag in range(1, 5):
+        assert {key[flag] for key in seen if key[0]} == {False, True}

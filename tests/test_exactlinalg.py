@@ -20,6 +20,21 @@ def test_exact_matmul_matches_python():
         assert np.array_equal(exact_matmul(a, b), a.astype(object) @ b.astype(object))
 
 
+def test_exact_matmul_past_int64():
+    # 2 * (2**31)**2 = 2**63 is one past the int64 range: int64 arithmetic
+    # would wrap every entry to -2**63
+    a = np.full((2, 2), 2 ** 31)
+    assert exact_matmul(a, a).tolist() == [[2 ** 63] * 2] * 2
+    # below 2**63 but past the float64-exact range the product stays int64
+    b = np.full((2, 2), 2 ** 30)
+    prod = exact_matmul(b, b)
+    assert prod.dtype == np.int64 and prod.tolist() == [[2 ** 61] * 2] * 2
+    rng = np.random.default_rng(3)
+    c = rng.integers(-2 ** 40, 2 ** 40, size=(6, 5))
+    d = rng.integers(-2 ** 40, 2 ** 40, size=(5, 4))
+    assert np.array_equal(exact_matmul(c, d), c.astype(object) @ d.astype(object))
+
+
 def test_charpoly_known_values():
     assert charpoly(np.array([[0, 1], [1, 0]])) == [1, 0, -1]  # x^2 - 1
     assert charpoly(np.zeros((3, 3), dtype=int)) == [1, 0, 0, 0]

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import rectaspec as rs
-from rectaspec._kernel import pysearch
+from rectaspec._kernel import pysearch, run_weighing_search
 from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
                               naive_signature_classes, proof_log,
@@ -321,6 +321,17 @@ class TestWeighingSearch:
     def test_budget_flag(self):
         out = search_weighing(12, 5, node_budget=50)
         assert not out.exhausted
+
+    @pytest.mark.parametrize("n, r", [(12, 5), (13, 4), (8, 4)])
+    @pytest.mark.parametrize("budget", [1, 10, 100])
+    def test_budget_caps_nodes(self, n, r, budget):
+        # each instance needs more than 100 nodes, so every budget binds
+        prefix_rows = [tuple(int(v) for v in row)
+                       for row in scheme_two_prefix(r, n)]
+        _, nodes, exhausted = run_weighing_search(n, r, prefix_rows, budget)
+        assert nodes == budget and not exhausted
+        out = search_weighing(n, r, node_budget=budget)
+        assert out.nodes == budget and not out.exhausted
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
