@@ -1,20 +1,13 @@
-"""Backtracking kernels.
+"""Pure-Python backtracking kernels, kept as references for the tests.
 
-The signature DFS (``run_search``) is pure Python.  The weighing search
-(``run_weighing_search``) uses the compiled extension when it imports and its
-pure-Python twin otherwise; ``active_backend()`` reports which one is in use.
+``run_search`` is the signature DFS behind ``search.search_signatures_dfs``.
+``run_weighing_search`` is the old sign-by-sign weighing search, the oracle
+the tests compare ``search.search_weighing`` against.  ``active_backend()``
+always reports ``"python"``: no compiled kernel is left.
 """
 
-from . import pysearch
-from .pysearch import run_search
-
-try:
-    from . import _sigsearch as _weighing  # type: ignore[attr-defined]
-except ImportError:
-    _weighing = pysearch
-
-run_weighing_search = _weighing.run_weighing_search
+from .pysearch import run_search, run_weighing_search
 
 
 def active_backend() -> str:
-    return _weighing.IMPL
+    return "python"

@@ -6,8 +6,9 @@ sign bits with unit propagation on the quadrangle parity constraints: a
 constraint with one unassigned edge forces it, a fully assigned constraint
 with the wrong parity kills the branch.
 
-``run_weighing_search`` has a compiled twin in ``_sigsearch``; the two must
-traverse identically and return identical results.
+``run_weighing_search`` is the old weighing search, which branches over the
+sign of every entry.  ``search.search_weighing`` replaced it; it stays as the
+oracle the tests compare that search against.
 """
 
 from __future__ import annotations
@@ -136,8 +137,7 @@ def run_weighing_search(n, r, prefix_rows, node_budget=0):
 
     Tail rows are kept lexicographically non-decreasing with their first
     nonzero entry positive (both are equivalence symmetries).  Returns
-    (solutions, nodes, exhausted) with solutions as row-major entry tuples;
-    the compiled twin must traverse identically.
+    (solutions, nodes, exhausted) with solutions as row-major entry tuples.
     """
     rows = [list(map(int, row)) for row in prefix_rows]
     n_prefix = len(rows)

@@ -60,6 +60,32 @@ class _Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(bits.bit_count() for bits in self.row_bits)
 
+    @cached_property
+    def spanning_forest(self) -> tuple[tuple[int, int], ...]:
+        """(vertex, parent) pairs in BFS order per component; roots have
+        parent -1."""
+        bits = self.row_bits
+        seen = 0
+        order = []
+        for root in range(self.n):
+            if seen >> root & 1:
+                continue
+            seen |= 1 << root
+            order.append((root, -1))
+            frontier = [root]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    new = bits[v] & ~seen
+                    seen |= new
+                    while new:
+                        w = (new & -new).bit_length() - 1
+                        new &= new - 1
+                        order.append((w, v))
+                        nxt.append(w)
+                frontier = nxt
+        return tuple(order)
+
     def __eq__(self, other):
         return type(other) is type(self) and np.array_equal(self.adj, other.adj)
 
@@ -80,8 +106,12 @@ class SignedGraph(_Graph):
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Sorted (u, v, sign) triples with u < v."""
+        return list(self._edges)
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int, int], ...]:
         us, vs = np.nonzero(np.triu(self.adj))
-        return [(int(u), int(v), int(self.adj[u, v])) for u, v in zip(us, vs)]
+        return tuple(zip(us.tolist(), vs.tolist(), self.adj[us, vs].tolist()))
 
     @staticmethod
     def from_edges(n: int, edges, labels=None) -> "SignedGraph":

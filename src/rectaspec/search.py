@@ -22,10 +22,16 @@ Two searches live here:
 
 * ``search_weighing``: all (n, r) weighing matrices with row intersection
   numbers in {0, 2} extending the weighing row normal form, up to
-  equivalence.
+  equivalence.  It enumerates only the 0/1 supports, row by row as
+  bitmasks, and never branches on a sign: the signs of a support are the
+  same kind of quadrangle parity system, eliminated incrementally while the
+  support grows, so a support that cannot be signed is cut as soon as its
+  equations contradict.  Each complete support is signed by its particular
+  solution plus null space, up to switching, and the classes are then
+  deduped by weighing equivalence.
 
-Both searches are deterministic and emit enough bookkeeping to replay them
-(the proof-log text format below).
+Both searches are deterministic; the signature search also writes a
+replayable proof log (the text format below).
 """
 
 from __future__ import annotations
@@ -34,15 +40,19 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from ._kernel import run_search, run_weighing_search
+from ._kernel import run_search
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
+from ._kernel import run_weighing_search  # noqa: F401
 from .core import SignedGraph, UnderlyingGraph, _as_underlying, quadrangles
 from .formats import write_graph6
 from .spectral import certify_two_sym
-from .switching import _spanning_forest_order, scheme_layout, switching_isomorphic
+from .switching import scheme_layout, switching_isomorphic
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from .switching import class_invariants  # noqa: F401
 from .weighing import WeighingMatrix, equivalent, scheme_two_prefix
@@ -139,7 +149,7 @@ def build_signature_problem(g, base: int = 0) -> SignatureSearchProblem:
         star[w] |= 1 << i
     tail_stars = tuple(
         (1 << free_id[v, parent], star[v])
-        for v, parent in _spanning_forest_order(relabelled)
+        for v, parent in relabelled.spanning_forest
         if v >= n - layout.tail_size)
 
     return SignatureSearchProblem(
@@ -182,6 +192,16 @@ class ParitySolution(NamedTuple):
     particular: int | None
     null_basis: tuple[int, ...]
     refutation: tuple[int, ...]
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _from_columns(x: int, order) -> int:
@@ -229,14 +249,26 @@ def solve_parity_system(problem: SignatureSearchProblem, order) -> ParitySolutio
                     combo ^= low
                 return ParitySolution(len(pivots), None, (), tuple(refutation))
 
-    # back substitution, highest pivot first: afterwards every row holds its
-    # own pivot plus non-pivot columns only
+    particular, null_basis = _back_substitute(pivots, (1 << len(order)) - 1)
+    return ParitySolution(
+        len(pivots), _from_columns(particular, order),
+        tuple(_from_columns(v, order) for v in null_basis), ())
+
+
+def _back_substitute(pivots: dict, columns: int) -> tuple[int, list[int]]:
+    """Particular solution and null basis of a consistent system.
+
+    ``pivots`` maps each pivot bit to its row, which has no lower bit, and
+    the row's target first; ``columns`` holds every column in play.
+    """
+    # highest pivot first: afterwards every row holds its own pivot plus
+    # non-pivot columns only
     pivot_columns = 0
     for low in pivots:
         pivot_columns |= low
     reduced: dict[int, tuple[int, int]] = {}
     for low in sorted(pivots, reverse=True):
-        row, target, _ = pivots[low]
+        row, target = pivots[low][:2]
         rest = row & pivot_columns & ~low
         while rest:
             bit = rest & -rest
@@ -248,21 +280,13 @@ def solve_parity_system(problem: SignatureSearchProblem, order) -> ParitySolutio
     # free columns set to 0 give the particular solution; setting one free
     # column to 1 gives one null vector per free column
     particular = 0
-    null = {}
-    for j in range(len(order)):
-        if not pivot_columns >> j & 1:
-            null[1 << j] = 1 << j
+    null = {1 << j: 1 << j for j in _bits(columns & ~pivot_columns)}
     for low, (row, target) in reduced.items():
         if target:
             particular |= low
-        rest = row ^ low
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            null[bit] |= low
-    return ParitySolution(
-        len(pivots), _from_columns(particular, order),
-        tuple(_from_columns(v, order) for v in null.values()), ())
+        for j in _bits(row ^ low):
+            null[1 << j] |= low
+    return particular, list(null.values())
 
 
 def check_refutation(problem: SignatureSearchProblem, quads) -> None:
@@ -315,10 +339,46 @@ def canonical_switch_key(problem: SignatureSearchProblem, mask: int) -> int:
     GF(2)-linear in ``mask``: each star holds its own parent bit and those
     of its BFS children, which come later.
     """
-    for parent_bit, star in problem.tail_stars:
+    return _switch_key(problem.tail_stars, mask)
+
+
+def _switch_key(stars, mask: int) -> int:
+    for parent_bit, star in stars:
         if mask & parent_bit:
             mask ^= star
     return mask
+
+
+def _class_space(particular: int, null_basis, key,
+                 switchings: int) -> tuple[int, list[int]]:
+    """Canonical particular mask and a basis of the class space.
+
+    ``key`` is linear and kills exactly the ``switchings`` independent
+    switching vectors, which lie in the null space, so the key images of the
+    null basis span the canonical masks of all classes.
+    """
+    leads: dict[int, int] = {}
+    for vec in null_basis:
+        image = key(vec)
+        while image:
+            low = image & -image
+            if low not in leads:
+                leads[low] = image
+                break
+            image ^= leads[low]
+    basis = list(leads.values())
+    if len(basis) != len(null_basis) - switchings:
+        raise RuntimeError("class space has the wrong dimension")
+    return key(particular), basis
+
+
+def _gray_code(start: int, basis, count: int):
+    """The first ``count`` masks of start + span(basis), in Gray-code order."""
+    mask = start
+    for i in range(count):
+        if i:
+            mask ^= basis[(i & -i).bit_length() - 1]
+        yield mask
 
 
 def dedupe_switching_classes(graphs) -> list[SignedGraph]:
@@ -386,32 +446,17 @@ def search_signatures(g, node_budget: int | None = None, base: int = 0,
         return _outcome(problem, {}, 0, True, rank=solution.rank,
                         refutation=refutation)
 
-    # the key is linear and kills exactly the tail stars, so the key images
-    # of the null basis span the canonical masks of all classes
-    leads: dict[int, int] = {}
-    for vec in solution.null_basis:
-        key = canonical_switch_key(problem, vec)
-        while key:
-            low = key & -key
-            if low not in leads:
-                leads[low] = key
-                break
-            key ^= leads[low]
-    class_basis = list(leads.values())
-    if len(class_basis) != len(solution.null_basis) - problem.tail_size:
-        raise RuntimeError("class space has the wrong dimension")
-
+    mask, class_basis = _class_space(
+        solution.particular, solution.null_basis,
+        lambda m: canonical_switch_key(problem, m), problem.tail_size)
     total = 1 << len(class_basis)
     count = min(total, node_budget) if node_budget else total
-    mask = canonical_switch_key(problem, solution.particular)
     size = 1 << problem.tail_size
     classes = {}
-    for i in range(count):
-        if i:
-            mask ^= class_basis[(i & -i).bit_length() - 1]
+    for i, mask in enumerate(_gray_code(mask, class_basis, count), 1):
         classes[mask] = size
-        if progress_every and progress is not None and (i + 1) % progress_every == 0:
-            progress(i + 1, len(class_basis))
+        if progress_every and progress is not None and i % progress_every == 0:
+            progress(i, len(class_basis))
     return _outcome(problem, classes, count, count == total, rank=solution.rank)
 
 
@@ -570,9 +615,180 @@ def naive_signature_classes(g) -> int:
 @dataclass
 class WeighingSearchOutcome:
     matrices: list[WeighingMatrix]  # one per equivalence class
-    nodes: int
+    nodes: int  # support rows placed
     exhausted: bool
-    raw_count: int
+    raw_count: int  # certified sign classes over every support, before dedupe
+    supports: int = 0  # complete supports with a consistent parity system
+
+
+def _add_parity_row(pivots: dict, row: int, target: int, added: list) -> bool:
+    """Reduce one equation against lowest-bit pivots and keep it as a new
+    pivot; False when it reduces to 0 = 1."""
+    while row:
+        low = row & -row
+        hit = pivots.get(low)
+        if hit is None:
+            pivots[low] = (row, target)
+            added.append(low)
+            return True
+        row ^= hit[0]
+        target ^= hit[1]
+    return not target
+
+
+def _weighing_supports(n: int, r: int, prefix: np.ndarray, node_budget: int):
+    """Every 0/1 support extending the prefix whose parity system is
+    consistent, as (row masks, pivots); plus (nodes, exhausted).
+
+    The sign of tail row i (i >= r) in column c is variable bit
+    (i - r) * n + c, 1 meaning negative; prefix signs are constants.
+    """
+    quota = r * (r - 1) // 2  # rows each row meets, see search_weighing
+    rows = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in prefix]
+    neg = [sum(1 << j for j in np.flatnonzero(row < 0).tolist()) for row in prefix]
+    inter = [r - 1] * r + [0] * (n - r)  # every prefix row meets the others
+    col_weight = [int(w) for w in np.count_nonzero(prefix, axis=0)]
+    full = sum(1 << j for j in range(n) if col_weight[j] == r)
+    pivots: dict[int, tuple[int, int]] = {}
+    found = []
+    nodes = 0
+
+    def extend(i: int, cands: list[int], full: int) -> bool:
+        """Place row i from ``cands``; False once the budget is spent."""
+        nonlocal nodes
+        if i == n:
+            found.append((tuple(rows), dict(pivots)))
+            return True
+        future = n - 1 - i  # rows after this one
+        offset = (i - r) * n
+        for k, mask in enumerate(cands):
+            partners = [p for p in range(i) if rows[p] & mask]
+            if (not quota - future <= len(partners) <= quota
+                    or any(inter[p] == quota for p in partners)):
+                continue
+            # two partners meeting it in the same two columns would put that
+            # column pair in three rows
+            meets = {rows[p] & mask for p in partners}
+            if len(meets) < len(partners):
+                continue
+            if node_budget and nodes >= node_budget:
+                return False
+            nodes += 1
+            rows.append(mask)
+            inter[i] = len(partners)
+            for p in partners:
+                inter[p] += 1
+            cols = _bits(mask)
+            for j in cols:
+                col_weight[j] += 1
+            added: list[int] = []
+            ok = (min(col_weight) >= r - future
+                  and all(inter[p] + future >= quota for p in range(i)))
+            for p in partners if ok else ():
+                both = rows[p] & mask  # the quadrangle's two columns
+                if p < r:
+                    row, target = both << offset, 1 ^ (neg[p] & both).bit_count() & 1
+                else:
+                    row, target = both << offset | both << ((p - r) * n), 1
+                if not _add_parity_row(pivots, row, target, added):
+                    ok = False
+                    break
+            going = True
+            if ok:
+                now_full = full | sum(1 << j for j in cols if col_weight[j] == r)
+                # later rows are >= this one; it stays a candidate for the
+                # next row only when r = 2 (it meets itself in r columns)
+                nxt = [c for c in cands[k:]
+                       if not c & now_full and (c & mask).bit_count() in (0, 2)]
+                cover = now_full  # columns that later rows can still fill
+                for c in nxt:
+                    cover |= c
+                if cover == (1 << n) - 1:
+                    going = extend(i + 1, nxt, now_full)
+            for low in added:
+                del pivots[low]
+            for j in cols:
+                col_weight[j] -= 1
+            for p in partners:
+                inter[p] -= 1
+            inter[i] = 0
+            rows.pop()
+            if not going:
+                return False
+        return True
+
+    cands = [m for m in (sum(1 << j for j in cols)
+                         for cols in combinations(range(n), r))
+             if not m & full and all((m & row).bit_count() in (0, 2) for row in rows)]
+    exhausted = extend(r, sorted(cands), full)
+    return found, nodes, exhausted
+
+
+def _support_stars(n: int, r: int, rows) -> list[tuple[int, int]]:
+    """(parent bit, star) of every switchable vertex of a support, in BFS
+    order per component.
+
+    The vertices are the rows and the columns.  Tail rows and the columns
+    outside the prefix support carry only variable signs, so switching one
+    flips exactly its star; the prefix vertices are fixed.  A component
+    without row 0 holds no fixed vertex, and switching all of it changes
+    nothing, so its root is left out.
+    """
+    width = r * (r - 1) // 2 + 1
+    col_rows = [0] * n
+    for i, mask in enumerate(rows):
+        for c in _bits(mask):
+            col_rows[c] |= 1 << i
+    stars = []
+    seen_rows = seen_cols = 0
+    for root in range(n):
+        if seen_rows >> root & 1:
+            continue
+        seen_rows |= 1 << root
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for i in frontier:
+                for c in _bits(rows[i] & ~seen_cols):
+                    seen_cols |= 1 << c
+                    if c >= width:
+                        stars.append((1 << ((i - r) * n + c),
+                                      sum(1 << ((k - r) * n + c)
+                                          for k in _bits(col_rows[c]))))
+                    for k in _bits(col_rows[c] & ~seen_rows):
+                        seen_rows |= 1 << k
+                        nxt.append(k)
+                        if k >= r:
+                            stars.append((1 << ((k - r) * n + c),
+                                          rows[k] << ((k - r) * n)))
+            frontier = nxt
+    return stars
+
+
+def _weighing_candidate(prefix: np.ndarray, rows, mask: int) -> np.ndarray:
+    """The matrix of one sign mask on one support."""
+    n, r = len(rows), prefix.shape[0]
+    arr = np.zeros((n, n), dtype=np.int8)
+    arr[:r] = prefix
+    for i in range(r, n):
+        signs = mask >> ((i - r) * n)
+        for c in _bits(rows[i]):
+            arr[i, c] = -1 if signs >> c & 1 else 1
+    return arr
+
+
+def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
+    """Re-verify a candidate from its entries alone: W W^T = r I and every
+    pair of rows meeting in 0 or 2 columns."""
+    ent = np.asarray(arr, dtype=np.int64)
+    n = ent.shape[0]
+    if not np.array_equal(ent @ ent.T, r * np.eye(n, dtype=np.int64)):
+        raise RuntimeError("search produced a non-weighing matrix")
+    support = (ent != 0).astype(np.int64)
+    overlap = support @ support.T - r * np.eye(n, dtype=np.int64)
+    if not np.all((overlap == 0) | (overlap == 2)):
+        raise RuntimeError("search produced intersection numbers outside {0, 2}")
+    return WeighingMatrix(arr)
 
 
 def search_weighing(n: int, r: int,
@@ -580,10 +796,22 @@ def search_weighing(n: int, r: int,
     """All (n, r) weighing matrices with row intersection numbers in {0, 2},
     up to equivalence.
 
-    Rows 0..r-1 are pinned to the weighing row normal form; the remaining
-    rows are filled in by DFS under orthogonality, the intersection-number
-    condition, column capacities, and two symmetry cuts (tail rows sorted
-    lexicographically, first nonzero entry of each tail row positive).
+    The first r rows are pinned to the weighing row normal form
+    (``scheme_two_prefix``).  The search enumerates only the 0/1 supports:
+    each tail row is a bitmask of weight r, the tail rows are non-decreasing
+    (equal supports meet in r columns, so only r = 2 has them), every pair
+    of rows meets in 0 or 2 columns, every pair of columns in at most 2
+    rows, every column reaches weight r and no more, and every row meets
+    exactly r(r-1)/2 others (its r columns carry r(r-1) other entries, two
+    per row it meets).  Given the support, W W^T = r I says that every
+    quadrangle (two rows meeting in two columns) has sign product -1: one
+    parity equation over GF(2), added as soon as the row that closes it is
+    placed, so a partial support whose equations are inconsistent is cut.
+    A complete support is signed by the particular solution plus the null
+    space, up to the switchings the normal form leaves free (``_support_
+    stars``); every class is materialised, re-verified and deduped with
+    ``equivalent``.  ``node_budget`` caps the support rows placed (the
+    ``nodes`` count); ``exhausted`` is False when it cut the search.
     """
     if n < r or r < 1:
         raise ValueError("need n >= r >= 1")
@@ -592,15 +820,22 @@ def search_weighing(n: int, r: int,
         return WeighingSearchOutcome([], 0, True, 0)
 
     prefix = scheme_two_prefix(r, n)
-    prefix_rows = [tuple(int(v) for v in row) for row in prefix]
-    tuples, nodes, exhausted = run_weighing_search(n, r, prefix_rows,
-                                                   node_budget or 0)
-    raw = [np.asarray(t, dtype=np.int8).reshape(n, n) for t in tuples]
+    found, nodes, exhausted = _weighing_supports(n, r, prefix, node_budget or 0)
+    candidates = []
+    for rows, pivots in found:
+        columns = 0
+        for i in range(r, n):
+            columns |= rows[i] << ((i - r) * n)
+        particular, null_basis = _back_substitute(pivots, columns)
+        stars = _support_stars(n, r, rows)
+        start, basis = _class_space(particular, null_basis,
+                                    partial(_switch_key, stars), len(stars))
+        candidates += [_check_weighing(_weighing_candidate(prefix, rows, mask), r)
+                       for mask in _gray_code(start, basis, 1 << len(basis))]
 
     reps: list[WeighingMatrix] = []
-    for arr in raw:
-        w = WeighingMatrix(arr)
+    for w in candidates:
         if not any(equivalent(w, rep, cap=4 * n)[0] for rep in reps):
             reps.append(w)
-    return WeighingSearchOutcome(matrices=reps, nodes=nodes,
-                                 exhausted=exhausted, raw_count=len(raw))
+    return WeighingSearchOutcome(matrices=reps, nodes=nodes, exhausted=exhausted,
+                                 raw_count=len(candidates), supports=len(found))

@@ -193,41 +193,16 @@ def underlying_isomorphisms(u1, u2, colours1=None, colours2=None):
     yield from gm.isomorphisms_iter()
 
 
-def _spanning_forest_order(g):
-    """(vertex, parent) pairs in BFS order per component; roots have parent -1."""
-    bits = g.row_bits
-    seen = set()
-    order = []
-    for root in range(g.n):
-        if root in seen:
-            continue
-        seen.add(root)
-        order.append((root, -1))
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                mask = bits[v]
-                while mask:
-                    w = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    if w not in seen:
-                        seen.add(w)
-                        order.append((w, v))
-                        nxt.append(w)
-            frontier = nxt
-    return order
-
-
 def solve_switch_for_perm(g: SignedGraph, h: SignedGraph, perm):
     """Sign vector making ``perm`` a switching isomorphism g -> h, or None.
 
     Per component the spanning-tree propagation determines the signs
     uniquely up to a global flip (which changes nothing), so one pass plus
-    one verification decides.
+    one verification decides.  The forest and the edge list of ``g`` are
+    cached on ``g``, which stays fixed over all candidates of one decision.
     """
     eps = [0] * g.n
-    for v, parent in _spanning_forest_order(g):
+    for v, parent in g.spanning_forest:
         if parent < 0:
             eps[v] = 1
         else:

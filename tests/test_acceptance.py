@@ -246,10 +246,7 @@ def _connected_zero_two_graphs(max_n):
 
 def _signings_up_to_switching(u):
     """One representative per switching class: spanning-tree edges positive."""
-    from rectaspec.switching import _spanning_forest_order
-
-    tree = {(min(v, p), max(v, p))
-            for v, p in _spanning_forest_order(u) if p >= 0}
+    tree = {(min(v, p), max(v, p)) for v, p in u.spanning_forest if p >= 0}
     free = [e for e in u.edges() if e not in tree]
     for mask in range(1 << len(free)):
         adj = np.array(u.adj, dtype=np.int8)

@@ -68,13 +68,18 @@ def test_search_weighing(capsys):
     assert code == 0 and "classes 1" in out
 
 
-@pytest.mark.parametrize("order, weight", [(12, 5), (13, 4), (8, 4)])
+@pytest.mark.parametrize("order, weight", [(12, 5), (13, 4), (8, 4), (16, 6)])
 @pytest.mark.parametrize("budget", [1, 10, 100])
 def test_search_weighing_budget(capsys, order, weight, budget):
+    from rectaspec.search import search_weighing
+
+    total = search_weighing(order, weight).nodes
     code, out, _ = run(capsys, "search-weighing", "--order", str(order),
                        "--weight", str(weight), "--budget", str(budget))
     assert code == 0
-    assert out.splitlines()[-1].endswith(f"nodes {budget} exhausted false")
+    exhausted = "true" if total <= budget else "false"
+    assert out.splitlines()[-1].endswith(
+        f"nodes {min(budget, total)} exhausted {exhausted}")
 
 
 def test_construct_expression(capsys):

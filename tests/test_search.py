@@ -3,17 +3,18 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rectaspec as rs
-from rectaspec._kernel import pysearch, run_weighing_search
+from rectaspec._kernel import run_weighing_search
 from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
                               naive_signature_classes, proof_log,
                               search_signatures, search_signatures_dfs,
                               search_weighing, verify_nonexistence)
 from rectaspec.switching import SchemeError, solve_switch_for_perm
-from rectaspec.weighing import scheme_two_prefix
+from rectaspec.weighing import equivalent, scheme_two_prefix
 
 
 class TestSignatureSearch:
@@ -277,19 +278,6 @@ class TestProofLog:
         assert a.nodes == b.nodes
 
 
-class TestWeighingKernelParity:
-    @pytest.mark.parametrize("n, r, budget", [
-        (8, 4, 0), (12, 5, 0), (13, 4, 0), (12, 5, 100),
-    ])
-    def test_backends_agree(self, n, r, budget):
-        compiled = pytest.importorskip("rectaspec._kernel._sigsearch")
-        prefix_rows = [tuple(int(v) for v in row)
-                       for row in scheme_two_prefix(r, n)]
-        args = (n, r, prefix_rows, budget)
-        assert compiled.run_weighing_search(*args) == \
-            pysearch.run_weighing_search(*args)
-
-
 class TestWeighingSearch:
     def test_weight_one(self):
         out = search_weighing(4, 1)
@@ -322,17 +310,98 @@ class TestWeighingSearch:
         out = search_weighing(12, 5, node_budget=50)
         assert not out.exhausted
 
-    @pytest.mark.parametrize("n, r", [(12, 5), (13, 4), (8, 4)])
+    @pytest.mark.parametrize("n, r", [(12, 5), (13, 4), (8, 4), (16, 6)])
     @pytest.mark.parametrize("budget", [1, 10, 100])
     def test_budget_caps_nodes(self, n, r, budget):
-        # each instance needs more than 100 nodes, so every budget binds
+        # the old kernel needs more than 100 nodes on each instance, so every
+        # budget binds there
         prefix_rows = [tuple(int(v) for v in row)
                        for row in scheme_two_prefix(r, n)]
         _, nodes, exhausted = run_weighing_search(n, r, prefix_rows, budget)
         assert nodes == budget and not exhausted
+        # the support search needs fewer nodes: (8, 4) fits in 100
+        total = search_weighing(n, r).nodes
         out = search_weighing(n, r, node_budget=budget)
-        assert out.nodes == budget and not out.exhausted
+        assert out.nodes == min(budget, total)
+        assert out.exhausted == (total <= budget)
+
+    def test_budget_equal_to_the_node_count_exhausts(self):
+        total = search_weighing(12, 5).nodes
+        assert search_weighing(12, 5, node_budget=total).exhausted
+        assert not search_weighing(12, 5, node_budget=total - 1).exhausted
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
             search_weighing(3, 4)
+
+
+def _old_weighing_classes(n, r):
+    """The old search: the sign-by-sign kernel, then pairwise equivalence."""
+    prefix_rows = [tuple(int(v) for v in row) for row in scheme_two_prefix(r, n)]
+    tuples, _, exhausted = run_weighing_search(n, r, prefix_rows)
+    reps = []
+    for t in tuples:
+        w = rs.WeighingMatrix(np.asarray(t, dtype=np.int8).reshape(n, n))
+        if not any(equivalent(w, rep, cap=4 * n)[0] for rep in reps):
+            reps.append(w)
+    return reps, exhausted
+
+
+class TestWeighingSupportSearch:
+    @pytest.mark.parametrize("n, r", [(4, 2), (4, 3), (7, 4), (8, 3), (8, 4),
+                                      (12, 5), (13, 4), (16, 6)])
+    def test_matches_the_old_kernel(self, n, r):
+        out = search_weighing(n, r)
+        old, exhausted = _old_weighing_classes(n, r)
+        assert len(out.matrices) == len(old) and out.exhausted == exhausted
+        for w in out.matrices:
+            hits = [equivalent(w, o, cap=4 * n)[0] for o in old]
+            assert hits.count(True) == 1
+
+    @pytest.mark.parametrize("n, r, supports", [(14, 5, 30), (14, 4, 30)])
+    def test_one_class(self, n, r, supports):
+        # the old kernel took 281 s on (14, 4): 1,920 raw matrices, 1 class
+        out = search_weighing(n, r)
+        assert len(out.matrices) == 1 and out.exhausted
+        assert out.supports == supports
+        w = out.matrices[0]
+        assert rs.intersection_numbers(w) == {0, 2}
+        # (14, 4) has block-sum supports only: W(7, 4) twice
+        assert rs.is_proper(w) == (r == 5)
+
+    def test_disconnected_supports_are_signed(self):
+        out = search_weighing(8, 3)
+        assert len(out.matrices) == 1 and not rs.is_proper(out.matrices[0])
+
+    def test_supports_without_signs_are_cut(self):
+        out = search_weighing(16, 6)
+        assert out.matrices == [] and out.supports == 0 and out.exhausted
+
+
+# A subprocess flips one sign of the first matrix the weighing search
+# materialises: the re-verification must catch it, also under python -O.
+CORRUPT_WEIGHING_SEARCH = """
+import rectaspec.search as search
+
+real = search._weighing_candidate
+
+def corrupted(*args, **kwargs):
+    arr = real(*args, **kwargs)
+    arr[-1, arr[-1].nonzero()[0][0]] *= -1
+    return arr
+
+search._weighing_candidate = corrupted
+search.search_weighing(8, 4)
+"""
+
+
+class TestWeighingGate:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+    def test_corrupted_sign_raises(self, flags):
+        src = os.path.dirname(os.path.dirname(rs.__file__))
+        done = subprocess.run(
+            [sys.executable, *flags, "-W", "ignore", "-c", CORRUPT_WEIGHING_SEARCH],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode != 0
+        assert "RuntimeError: search produced a non-weighing matrix" in done.stderr
