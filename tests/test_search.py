@@ -363,7 +363,8 @@ class TestWeighingSupportSearch:
         # the old kernel took 281 s on (14, 4): 1,920 raw matrices, 1 class
         out = search_weighing(n, r)
         assert len(out.matrices) == 1 and out.exhausted
-        assert out.supports == supports
+        # each support carries one sign class up to the free switchings
+        assert out.supports == out.raw_count == supports
         w = out.matrices[0]
         assert rs.intersection_numbers(w) == {0, 2}
         # (14, 4) has block-sum supports only: W(7, 4) twice
@@ -372,6 +373,7 @@ class TestWeighingSupportSearch:
     def test_disconnected_supports_are_signed(self):
         out = search_weighing(8, 3)
         assert len(out.matrices) == 1 and not rs.is_proper(out.matrices[0])
+        assert out.supports == out.raw_count == 1
 
     def test_supports_without_signs_are_cut(self):
         out = search_weighing(16, 6)
