@@ -13,8 +13,6 @@ oracle the tests compare that search against.
 
 from __future__ import annotations
 
-IMPL = "python"
-
 
 def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
                edge_rows, row_free_counts, order, node_budget=0,

@@ -8,6 +8,7 @@ diagnostics and search progress to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 import numpy as np
@@ -323,6 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # argparse leaves the parser in reference cycles (each HelpFormatter it
+    # builds refers to its own sections, which hold the parser's actions).
+    # Free them while they are young: a process that calls main repeatedly
+    # would otherwise pile them up in the oldest generation, which is
+    # collected rarely.
+    gc.collect(1)
     try:
         return args.fn(args)
     except SystemExit:

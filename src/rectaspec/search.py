@@ -636,28 +636,48 @@ def _add_parity_row(pivots: dict, row: int, target: int, added: list) -> bool:
     return not target
 
 
-def _weighing_supports(n: int, r: int, prefix: np.ndarray, node_budget: int):
-    """Every 0/1 support extending the prefix whose parity system is
-    consistent, as (row masks, pivots); plus (nodes, exhausted).
+class _SupportSearch:
+    """Depth-first enumeration of the 0/1 supports extending the prefix.
 
     The sign of tail row i (i >= r) in column c is variable bit
     (i - r) * n + c, 1 meaning negative; prefix signs are constants.
+    ``found`` collects every complete support whose parity system is
+    consistent, as (row masks, pivots).  The state lives on this object and
+    not in a self-recursive closure, whose reference cycle would keep all of
+    it alive until the next full garbage collection.
     """
-    quota = r * (r - 1) // 2  # rows each row meets, see search_weighing
-    rows = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in prefix]
-    neg = [sum(1 << j for j in np.flatnonzero(row < 0).tolist()) for row in prefix]
-    inter = [r - 1] * r + [0] * (n - r)  # every prefix row meets the others
-    col_weight = [int(w) for w in np.count_nonzero(prefix, axis=0)]
-    full = sum(1 << j for j in range(n) if col_weight[j] == r)
-    pivots: dict[int, tuple[int, int]] = {}
-    found = []
-    nodes = 0
 
-    def extend(i: int, cands: list[int], full: int) -> bool:
+    def __init__(self, n: int, r: int, prefix: np.ndarray, node_budget: int):
+        self.n, self.r, self.node_budget = n, r, node_budget
+        self.quota = r * (r - 1) // 2  # rows each row meets, see search_weighing
+        self.rows = [sum(1 << j for j in np.flatnonzero(row).tolist())
+                     for row in prefix]
+        self.neg = [sum(1 << j for j in np.flatnonzero(row < 0).tolist())
+                    for row in prefix]
+        # every prefix row meets the other prefix rows
+        self.inter = [r - 1] * r + [0] * (n - r)
+        self.col_weight = [int(w) for w in np.count_nonzero(prefix, axis=0)]
+        self.pivots: dict[int, tuple[int, int]] = {}
+        self.found: list[tuple[tuple[int, ...], dict]] = []
+        self.nodes = 0
+
+    def run(self) -> bool:
+        """Search every support; False when the node budget cut it."""
+        n, r = self.n, self.r
+        full = sum(1 << j for j in range(n) if self.col_weight[j] == r)
+        cands = [m for m in (sum(1 << j for j in cols)
+                             for cols in combinations(range(n), r))
+                 if not m & full
+                 and all((m & row).bit_count() in (0, 2) for row in self.rows)]
+        return self.extend(r, sorted(cands), full)
+
+    def extend(self, i: int, cands: list[int], full: int) -> bool:
         """Place row i from ``cands``; False once the budget is spent."""
-        nonlocal nodes
+        n, r, quota = self.n, self.r, self.quota
+        rows, inter, col_weight, pivots = (self.rows, self.inter,
+                                           self.col_weight, self.pivots)
         if i == n:
-            found.append((tuple(rows), dict(pivots)))
+            self.found.append((tuple(rows), dict(pivots)))
             return True
         future = n - 1 - i  # rows after this one
         offset = (i - r) * n
@@ -671,9 +691,9 @@ def _weighing_supports(n: int, r: int, prefix: np.ndarray, node_budget: int):
             meets = {rows[p] & mask for p in partners}
             if len(meets) < len(partners):
                 continue
-            if node_budget and nodes >= node_budget:
+            if self.node_budget and self.nodes >= self.node_budget:
                 return False
-            nodes += 1
+            self.nodes += 1
             rows.append(mask)
             inter[i] = len(partners)
             for p in partners:
@@ -687,7 +707,8 @@ def _weighing_supports(n: int, r: int, prefix: np.ndarray, node_budget: int):
             for p in partners if ok else ():
                 both = rows[p] & mask  # the quadrangle's two columns
                 if p < r:
-                    row, target = both << offset, 1 ^ (neg[p] & both).bit_count() & 1
+                    row = both << offset
+                    target = 1 ^ (self.neg[p] & both).bit_count() & 1
                 else:
                     row, target = both << offset | both << ((p - r) * n), 1
                 if not _add_parity_row(pivots, row, target, added):
@@ -704,7 +725,7 @@ def _weighing_supports(n: int, r: int, prefix: np.ndarray, node_budget: int):
                 for c in nxt:
                     cover |= c
                 if cover == (1 << n) - 1:
-                    going = extend(i + 1, nxt, now_full)
+                    going = self.extend(i + 1, nxt, now_full)
             for low in added:
                 del pivots[low]
             for j in cols:
@@ -716,12 +737,6 @@ def _weighing_supports(n: int, r: int, prefix: np.ndarray, node_budget: int):
             if not going:
                 return False
         return True
-
-    cands = [m for m in (sum(1 << j for j in cols)
-                         for cols in combinations(range(n), r))
-             if not m & full and all((m & row).bit_count() in (0, 2) for row in rows)]
-    exhausted = extend(r, sorted(cands), full)
-    return found, nodes, exhausted
 
 
 def _support_stars(n: int, r: int, rows) -> list[tuple[int, int]]:
@@ -820,9 +835,10 @@ def search_weighing(n: int, r: int,
         return WeighingSearchOutcome([], 0, True, 0)
 
     prefix = scheme_two_prefix(r, n)
-    found, nodes, exhausted = _weighing_supports(n, r, prefix, node_budget or 0)
+    supports = _SupportSearch(n, r, prefix, node_budget or 0)
+    exhausted = supports.run()
     candidates = []
-    for rows, pivots in found:
+    for rows, pivots in supports.found:
         columns = 0
         for i in range(r, n):
             columns |= rows[i] << ((i - r) * n)
@@ -837,5 +853,6 @@ def search_weighing(n: int, r: int,
     for w in candidates:
         if not any(equivalent(w, rep, cap=4 * n)[0] for rep in reps):
             reps.append(w)
-    return WeighingSearchOutcome(matrices=reps, nodes=nodes, exhausted=exhausted,
-                                 raw_count=len(candidates), supports=len(found))
+    return WeighingSearchOutcome(matrices=reps, nodes=supports.nodes,
+                                 exhausted=exhausted, raw_count=len(candidates),
+                                 supports=len(supports.found))
