@@ -823,9 +823,9 @@ def search_weighing(n: int, r: int,
     parity equation over GF(2), added as soon as the row that closes it is
     placed, so a partial support whose equations are inconsistent is cut.
     A complete support is signed by the particular solution plus the null
-    space, up to the switchings the normal form leaves free (``_support_
-    stars``); every class is materialised, re-verified and deduped with
-    ``equivalent``.  ``node_budget`` caps the support rows placed (the
+    space, up to the switchings the normal form leaves free (see
+    ``_support_stars``); every class is materialised, re-verified and
+    deduped with ``equivalent``.  ``node_budget`` caps the support rows placed (the
     ``nodes`` count); ``exhausted`` is False when it cut the search.
     """
     if n < r or r < 1:
