@@ -248,13 +248,12 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _add_graph_source(p, include_weighing=True):
+def _add_graph_source(p):
     p.add_argument("--catalog", help="catalog identifier")
     p.add_argument("--signed-file", help="sg1 file")
     p.add_argument("--graph6-file", help="graph6 file")
-    if include_weighing:
-        p.add_argument("--weighing-file",
-                       help="weighing-matrix text file for ingest catalog entries")
+    p.add_argument("--weighing-file",
+                   help="weighing-matrix text file for ingest catalog entries")
 
 
 def build_parser() -> argparse.ArgumentParser:

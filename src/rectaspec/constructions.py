@@ -373,14 +373,14 @@ def _ingest(key: str, weighing_source: str | None) -> SignedGraph:
 
 def _check_certificate(key, g, n, r, bip):
     if g.n != n:
-        raise AssertionError(f"{key}: expected order {n}, built {g.n}")
+        raise RuntimeError(f"{key}: expected order {n}, built {g.n}")
     cert = certify_two_sym(g)
     if not cert or cert.lambda_sq != r:
-        raise AssertionError(f"{key}: certificate mismatch ({cert!r})")
+        raise RuntimeError(f"{key}: certificate mismatch ({cert!r})")
     rep = structure_report(g)
     if rep.bipartite != bip or not (rep.connected and rep.triangle_free
                                     and rep.zero_two):
-        raise AssertionError(f"{key}: structure mismatch ({rep!r})")
+        raise RuntimeError(f"{key}: structure mismatch ({rep!r})")
 
 
 def catalog_certificate(key: str) -> tuple[int, int, bool]:

@@ -173,18 +173,20 @@ def _as_underlying(g) -> UnderlyingGraph:
     return underlying(g) if isinstance(g, SignedGraph) else g
 
 
-def _vertices(mask: int):
-    """Indices of the set bits of ``mask``, in increasing order."""
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _neighbours(bits, mask: int) -> int:
     """Bitmask of every neighbour of a vertex in ``mask``."""
     out = 0
-    for v in _vertices(mask):
+    for v in _bits(mask):
         out |= bits[v]
     return out
 
@@ -207,7 +209,7 @@ def components(g) -> list[list[int]]:
         if not seen >> start & 1:
             comp = _reach(bits, 1 << start)
             seen |= comp
-            comps.append(list(_vertices(comp)))
+            comps.append(_bits(comp))
     return comps
 
 
@@ -235,7 +237,7 @@ def bipartition(g) -> tuple[list[int], list[int]] | None:
                 return None
             frontier = nxt & ~sides[1 - side]
             side = 1 - side
-    return list(_vertices(sides[0])), list(_vertices(sides[1]))
+    return _bits(sides[0]), _bits(sides[1])
 
 
 def is_triangle_free(g) -> bool:
@@ -243,7 +245,7 @@ def is_triangle_free(g) -> bool:
     # an edge vw lies on a triangle iff v and w share a neighbour; each edge
     # is tested once, from its smaller end
     return not any(bits[v] & bits[w] for v in range(g.n)
-                   for w in _vertices(bits[v] >> v << v))
+                   for w in _bits(bits[v] >> v << v))
 
 
 def _codegrees(g):
@@ -281,7 +283,7 @@ def quadrangles(g) -> list[tuple[int, int, int, int]]:
     out = []
     for a, c in combinations(range(g.n), 2):
         common = (bits[a] & bits[c]) >> (a + 1) << (a + 1)
-        for b, d in combinations(_vertices(common), 2):
+        for b, d in combinations(_bits(common), 2):
             out.append((a, b, c, d))
     return out
 

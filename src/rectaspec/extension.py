@@ -483,32 +483,6 @@ def extend_one_vertex(g: SignedGraph, lambda_sq: int | None = None) -> SignedGra
     return out
 
 
-def _admissible_extensions(g, lam_sq, classified, norm_target, cover_v2,
-                           require_transport):
-    """Admissible extension vectors in lexicographic order, so the smallest
-    workable one gets chosen deterministically."""
-    a = np.asarray(g.adj, dtype=np.int64)
-    v2 = [i for i in range(g.n) if g.degrees[i] == lam_sq - 2]
-    seen = set()
-    out = []
-    for cand in classified.eigen_candidates:
-        for vec in (cand, tuple(-c for c in cand)):
-            if vec in seen:
-                continue
-            seen.add(vec)
-            x = np.asarray(vec, dtype=np.int64)
-            if int(x @ x) != norm_target:
-                continue
-            if cover_v2 and any(x[i] == 0 for i in v2):
-                continue
-            if require_transport:
-                ax = a @ x
-                if np.any(np.abs(ax) > 1) or int(x @ ax) != 0:
-                    continue
-            out.append(vec)
-    return [ExtensionVector.from_entries(vec) for vec in sorted(out)]
-
-
 def extend_four_to_three(g: SignedGraph, lambda_sq: int | None = None) -> SignedGraph:
     """Extend spectrum {[-q]^m, [-1], [1], [q]^m} by one vertex to
     {[-q]^(m+1), [0], [q]^(m+1)}.
@@ -526,29 +500,8 @@ def extend_four_to_three(g: SignedGraph, lambda_sq: int | None = None) -> Signed
     _check_degree_window(g, lam_sq)
     if not any(d == lam_sq - 1 for d in g.degrees):
         raise ExtensionError(f"no vertex of degree {lam_sq - 1}")
-    gr = gram_residual(g, lam_sq)
-    if gr.rank != 2 or gr.eigenvalue != lam_sq - 1:
-        raise ExtensionError(
-            f"residual is not the rank-2 shape with eigenvalue {lam_sq - 1}")
-    classified = classify_gram(gr)
-    if classified.case is None:
-        raise ExtensionError(f"unclassifiable residual: {classified.diagnostic}")
-    if classified.case in ("b", "c", "d"):
-        raise ExtensionError(
-            f"residual lands in open or excluded case ({classified.case})")
-    for vec in _admissible_extensions(g, lam_sq, classified,
-                                      norm_target=lam_sq - 1, cover_v2=True,
-                                      require_transport=True):
-        out = _border(g, vec.array())
-        cert = certify_three_sym(out)
-        if cert and cert.lambda_sq == lam_sq and cert.d == 1 \
-                and all(d in (lam_sq, lam_sq - 1) for d in out.degrees):
-            return out
-        if out.n <= 3:  # too small for a certificate; check the shape directly
-            if gram_residual(out, lam_sq).rank == 1 \
-                    and all(d in (lam_sq, lam_sq - 1) for d in out.degrees):
-                return out
-    raise ExtensionError("no admissible extension vector exists")
+    return _extend_pair(g, lam_sq, lam_sq - 1, ("b", "c", "d"),
+                        "open or excluded", transport=True)
 
 
 def extend_zero_pair(g: SignedGraph, lambda_sq: int | None = None) -> SignedGraph:
@@ -564,28 +517,53 @@ def extend_zero_pair(g: SignedGraph, lambda_sq: int | None = None) -> SignedGrap
                              "a three-eigenvalue symmetric graph with d = 2",
                              lambda c: c.d == 2)
     _check_degree_window(g, lam_sq)
+    return _extend_pair(g, lam_sq, lam_sq, ("b", "d"), "obstructed",
+                        transport=False)
+
+
+def _extend_pair(g: SignedGraph, lam_sq: int, eigenvalue: int, excluded,
+                 kind: str, transport: bool) -> SignedGraph:
+    """The step both pair extensions share once their preconditions hold.
+
+    The residual must be the rank-2 shape with ``eigenvalue`` and land in a
+    case outside ``excluded``.  Its {0, +-1} eigenvectors of norm
+    ``eigenvalue`` that cover every degree-(lam_sq - 2) vertex (with
+    ``transport``, also with A*x a {0, +-1} vector orthogonal to x) are
+    tried in lexicographic order, so the choice is deterministic; the first
+    whose bordered graph is certified three-eigenvalue symmetric with d = 1
+    wins.
+    """
     gr = gram_residual(g, lam_sq)
-    if gr.rank != 2 or gr.eigenvalue != lam_sq:
+    if gr.rank != 2 or gr.eigenvalue != eigenvalue:
         raise ExtensionError(
-            f"residual is not the rank-2 shape with eigenvalue {lam_sq}")
+            f"residual is not the rank-2 shape with eigenvalue {eigenvalue}")
     classified = classify_gram(gr)
     if classified.case is None:
         raise ExtensionError(f"unclassifiable residual: {classified.diagnostic}")
-    if classified.case in ("b", "d"):
+    if classified.case in excluded:
         raise ExtensionError(
-            f"residual lands in obstructed case ({classified.case})")
-    for vec in _admissible_extensions(g, lam_sq, classified,
-                                      norm_target=lam_sq, cover_v2=True,
-                                      require_transport=False):
-        out = _border(g, vec.array())
+            f"residual lands in {kind} case ({classified.case})")
+    a = np.asarray(g.adj, dtype=np.int64)
+    v2 = [i for i in range(g.n) if g.degrees[i] == lam_sq - 2]
+    vectors = {vec for cand in classified.eigen_candidates
+               for vec in (cand, tuple(-c for c in cand))}
+    for vec in sorted(vectors):
+        x = ExtensionVector.from_entries(vec).array()
+        if int(x @ x) != eigenvalue or any(x[i] == 0 for i in v2):
+            continue
+        if transport:
+            ax = a @ x
+            if np.any(np.abs(ax) > 1) or int(x @ ax) != 0:
+                continue
+        out = _border(g, x)
+        if not all(d in (lam_sq, lam_sq - 1) for d in out.degrees):
+            continue
         cert = certify_three_sym(out)
-        if cert and cert.lambda_sq == lam_sq and cert.d == 1 \
-                and all(d in (lam_sq, lam_sq - 1) for d in out.degrees):
+        if cert and cert.lambda_sq == lam_sq and cert.d == 1:
             return out
-        if out.n <= 3:
-            if gram_residual(out, lam_sq).rank == 1 \
-                    and all(d in (lam_sq, lam_sq - 1) for d in out.degrees):
-                return out
+        # too small for a certificate; check the shape directly
+        if out.n <= 3 and gram_residual(out, lam_sq).rank == 1:
+            return out
     raise ExtensionError("no admissible extension vector exists")
 
 
@@ -614,7 +592,7 @@ def classify_constant_diag_gram(m) -> ConstantDiagVerdict:
     the diagonal equals 2 and exhibit the switching onto 2J + 2J (two
     all-twos blocks of size n/2, q = n); anything else is rejected with the
     violated hypothesis or conclusion named."""
-    m = np.asarray(m, dtype=np.int64)
+    m = np.array(m, dtype=np.int64)  # a copy: analyse_residual freezes it
     n = m.shape[0]
     if n < 3:
         raise StructureError("need order at least 3")
@@ -627,43 +605,23 @@ def classify_constant_diag_gram(m) -> ConstantDiagVerdict:
     if not set(np.unique(np.abs(off))) <= {0, 2}:
         raise StructureError("off-diagonal entries must lie in {0, +-2}")
     d = int(diag[0])
-    rk = rank(m)
-    if rk != 2:
-        return ConstantDiagVerdict(False, f"rank {rk}, not the rank-2 spectrum shape")
-    q = _shape_eigenvalue(m, 2)
-    if q is None or q <= 0:
+    gr = analyse_residual(m, 0)
+    if gr.rank != 2:
+        return ConstantDiagVerdict(False, f"rank {gr.rank}, not the rank-2 spectrum shape")
+    if gr.eigenvalue is None:
         return ConstantDiagVerdict(False, "spectrum is not {[q]^2, [0]^(n-2)} with q > 0")
     if d != 2:
         return ConstantDiagVerdict(False, f"diagonal is {d}; the shape is only "
                                           "singular enough when it is 2")
-    comps = _support_components(m, range(n))
-    if len(comps) != 2 or any(len(c) != n // 2 for c in comps) or n % 2:
-        return ConstantDiagVerdict(False, "support does not split into two equal blocks")
-    blocks = []
-    for comp in comps:
-        eps = _block_signs(m, comp, 2)
-        if eps is None:
-            return ConstantDiagVerdict(False, "block is not a rank-1 sign pattern")
-        blocks.append((comp, eps))
-    if q != n:
-        return ConstantDiagVerdict(False, f"eigenvalue {q} differs from the order {n}")
-    perm = [0] * n
-    signs = [1] * n
-    pos = 0
-    for comp, eps in blocks:
-        for v in comp:
-            perm[v] = pos
-            signs[v] = eps[v]
-            pos += 1
-    witness = GramWitness(perm=tuple(perm), signs=tuple(signs))
-    target = np.zeros((n, n), dtype=np.int64)
-    _fill_j(target, 0, n // 2, 2)
-    _fill_j(target, n // 2, n // 2, 2)
-    if not np.array_equal(witness.apply(m), target):
-        return ConstantDiagVerdict(False, "witness failed verification")
+    # all of the diagonal is 2 and no entry is +-1: exactly case (c), whose
+    # canonical form is 2J + 2J with q = n (the trace is 2n = 2q)
+    classified = classify_gram(gr)
+    if classified.case is None:
+        return ConstantDiagVerdict(False, classified.diagnostic)
     return ConstantDiagVerdict(True, "switching isomorphic to the double "
-                                     "all-twos block form", eigenvalue=q,
-                               witness=witness)
+                                     "all-twos block form",
+                               eigenvalue=gr.eigenvalue,
+                               witness=classified.witness)
 
 
 @dataclass(frozen=True)

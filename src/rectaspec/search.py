@@ -49,7 +49,7 @@ import numpy as np
 from ._kernel import run_search
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from ._kernel import run_weighing_search  # noqa: F401
-from .core import SignedGraph, UnderlyingGraph, _as_underlying, quadrangles
+from .core import SignedGraph, UnderlyingGraph, _as_underlying, _bits, quadrangles
 from .formats import write_graph6
 from .spectral import certify_two_sym
 from .switching import scheme_layout, switching_isomorphic
@@ -194,24 +194,26 @@ class ParitySolution(NamedTuple):
     refutation: tuple[int, ...]
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def _reduce(pivots: dict, row: int, target: int = 0,
+            combo: int = 0) -> tuple[int, int, int]:
+    """Reduce the GF(2) equation ``row`` = ``target`` against ``pivots``.
 
-
-def _from_columns(x: int, order) -> int:
-    """Map a mask over elimination columns back to free-edge ids."""
-    out = 0
-    while x:
-        low = x & -x
-        out |= 1 << order[low.bit_length() - 1]
-        x ^= low
-    return out
+    ``pivots`` maps each pivot bit to (row, target, combo) for a row whose
+    lowest bit it is; ``combo`` records which input equations a row sums.  A
+    row that keeps a bit becomes the pivot of its lowest one, and that bit
+    comes back with the row's target and combo; a row that vanishes gives
+    bit 0 with what is left of its target (1 means 0 = 1) and its combo.
+    """
+    while row:
+        low = row & -row
+        hit = pivots.get(low)
+        if hit is None:
+            pivots[low] = (row, target, combo)
+            return low, target, combo
+        row ^= hit[0]
+        target ^= hit[1]
+        combo ^= hit[2]
+    return 0, target, combo
 
 
 def solve_parity_system(problem: SignatureSearchProblem, order) -> ParitySolution:
@@ -225,41 +227,29 @@ def solve_parity_system(problem: SignatureSearchProblem, order) -> ParitySolutio
     column = [0] * len(problem.free_edges)
     for j, e in enumerate(order):
         column[e] = 1 << j
-    pivots: dict[int, tuple[int, int, int]] = {}  # pivot -> (row, target, combo)
+    pivots: dict[int, tuple[int, int, int]] = {}
     for ci, (edges, target) in enumerate(zip(problem.constraint_edges,
                                              problem.constraint_targets)):
-        row, combo = 0, 1 << ci
+        row = 0
         for e in edges:
             row |= column[e]
-        while row:
-            low = row & -row
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (row, target, combo)
-                break
-            row ^= hit[0]
-            target ^= hit[1]
-            combo ^= hit[2]
-        else:
-            if target:
-                refutation = []
-                while combo:
-                    low = combo & -combo
-                    refutation.append(low.bit_length() - 1)
-                    combo ^= low
-                return ParitySolution(len(pivots), None, (), tuple(refutation))
+        low, target, combo = _reduce(pivots, row, target, 1 << ci)
+        if not low and target:
+            return ParitySolution(len(pivots), None, (), tuple(_bits(combo)))
 
     particular, null_basis = _back_substitute(pivots, (1 << len(order)) - 1)
-    return ParitySolution(
-        len(pivots), _from_columns(particular, order),
-        tuple(_from_columns(v, order) for v in null_basis), ())
+    # masks over elimination columns back to free-edge ids
+    particular, *null_basis = [sum(1 << order[j] for j in _bits(x))
+                               for x in (particular, *null_basis)]
+    return ParitySolution(len(pivots), particular, tuple(null_basis), ())
 
 
 def _back_substitute(pivots: dict, columns: int) -> tuple[int, list[int]]:
     """Particular solution and null basis of a consistent system.
 
     ``pivots`` maps each pivot bit to its row, which has no lower bit, and
-    the row's target first; ``columns`` holds every column in play.
+    the row's target first (as ``_reduce`` leaves them); ``columns`` holds
+    every column in play.
     """
     # highest pivot first: afterwards every row holds its own pivot plus
     # non-pivot columns only
@@ -357,16 +347,10 @@ def _class_space(particular: int, null_basis, key,
     switching vectors, which lie in the null space, so the key images of the
     null basis span the canonical masks of all classes.
     """
-    leads: dict[int, int] = {}
+    leads: dict[int, tuple[int, int, int]] = {}
     for vec in null_basis:
-        image = key(vec)
-        while image:
-            low = image & -image
-            if low not in leads:
-                leads[low] = image
-                break
-            image ^= leads[low]
-    basis = list(leads.values())
+        _reduce(leads, key(vec))
+    basis = [row for row, _, _ in leads.values()]
     if len(basis) != len(null_basis) - switchings:
         raise RuntimeError("class space has the wrong dimension")
     return key(particular), basis
@@ -621,21 +605,6 @@ class WeighingSearchOutcome:
     supports: int = 0  # complete supports with a consistent parity system
 
 
-def _add_parity_row(pivots: dict, row: int, target: int, added: list) -> bool:
-    """Reduce one equation against lowest-bit pivots and keep it as a new
-    pivot; False when it reduces to 0 = 1."""
-    while row:
-        low = row & -row
-        hit = pivots.get(low)
-        if hit is None:
-            pivots[low] = (row, target)
-            added.append(low)
-            return True
-        row ^= hit[0]
-        target ^= hit[1]
-    return not target
-
-
 class _SupportSearch:
     """Depth-first enumeration of the 0/1 supports extending the prefix.
 
@@ -657,7 +626,7 @@ class _SupportSearch:
         # every prefix row meets the other prefix rows
         self.inter = [r - 1] * r + [0] * (n - r)
         self.col_weight = [int(w) for w in np.count_nonzero(prefix, axis=0)]
-        self.pivots: dict[int, tuple[int, int]] = {}
+        self.pivots: dict[int, tuple[int, int, int]] = {}
         self.found: list[tuple[tuple[int, ...], dict]] = []
         self.nodes = 0
 
@@ -711,7 +680,10 @@ class _SupportSearch:
                     target = 1 ^ (self.neg[p] & both).bit_count() & 1
                 else:
                     row, target = both << offset | both << ((p - r) * n), 1
-                if not _add_parity_row(pivots, row, target, added):
+                low, target, _ = _reduce(pivots, row, target)
+                if low:
+                    added.append(low)
+                elif target:  # 0 = 1
                     ok = False
                     break
             going = True

@@ -37,7 +37,6 @@ class SpectralCertificate:
     m: int
     mu_sq: int | None = None  # FourSym only
     d: int | None = None  # ThreeSym nullity
-    charpoly: tuple[int, ...] | None = None
 
     def __bool__(self):
         return True
@@ -58,7 +57,7 @@ def _first_violation(diff: np.ndarray) -> tuple[int, int, int]:
     return (i, j, int(diff[i, j]))
 
 
-def certify_two_sym(g: SignedGraph, with_charpoly: bool = False):
+def certify_two_sym(g: SignedGraph):
     """Certificate that the spectrum is exactly {-sqrt(r), +sqrt(r)}.
 
     Holds iff A^2 = r*I with r the (common) vertex degree; a non-regular
@@ -76,11 +75,10 @@ def certify_two_sym(g: SignedGraph, with_charpoly: bool = False):
     target = r * np.eye(g.n, dtype=np.int64)
     if not np.array_equal(sq, target):
         return Refusal("A^2 != r*I", witness=_first_violation(sq - target))
-    cp = tuple(charpoly(a)) if with_charpoly else None
-    return SpectralCertificate(kind="TwoSym", lambda_sq=r, m=g.n // 2, charpoly=cp)
+    return SpectralCertificate(kind="TwoSym", lambda_sq=r, m=g.n // 2)
 
 
-def certify_three_sym(g: SignedGraph, with_charpoly: bool = False):
+def certify_three_sym(g: SignedGraph):
     """Certificate for spectrum {[-lam]^m, [0]^d, [lam]^m} with d >= 1.
 
     The unique candidate lam^2 is tr(A^4)/tr(A^2); the certificate is issued
@@ -104,12 +102,11 @@ def certify_three_sym(g: SignedGraph, with_charpoly: bool = False):
     d = nullity(a)
     if d < 1 or (g.n - d) % 2:
         return Refusal("eigenvalue multiplicities do not fit the symmetric shape")
-    cp = tuple(charpoly(a)) if with_charpoly else None
     return SpectralCertificate(kind="ThreeSym", lambda_sq=lam_sq, m=(g.n - d) // 2,
-                               d=d, charpoly=cp)
+                               d=d)
 
 
-def certify_four_sym(g: SignedGraph, with_charpoly: bool = False):
+def certify_four_sym(g: SignedGraph):
     """Certificate for spectrum {[-lam]^m, [-mu]^1, [mu]^1, [lam]^m}, 1 <= mu < lam.
 
     lam^2 and mu^2 are recovered from tr(A^2), tr(A^4) and n, then the
@@ -153,9 +150,8 @@ def certify_four_sym(g: SignedGraph, with_charpoly: bool = False):
             continue
         if rank(sq - mu_sq * np.eye(n, dtype=np.int64)) != n - 2:
             continue
-        cp = tuple(charpoly(a)) if with_charpoly else None
         return SpectralCertificate(kind="FourSym", lambda_sq=lam_sq, m=m,
-                                   mu_sq=mu_sq, charpoly=cp)
+                                   mu_sq=mu_sq)
     return Refusal("no integer pair lam^2 > mu^2 >= 1 satisfies the identities")
 
 

@@ -190,7 +190,10 @@ def underlying_isomorphisms(u1, u2, colours1=None, colours2=None):
     match = nx.isomorphism.categorical_node_match("c", None)
     gm = nx.isomorphism.GraphMatcher(_to_nx(u1, colours1), _to_nx(u2, colours2),
                                      node_match=match)
-    yield from gm.isomorphisms_iter()
+    try:
+        yield from gm.isomorphisms_iter()
+    finally:
+        gm.state = None  # the matcher and its state refer to each other
 
 
 def solve_switch_for_perm(g: SignedGraph, h: SignedGraph, perm):

@@ -324,7 +324,7 @@ def schem2_normal_form(w: WeighingMatrix):
         for j in range(sz):
             norm[i, j] = rsigns[i] * csigns[j] * ent[row_order[i], col_order[j]]
     if not np.array_equal(norm[:r], scheme_two_prefix(r, sz)):
-        raise AssertionError("normalisation failed to reach the scheme prefix")
+        raise RuntimeError("normalisation failed to reach the scheme prefix")
     witness = _witness_from_transform(tuple(row_order), tuple(rsigns),
                                       tuple(col_order), tuple(csigns))
     result = WeighingMatrix(norm.astype(np.int8))

@@ -140,6 +140,17 @@ def test_catalog_entry(capsys):
     assert parse_signed(out) == rs.signed_cube(3)
 
 
+def test_catalog_certificate_failure_is_an_error(capsys, monkeypatch):
+    from rectaspec import constructions
+    from rectaspec.core import underlying
+
+    cube = constructions.signed_cube
+    monkeypatch.setattr(constructions, "signed_cube",
+                        lambda r: underlying(cube(r)).all_positive())
+    code, out, err = run(capsys, "catalog", "R3.1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: R3.1: certificate mismatch")
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["search", "--bogus"])

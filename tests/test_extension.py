@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 import rectaspec as rs
 from rectaspec.core import StructureError, disjoint_union
-from rectaspec.extension import (ExtensionError, ExtensionVector,
+from rectaspec.extension import (ExtensionError, ExtensionVector, GramWitness,
                                  analyse_residual, canonical_gram_form,
                                  classify_constant_diag_gram, classify_gram,
                                  classify_small_spectrum_02graph,
@@ -79,10 +81,6 @@ class TestClassifyGram:
 
     def test_scrambled_forms_recover_witness(self):
         # random signed relabellings of each canonical shape classify back
-        import random
-
-        from rectaspec.extension import GramWitness
-
         rng = random.Random(4)
         shapes = [("a", 3, 2, 6, 0), ("b", 4, 1, 4, 2), ("c", 4, 2, 0, 4),
                   ("d", 3, 1, 0, 3), ("e", 4, 1, 4, 2)]
@@ -179,6 +177,52 @@ class TestExtendZeroPair:
             extend_zero_pair(h)
 
 
+# sha256 over every vertex pair deleted from the signed r-cube, in
+# combinations order, of the extended matrix's bytes or the refusal message
+PAIR_DIGESTS = {
+    (3, "four_to_three", None):
+        "6b49b93cd6dc6e331b106adb40371e93dfdfc2b60244bfa87204bdfedaf885a9",
+    (3, "zero_pair", None):
+        "8e28cd217495afe19bd22e41452e5305d4f9003462994a82a39dc670bf09443e",
+    (4, "four_to_three", None):
+        "b2c62257c672cbdcda44dedcf43d1f95b81160f47884abf9367ca51d3cbe659b",
+    (4, "zero_pair", None):
+        "bd485f0f04057516b1f2a7462857cbd7cfd82eee5c0b36f8b7e92672a2e6a4fe",
+    (3, "four_to_three", 3):
+        "048d0d66361b406cc53c642fde310367c81dbc283dbc3c9f67a9035512f9c1f1",
+    (3, "zero_pair", 3):
+        "eae9219f317220142d829c9b6f6b0ece6e787757fddfad7e540986d9d8abc3a5",
+    (4, "four_to_three", 4):
+        "b243bd86d2d37d088d5e9f70622adef36d9d3bb375e815c5ed04955c6645c893",
+    (4, "zero_pair", 4):
+        "db092e7f80a5a363e9751f46a16ef2c34f5e6faae6119b130bf63b5bd86955d2",
+}
+
+
+@pytest.mark.parametrize("r, name, hint", sorted(PAIR_DIGESTS, key=str))
+def test_pair_extensions_of_cube_deletions_are_pinned(r, name, hint):
+    # adjacent pairs extend four-to-three, non-adjacent ones zero-pair; with
+    # the lambda hint the other kind reaches the residual checks and fails
+    # there
+    extend = {"four_to_three": extend_four_to_three,
+              "zero_pair": extend_zero_pair}[name]
+    g = rs.signed_cube(r)
+    digest = hashlib.sha256()
+    for u, v in combinations(range(g.n), 2):
+        h = rs.delete_vertices(g, {u, v})
+        try:
+            out = extend(h, lambda_sq=hint)
+        except ExtensionError as err:
+            assert bool(g.adj[u, v]) != (name == "four_to_three")
+            digest.update(f"refused: {err}".encode())
+            continue
+        assert bool(g.adj[u, v]) == (name == "four_to_three")
+        cert = rs.certify_three_sym(out)
+        assert cert and cert.lambda_sq == r and cert.d == 1
+        digest.update(out.adj.tobytes())
+    assert digest.hexdigest() == PAIR_DIGESTS[r, name, hint]
+
+
 class TestConstantDiagClassifier:
     def test_double_block_confirmed(self):
         m = np.zeros((4, 4), dtype=np.int64)
@@ -200,14 +244,48 @@ class TestConstantDiagClassifier:
         assert not verdict.confirmed and "rank" in verdict.reason
 
     def test_scrambled_block_confirmed(self):
-        from rectaspec.extension import GramWitness
-
         m = np.zeros((6, 6), dtype=np.int64)
         m[:3, :3] = 2
         m[3:, 3:] = 2
         scr = GramWitness((3, 0, 4, 1, 5, 2), (1, -1, 1, 1, -1, 1)).apply(m)
         verdict = classify_constant_diag_gram(scr)
         assert verdict.confirmed and verdict.eigenvalue == 6
+
+    def test_seeded_cross_check(self):
+        rng = random.Random(11)
+        for n in (4, 6, 8):
+            canonical = np.zeros((n, n), dtype=np.int64)
+            canonical[:n // 2, :n // 2] = 2
+            canonical[n // 2:, n // 2:] = 2
+            for _ in range(5):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                signs = [rng.choice((-1, 1)) for _ in range(n)]
+                m = GramWitness(tuple(perm), tuple(signs)).apply(canonical)
+                verdict = classify_constant_diag_gram(m)
+                assert verdict.confirmed and verdict.eigenvalue == n
+                assert np.array_equal(verdict.witness.apply(m), canonical)
+                assert m.flags.writeable  # the caller's matrix is left alone
+
+        broken = np.zeros((6, 6), dtype=np.int64)
+        broken[:3, :3] = 2
+        broken[3:, 3:] = 2
+        broken[0, 1] = broken[1, 0] = -2  # no eps_i eps_j pattern
+        unequal = np.zeros((6, 6), dtype=np.int64)
+        unequal[:2, :2] = 2
+        unequal[2:, 2:] = 2
+        # twice the case (d) core: rank 2 with M^2 = 6M, but diagonal 4
+        diag4 = 2 * np.array([[2, 1, 1], [1, 2, -1], [1, -1, 2]])
+        rank1 = 2 * np.ones((4, 4), dtype=np.int64)
+        for m, reason in [
+                (broken, "rank 4, not the rank-2 spectrum shape"),
+                (unequal, "spectrum is not {[q]^2, [0]^(n-2)} with q > 0"),
+                (diag4, "diagonal is 4; the shape is only singular enough "
+                        "when it is 2"),
+                (rank1, "rank 1, not the rank-2 spectrum shape")]:
+            verdict = classify_constant_diag_gram(m)
+            assert not verdict.confirmed and verdict.reason == reason
+            assert verdict.witness is None
 
 
 class TestSmallSpectrumClassifier:

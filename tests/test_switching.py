@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -165,6 +166,27 @@ def test_underlying_isomorphisms_respect_colours():
         u, u, [0, 0, 1, 1], [0, 0, 1, 1]))
     assert plain == 8 and coloured == 4  # side swap removed
 
+
+def test_decisions_leave_no_reference_cycles():
+    # a VF2 matcher and its search state refer to each other; left alone
+    # they keep both graphs alive until a full collection
+    from rectaspec.core import underlying
+    from rectaspec.search import search_weighing
+
+    g = rs.catalog("R3.1")
+    h = underlying(g).all_positive()
+    w = search_weighing(12, 5).matrices[0]
+    flipped = rs.verify_weighing(-np.asarray(w.entries)[::-1])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert not rs.switching_isomorphic(g, h)[0]
+        assert rs.equivalent(w, flipped)[0]
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 def test_relabel_roundtrip():
     g = rs.catalog("T")
