@@ -92,7 +92,7 @@ def gram_residual(g: SignedGraph, lambda_sq: int) -> GramResidual:
 
 
 def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
-    m = np.asarray(m, dtype=np.int64)
+    m = np.array(m, dtype=np.int64)  # a private copy, frozen below
     m.setflags(write=False)
     diag = np.diagonal(m)
     counts = None
@@ -592,7 +592,7 @@ def classify_constant_diag_gram(m) -> ConstantDiagVerdict:
     the diagonal equals 2 and exhibit the switching onto 2J + 2J (two
     all-twos blocks of size n/2, q = n); anything else is rejected with the
     violated hypothesis or conclusion named."""
-    m = np.array(m, dtype=np.int64)  # a copy: analyse_residual freezes it
+    m = np.asarray(m, dtype=np.int64)
     n = m.shape[0]
     if n < 3:
         raise StructureError("need order at least 3")

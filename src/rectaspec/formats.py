@@ -50,29 +50,28 @@ def parse_graph6(data: bytes | str) -> UnderlyingGraph:
         data = data[len(_HEADER):]
     if not data:
         raise Graph6LengthError("empty graph6 input")
-    for byte in data:
-        if not 63 <= byte <= 126:
-            raise Graph6ByteError(f"byte {byte} outside printable range 63..126")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    bad = np.flatnonzero((raw < 63) | (raw > 126))
+    if bad.size:
+        raise Graph6ByteError(
+            f"byte {raw[bad[0]]} outside printable range 63..126")
     n, body = _read_size(data)
+    if n == 0:
+        raise Graph6LengthError("order 0: a graph needs at least one vertex")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise Graph6LengthError(
             f"expected {nbytes} data bytes for n={n}, got {len(body)}")
-    bits = []
-    for byte in body:
-        value = byte - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    # six data bits per byte, most significant first
+    values = np.frombuffer(body, dtype=np.uint8) - 63
+    bits = np.unpackbits(values[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise Graph6PaddingError("padding bits after the triangle must be zero")
     adj = np.zeros((n, n), dtype=np.int8)
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                adj[u, v] = adj[v, u] = 1
-            k += 1
-    return UnderlyingGraph(adj)
+    # the upper triangle column by column is the lower one row by row
+    adj[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    return UnderlyingGraph(adj | adj.T)
 
 
 def _read_size(data: bytes) -> tuple[int, bytes]:
@@ -101,7 +100,7 @@ def _unpack_big(chunk: bytes) -> int:
 
 
 def write_graph6(g: UnderlyingGraph | SignedGraph) -> bytes:
-    adj = np.abs(np.asarray(g.adj))
+    adj = np.asarray(g.adj)
     n = adj.shape[0]
     if n <= 62:
         head = bytes([n + 63])
@@ -109,19 +108,13 @@ def write_graph6(g: UnderlyingGraph | SignedGraph) -> bytes:
         head = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
     else:
         raise ValueError("orders above 258047 are not supported")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(int(adj[u, v]))
-    body = bytearray()
-    for i in range(0, len(bits), 6):
-        group = bits[i:i + 6]
-        group += [0] * (6 - len(group))
-        value = 0
-        for b in group:
-            value = (value << 1) | b
-        body.append(value + 63)
-    return head + bytes(body)
+    # the upper triangle column by column is the lower one row by row
+    lower = adj[np.tri(n, k=-1, dtype=bool)] != 0
+    groups = np.zeros((-(-lower.size // 6), 6), dtype=np.uint8)
+    groups.flat[:lower.size] = lower
+    # packbits fills each six-bit group out to a byte with two low zero bits
+    body = (np.packbits(groups, axis=1) >> 2) + 63
+    return head + body.tobytes()
 
 
 class SignedFormatError(ValueError):

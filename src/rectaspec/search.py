@@ -99,6 +99,12 @@ def build_signature_problem(g, base: int = 0) -> SignatureSearchProblem:
         inv[new] = old
     adj = u.adj[np.ix_(inv, inv)]
     relabelled = UnderlyingGraph(adj)
+    # sorted by the last row they touch, the order in which the row-by-row
+    # DFS completes them: elimination then meets a contradiction near the
+    # prefix early (Gewirtz x K2: at row 57 of 1,485 instead of 496).
+    # Listed before the edge maps below exist, so that the listing's
+    # transient arrays do not add to them.
+    quads = sorted(quadrangles(relabelled), key=max)
 
     prefix = np.zeros((n, n), dtype=np.int8)
     prefix[0, 1:r + 1] = 1
@@ -119,10 +125,7 @@ def build_signature_problem(g, base: int = 0) -> SignatureSearchProblem:
     constraint_edges = []
     constraint_targets = []
     constraint_quadrangles = []
-    # sorted by the last row they touch, the order in which the row-by-row
-    # DFS completes them: elimination then meets a contradiction near the
-    # prefix early (Gewirtz x K2: at row 57 of 1,485 instead of 496)
-    for quad in sorted(quadrangles(relabelled), key=max):
+    for quad in quads:
         a, b, c, d = quad
         free = []
         parity = 0  # xor of negative bits over the fixed edges

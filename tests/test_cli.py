@@ -160,3 +160,62 @@ def test_usage_error_exit_code():
 def test_unknown_catalog_id(capsys):
     code, _, err = run(capsys, "check", "--catalog", "R9.9")
     assert code == 1 and "unknown catalog id" in err
+
+
+def _relabelled_search_inputs():
+    from rectaspec.constructions import cartesian_k2
+    from rectaspec.core import underlying
+
+    gewirtz = rs.gewirtz_graph()
+    return {
+        "FC5": rs.folded_cube(5),
+        "Gewirtz": gewirtz,
+        "GewirtzxK2": underlying(cartesian_k2(gewirtz.all_positive())),
+        "Clebsch": rs.clebsch_graph(),
+        "Q5": rs.hypercube(5),
+    }
+
+
+# sha256 of stdout + stderr (the proof log included) of `rectaspec search` on
+# seeded relabellings; the refutation quadrangles, their order and the graph
+# digest are all part of what is pinned.
+SEARCH_DIGESTS = {
+    ("FC5", 1):
+        "8fae68d52e94e485cb6b8f46af48305a3cb133879a776fff7305b8090f7014c0",
+    ("FC5", 2):
+        "4fc890ff27b2be984887492da94cdf0b803f70da8dd57381a6f7b78a18ce52ee",
+    ("Gewirtz", 1):
+        "45ff2786dac8b0d152136aada7322f3f7cd1ff830c34524cc462cdaf7e3831c7",
+    ("Gewirtz", 2):
+        "464dfa211ed62792c02603b08c457abef6ef6e4a2373b18e940efbb579c63f58",
+    ("GewirtzxK2", 1):
+        "b47c260f11b8eddbddf6572b969de1b7656dd763de672758ea5fa36e7d503d40",
+    ("GewirtzxK2", 2):
+        "7d6de626d907114db1e30cf06e11b9625ed6eb0e3b9e48c1820bd4f9c3f4e372",
+    ("Clebsch", 1):
+        "223c62961099269e6db8c0b83465ea8aeb2d5157570e1b18ac06a963556ebb70",
+    ("Clebsch", 2):
+        "5d167e29ef53e2442523ec42ca2e9df6ab438b78721aef6ae24df44ba4739d20",
+    ("Q5", 1):
+        "a5dc6c28cbf73b82e5daed9adbacdddce15311fda697eff5ed2bd9014610e6fb",
+    ("Q5", 2):
+        "7a4afb38aa8404d3978388f3dc4f68d457b76e0f5b8f2a89f714294ad35c0826",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(SEARCH_DIGESTS))
+def test_search_output_digest(capsys, tmp_path, name, seed):
+    import hashlib
+
+    import numpy as np
+
+    from rectaspec.formats import write_graph6
+
+    g = _relabelled_search_inputs()[name]
+    perm = np.random.default_rng(seed).permutation(g.n)
+    path = tmp_path / "g.g6"
+    path.write_bytes(write_graph6(rs.UnderlyingGraph(g.adj[np.ix_(perm, perm)])))
+    code, out, err = run(capsys, "search", "--graph6-file", str(path))
+    assert code == 0
+    digest = hashlib.sha256((out + err).encode()).hexdigest()
+    assert digest == SEARCH_DIGESTS[name, seed]

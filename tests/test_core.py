@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -177,6 +179,7 @@ def _oracle_inputs():
 
 def test_structure_matches_matrix_and_networkx_oracle():
     seen = set()
+    wide_codegrees = False
     for g in _oracle_inputs():
         a = np.abs(np.asarray(g.adj, dtype=np.int64))
         n = len(a)
@@ -200,6 +203,13 @@ def test_structure_matches_matrix_and_networkx_oracle():
         )
         assert rs.structure_report(g) == expected
         assert quadrangle_count(g) == expected.quadrangle_count
+        # the documented order: a smallest, b < d, lexicographic in (a, c)
+        # and then in (b, d); the search's refutation order rests on it
+        nbrs = [set(np.flatnonzero(row).tolist()) for row in a]
+        assert quadrangles(g) == [
+            (x, b, c, d) for x in range(n) for c in range(x + 1, n)
+            for b, d in combinations(sorted(v for v in nbrs[x] & nbrs[c] if v > x), 2)]
+        wide_codegrees |= n > 64 and int(codeg.max()) > 2
         assert is_rectagraph(g) == (expected.connected and expected.triangle_free
                                     and expected.zero_two)
         assert components(g) == sorted(sorted(c) for c in nx.connected_components(nxg))
@@ -219,3 +229,4 @@ def test_structure_matches_matrix_and_networkx_oracle():
     # the inputs reach every predicate outcome past bit 63
     for flag in range(1, 5):
         assert {key[flag] for key in seen if key[0]} == {False, True}
+    assert wide_codegrees  # pairs with more than two common neighbours

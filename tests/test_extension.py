@@ -61,6 +61,12 @@ class TestClassifyGram:
         cls = classify_gram(analyse_residual(m, 0))
         assert cls.case == "c"
 
+    def test_caller_array_stays_writeable(self):
+        m = canonical_gram_form("c", 4, 0, 0, 4, 4)
+        assert m.dtype == np.int64 and m.flags.writeable
+        gr = analyse_residual(m, 0)
+        assert m.flags.writeable and not gr.matrix.flags.writeable
+
     def test_star_residual_case_d_with_witness(self):
         gr = gram_residual(k13(), 3)
         cls = classify_gram(gr)

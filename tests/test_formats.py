@@ -57,6 +57,26 @@ class TestGraph6:
         g = parse_graph6(b">>graph6<<A_")
         assert g.n == 2
 
+    def test_order_zero_is_a_length_error(self):
+        # "?" is valid graph6 for order 0, but no graph here has zero vertices
+        with pytest.raises(Graph6LengthError):
+            parse_graph6(b"?")
+
+    def test_matches_networkx_byte_for_byte(self):
+        import networkx as nx
+
+        rng = np.random.default_rng(130)
+        # orders past 62 take the long size field
+        for n in range(1, 131):
+            upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+            adj = (upper | upper.T).astype(np.int8)
+            g = rs.UnderlyingGraph(adj)
+            theirs = nx.to_graph6_bytes(nx.from_numpy_array(adj), header=False)
+            assert write_graph6(g) + b"\n" == theirs
+            back = nx.from_graph6_bytes(write_graph6(g))
+            assert np.array_equal(nx.to_numpy_array(back, nodelist=range(n)), adj)
+            assert parse_graph6(theirs) == g
+
     def test_signed_graph_writes_underlying(self):
         assert parse_graph6(write_graph6(rs.signed_cube(3))) == rs.hypercube(3)
 
