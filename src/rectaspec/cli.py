@@ -195,7 +195,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    data = sys.stdin.read() if args.infile is None else open(args.infile).read()
+    data = sys.stdin.read() if args.infile is None else _read_opt(args, "infile")
     src, dst = args.source_format, args.target_format
     if src == "graph6":
         obj = formats.parse_graph6(data.encode())

@@ -258,13 +258,17 @@ def _codegrees(g) -> np.ndarray:
 
 
 def is_triangle_free(g) -> bool:
+    return _triangle_free(g, _codegrees(g))
+
+
+def _triangle_free(g, codegrees: np.ndarray) -> bool:
     # an edge vw lies on a triangle iff v and w share a neighbour
-    return not np.any(_codegrees(g)[g.adj != 0])
+    return not np.any(codegrees[g.adj != 0])
 
 
-def _zero_two(g) -> bool:
+def _zero_two(codegrees: np.ndarray) -> bool:
     # the lower triangle and the diagonal become 0, an allowed value
-    c = np.triu(_codegrees(g), 1)
+    c = np.triu(codegrees, 1)
     return bool(np.all((c == 0) | (c == 2)))
 
 
@@ -282,8 +286,12 @@ def quadrangle_count(g) -> int:
     Every 4-cycle is determined by its two diagonal pairs, so summing
     C(codegree, 2) over unordered pairs counts each quadrangle twice.
     """
+    return _quadrangle_count(_codegrees(g))
+
+
+def _quadrangle_count(codegrees: np.ndarray) -> int:
     # pairs below the diagonal and on it add 0 * (0 - 1)
-    c = np.triu(_codegrees(g), 1).astype(np.int64)
+    c = np.triu(codegrees, 1).astype(np.int64)
     c *= c - 1
     return int(c.sum()) // 4
 
@@ -342,21 +350,25 @@ def structure_report(g) -> StructureReport:
     """
     degs = g.degrees
     regular = len(set(degs)) == 1
+    codegrees = _codegrees(g)
     return StructureReport(
         regular=regular,
         degree=degs[0] if regular else None,
         connected=is_connected(g),
         bipartite=bipartition(g) is not None,
-        triangle_free=is_triangle_free(g),
-        zero_two=_zero_two(g),
-        quadrangle_count=quadrangle_count(g),
+        triangle_free=_triangle_free(g, codegrees),
+        zero_two=_zero_two(codegrees),
+        quadrangle_count=_quadrangle_count(codegrees),
     )
 
 
 def is_rectagraph(g) -> bool:
     """Connected, triangle-free, every vertex pair with 0 or 2 common neighbours;
     the tests run in that order and stop at the first that fails."""
-    return is_connected(g) and is_triangle_free(g) and _zero_two(g)
+    if not is_connected(g):
+        return False
+    codegrees = _codegrees(g)
+    return _triangle_free(g, codegrees) and _zero_two(codegrees)
 
 
 def delete_vertices(g: SignedGraph, remove) -> SignedGraph:

@@ -11,6 +11,7 @@ classification in ``classify_gram`` (cases (a)-(e) below).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 
 import numpy as np
 
@@ -34,19 +35,9 @@ class GramWitness:
     signs: tuple[int, ...]
 
     def apply(self, m: np.ndarray) -> np.ndarray:
-        n = m.shape[0]
         out = np.zeros_like(m)
-        for i in range(n):
-            for j in range(n):
-                out[self.perm[i], self.perm[j]] = self.signs[i] * self.signs[j] * m[i, j]
-        return out
-
-    def pull_back(self, vec: np.ndarray) -> np.ndarray:
-        """Canonical-coordinate vector -> original coordinates."""
-        n = len(self.perm)
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = self.signs[i] * vec[self.perm[i]]
+        signs = np.asarray(self.signs)
+        out[np.ix_(self.perm, self.perm)] = np.outer(signs, signs) * m
         return out
 
 
@@ -145,7 +136,7 @@ class ClassifiedGram:
     case: str | None
     witness: GramWitness | None
     canonical: np.ndarray | None
-    eigen_candidates: tuple[tuple[int, ...], ...]  # {0,+-1} eigenvectors, original coords
+    eigen_candidates: tuple[tuple[int, ...], ...]  # {0,+-1} q-eigenvectors, one per +-x
     diagnostic: str | None = None
 
 
@@ -182,41 +173,55 @@ def _fill_j(out, start, size, scale):
     out[start:start + size, start:start + size] = scale
 
 
-def _support_components(m, verts, magnitude=None):
-    verts = list(verts)
-    remaining = set(verts)
-    comps = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in list(remaining - comp):
-                val = abs(int(m[v, w]))
-                if val and (magnitude is None or val == magnitude):
-                    comp.add(w)
-                    frontier.append(w)
-        comps.append(sorted(comp))
-        remaining -= comp
-    return comps
+def _row_classes(m) -> list[tuple[list[int], list[int]]]:
+    """The nonzero rows of m grouped by equality up to sign, in order of
+    first appearance: (vertices, signs) with signs[k] * m[vertices[k]] the
+    same row for the whole class, its first nonzero entry positive."""
+    live = np.flatnonzero(np.diagonal(m))
+    lead = m[live, np.argmax(m[live] != 0, axis=1)]
+    signs = np.where(lead > 0, 1, -1)
+    classes = {}
+    for i, sign, row in zip(live.tolist(), signs.tolist(), signs[:, None] * m[live]):
+        verts, ss = classes.setdefault(row.tobytes(), ([], []))
+        verts.append(i)
+        ss.append(sign)
+    return list(classes.values())
 
 
-def _block_signs(m, comp, scale):
-    """eps with m[i, j] = scale*eps_i*eps_j on the block, else None."""
-    base = comp[0]
-    eps = {}
-    for v in comp:
-        val = int(m[base, v]) if v != base else scale
-        if abs(val) != scale:
-            return None
-        eps[v] = val // scale
-    for i in comp:
-        for j in comp:
-            expect = scale * eps[i] * eps[j] if i != j else scale
-            if int(m[i, j]) != expect:
-                return None
-    return eps
+def _class_values(m, classes) -> np.ndarray:
+    """Entry (s, t): the sign-normalised value of m on class s by class t."""
+    firsts = [vs[0] for vs, _ in classes]
+    signs = np.array([ss[0] for _, ss in classes])
+    return np.outer(signs, signs) * m[np.ix_(firsts, firsts)]
+
+
+def _signed_order_onto(m, classes, canonical) -> GramWitness | None:
+    """The first signed order of m's row classes, zero rows first, whose
+    relabelling maps m exactly onto canonical.  Orders are matched on the
+    values between the canonical blocks first (flipping every class at
+    once changes nothing, so the first class keeps its sign), and a match
+    is then checked on m itself."""
+    blocks = _row_classes(canonical)
+    k = len(blocks)
+    if len(classes) != k:
+        return None
+    orders = np.array(list(permutations(range(k))))
+    flips = np.array([(1,) + f for f in product((1, -1), repeat=k - 1)])
+    values = _class_values(m, classes)[orders[:, :, None], orders[:, None, :]]
+    signed = values[:, None] * (flips[:, :, None] * flips[:, None, :])
+    target = _class_values(canonical, blocks)
+    zeros = np.flatnonzero(np.diagonal(m) == 0).tolist()
+    for o, f in np.argwhere(np.all(signed == target, axis=(2, 3))).tolist():
+        order = orders[o].tolist()
+        verts = zeros + [v for s in order for v in classes[s][0]]
+        signs = np.ones(m.shape[0], dtype=np.int64)
+        for s, fs in zip(order, flips[f].tolist()):
+            signs[classes[s][0]] = fs * np.asarray(classes[s][1])
+        witness = GramWitness(perm=tuple(np.argsort(verts).tolist()),
+                              signs=tuple(signs.tolist()))
+        if np.array_equal(witness.apply(m), canonical):
+            return witness
+    return None
 
 
 def classify_gram(gr: GramResidual) -> ClassifiedGram:
@@ -227,6 +232,20 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
     spectrum {[q]^2, [0]^(n-2)}.  A residual that satisfies those but fits
     no case would contradict the classification, so it comes back with
     case None and a diagnostic instead of a witness.
+
+    Each canonical shape is constant on blocks, and rows in different
+    blocks differ even up to sign; a signed relabelling keeps both facts.
+    So the blocks of M are its classes of rows equal up to sign.  There are
+    at most 4: M = U U^T for an n x 2 matrix U whose rows have squared
+    length M[i, i] in {0, 1, 2} and integer inner products, rows of M equal
+    up to sign come from rows of U equal up to sign (a zero diagonal entry
+    means a zero row), and nonzero such vectors fit on at most 4 lines
+    through the origin, since two of the lines can only meet at 45, 60 or
+    90 degrees.  The witness is the first of the at most 4! * 2^3 signed
+    orders of the classes (zero rows first) that maps M exactly onto the
+    canonical form.  Every q-eigenvector x = M x / q is constant up to sign
+    on each class, so the {0, +-1} ones are the class-wise sign choices
+    that M fixes, each checked on M itself.
     """
     if gr.rank != 2:
         raise StructureError(f"classification needs rank 2, got {gr.rank}")
@@ -236,189 +255,27 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
         raise StructureError("matrix does not have the {[q]^2, 0, ...} spectrum")
     m = gr.matrix
     lam = gr.eigenvalue
-    case = gr.case_label
-    d0, d1, d2 = gr.d0, gr.d1, gr.d2
     n = m.shape[0]
-    verts0 = [i for i in range(n) if m[i, i] == 0]
-    verts1 = [i for i in range(n) if m[i, i] == 1]
-    verts2 = [i for i in range(n) if m[i, i] == 2]
-
-    def fail(msg):
-        return ClassifiedGram(case=None, witness=None, canonical=None,
-                              eigen_candidates=(), diagnostic=msg)
-
-    blocks = []  # (vertices, eps, scale) in canonical order
-    canonical_vectors: list[np.ndarray] = []
-    if case == "a":
-        comps = _support_components(m, verts1)
-        if len(comps) != 2 or any(len(c) != lam for c in comps):
-            return fail(f"case a needs two blocks of size {lam}")
-        for comp in comps:
-            eps = _block_signs(m, comp, 1)
-            if eps is None:
-                return fail("case a block is not a rank-1 sign pattern")
-            blocks.append((comp, eps, 1))
-        u1 = _indicator(n, d0, lam)
-        u2 = _indicator(n, d0 + lam, lam)
-        canonical_vectors = [u1, u2]
-    elif case == "b":
-        comps1 = _support_components(m, verts1)
-        comps2 = _support_components(m, verts2)
-        if lam % 2 or len(comps1) != 1 or len(comps2) != 1 \
-                or len(verts1) != lam or len(verts2) != lam // 2:
-            return fail("case b needs one size-q and one size-q/2 block")
-        eps1 = _block_signs(m, comps1[0], 1)
-        eps2 = _block_signs(m, comps2[0], 2)
-        if eps1 is None or eps2 is None:
-            return fail("case b block is not a rank-1 sign pattern")
-        blocks = [(comps1[0], eps1, 1), (comps2[0], eps2, 2)]
-        u1 = _indicator(n, d0, lam)
-        u2 = _indicator(n, d0 + lam, lam // 2)
-        canonical_vectors = [u1, u2, u1 + u2, u1 - u2]
-    elif case == "c":
-        comps = _support_components(m, verts2)
-        if lam % 2 or len(comps) != 2 or any(len(c) != lam // 2 for c in comps):
-            return fail(f"case c needs two blocks of size {lam // 2}")
-        for comp in comps:
-            eps = _block_signs(m, comp, 2)
-            if eps is None:
-                return fail("case c block is not a rank-1 sign pattern")
-            blocks.append((comp, eps, 2))
-        u1 = _indicator(n, d0, lam // 2)
-        u2 = _indicator(n, d0 + lam // 2, lam // 2)
-        canonical_vectors = [u1, u2, u1 + u2, u1 - u2]
-    elif case == "d":
-        comps = _support_components(m, verts2, magnitude=2)
-        if lam % 3 or len(comps) != 3 or any(len(c) != lam // 3 for c in comps):
-            return fail(f"case d needs three 2-blocks of size {lam // 3}")
-        epss = [_block_signs(m, comp, 2) for comp in comps]
-        if any(e is None for e in epss):
-            return fail("case d 2-block is not a rank-1 sign pattern")
-        cross = _constant_cross_signs(m, comps, epss)
-        if cross is None:
-            return fail("case d cross blocks are not constant +-1")
-        flips, ordering = _resolve_case_d(cross)
-        if flips is None:
-            return fail("case d cross pattern has even negativity")
-        comps = [comps[t] for t in ordering]
-        epss = [{v: e * flips[t] for v, e in epss[t].items()}
-                for t in ordering]
-        blocks = [(comp, eps, 2) for comp, eps in zip(comps, epss)]
-        q = lam // 3
-        u = _indicator(n, d0, 2 * q)
-        v = _indicator(n, d0, q) + _indicator(n, d0 + 2 * q, q)
-        w = _indicator(n, d0 + q, q) - _indicator(n, d0 + 2 * q, q)
-        canonical_vectors = [u, v, w]
-    elif case == "e":
-        comps2 = _support_components(m, verts2)
-        comps1 = _support_components(m, verts1)
-        if d2 % 2 or d1 % 2 or len(comps2) != 2 or len(comps1) != 2 \
-                or any(len(c) != d2 // 2 for c in comps2) \
-                or any(len(c) != d1 // 2 for c in comps1):
-            return fail("case e needs two 2-blocks and two 1-blocks of equal sizes")
-        eps2 = [_block_signs(m, comp, 2) for comp in comps2]
-        eps1 = [_block_signs(m, comp, 1) for comp in comps1]
-        if any(e is None for e in eps2 + eps1):
-            return fail("case e block is not a rank-1 sign pattern")
-        resolved = _resolve_case_e(m, comps2, eps2, comps1, eps1)
-        if resolved is None:
-            return fail("case e cross pattern does not normalise")
-        blocks = resolved
-        a, c = d2 // 2, d1 // 2
-        x = (_indicator(n, d0, a) + _indicator(n, d0 + a, a)
-             + _indicator(n, d0 + 2 * a, c))
-        y = (_indicator(n, d0, a) - _indicator(n, d0 + a, a)
-             + _indicator(n, d0 + 2 * a + c, c))
-        canonical_vectors = [x, y]
-    else:
-        return fail("diagonal profile fits no case")
-
-    perm = [0] * n
-    signs = [1] * n
-    pos = 0
-    for v in sorted(verts0):
-        perm[v] = pos
-        pos += 1
-    for comp, eps, _scale in blocks:
-        for v in comp:
-            perm[v] = pos
-            signs[v] = eps[v]
-            pos += 1
-    witness = GramWitness(perm=tuple(perm), signs=tuple(signs))
-    canonical = canonical_gram_form(case, lam, d0, d1, d2, n)
-    if not np.array_equal(witness.apply(m), canonical):
-        return fail(f"case {case} witness failed verification")
-    for vec in canonical_vectors:
-        if not np.array_equal(canonical @ vec, lam * vec):
-            raise RuntimeError(
-                f"case {case} eigenvector candidate failed verification")
-    originals = tuple(tuple(int(x) for x in witness.pull_back(vec))
-                      for vec in canonical_vectors)
-    return ClassifiedGram(case=case, witness=witness, canonical=canonical,
-                          eigen_candidates=originals)
-
-
-def _indicator(n, start, size):
-    v = np.zeros(n, dtype=np.int64)
-    v[start:start + size] = 1
-    return v
-
-
-def _constant_cross_signs(m, comps, epss):
-    """Constant sign of eps-normalised entries between each block pair."""
-    cross = {}
-    for s in range(len(comps)):
-        for t in range(s + 1, len(comps)):
-            vals = {epss[s][i] * epss[t][j] * int(m[i, j])
-                    for i in comps[s] for j in comps[t]}
-            if len(vals) != 1 or abs(next(iter(vals))) != 1:
-                return None
-            cross[(s, t)] = next(iter(vals))
-    return cross
-
-
-def _resolve_case_d(cross):
-    """Block flips and ordering sending the cross pattern to
-    ((0,1): +, (0,2): +, (1,2): -)."""
-    negs = [p for p, v in cross.items() if v < 0]
-    if len(negs) % 2 == 0:
-        return None, None
-    if len(negs) == 3:
-        # flipping block 0 toggles two of the three pairs
-        flips = [-1, 1, 1]
-        cross = {p: v * (flips[p[0]] * flips[p[1]] if 0 in p else 1)
-                 for p, v in cross.items()}
-        negs = [p for p, v in cross.items() if v < 0]
-        base_flips = flips
-    else:
-        base_flips = [1, 1, 1]
-    (x, y) = negs[0]
-    first = ({0, 1, 2} - {x, y}).pop()
-    ordering = [first] + sorted({x, y})
-    flips = [base_flips[t] for t in ordering]
-    return flips, ordering
-
-
-def _resolve_case_e(m, comps2, eps2, comps1, eps1):
-    """Flips/ordering making the V2 x V1 cross pattern [[+, +], [+, -]]."""
-    sign = [[0, 0], [0, 0]]
-    for s in range(2):
-        for t in range(2):
-            vals = {eps2[s][i] * eps1[t][j] * int(m[i, j])
-                    for i in comps2[s] for j in comps1[t]}
-            if len(vals) != 1 or abs(next(iter(vals))) != 1:
-                return None
-            sign[s][t] = next(iter(vals))
-    flip1 = [sign[0][0], sign[0][1]]  # make the first row (+, +)
-    row2 = [sign[1][0] * flip1[0], sign[1][1] * flip1[1]]
-    if row2[0] * row2[1] != -1:
-        return None
-    order1 = [0, 1] if row2[0] > 0 else [1, 0]  # negative column goes second
-    blocks = [(comps2[0], eps2[0], 2), (comps2[1], eps2[1], 2)]
-    for t in order1:
-        eps = {v: e * flip1[t] for v, e in eps1[t].items()}
-        blocks.append((comps1[t], eps, 1))
-    return blocks
+    canonical = canonical_gram_form(gr.case_label, lam, gr.d0, gr.d1, gr.d2, n)
+    classes = _row_classes(m)
+    witness = _signed_order_onto(m, classes, canonical)
+    if witness is None:
+        return ClassifiedGram(
+            case=None, witness=None, canonical=None, eigen_candidates=(),
+            diagnostic=f"no signed order of the row classes maps M onto the "
+                       f"case ({gr.case_label}) form")
+    basis = np.zeros((n, len(classes)), dtype=np.int64)
+    for s, (vs, ss) in enumerate(classes):
+        basis[vs, s] = ss
+    # every coefficient vector in {0, 1, -1}^k (index i becomes (i + 1) % 3 - 1);
+    # one of each pair +-x, and not x = 0: the first nonzero coefficient is 1
+    coeffs = (np.indices((3,) * len(classes)).reshape(len(classes), -1).T + 1) % 3 - 1
+    lead = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)]
+    xs = basis @ coeffs[lead > 0].T
+    fixed = np.all(m @ xs == lam * xs, axis=0)
+    candidates = tuple(map(tuple, xs.T[fixed].tolist()))
+    return ClassifiedGram(case=gr.case_label, witness=witness,
+                          canonical=canonical, eigen_candidates=candidates)
 
 
 # -- extension operations ------------------------------------------------------

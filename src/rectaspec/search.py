@@ -52,7 +52,7 @@ from ._kernel import run_weighing_search  # noqa: F401
 from .core import SignedGraph, UnderlyingGraph, _as_underlying, _bits, quadrangles
 from .formats import write_graph6
 from .spectral import certify_two_sym
-from .switching import scheme_layout, switching_isomorphic
+from .switching import scheme_layout, scheme_prefix, switching_isomorphic
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from .switching import class_invariants  # noqa: F401
 from .weighing import WeighingMatrix, equivalent, scheme_two_prefix
@@ -106,12 +106,10 @@ def build_signature_problem(g, base: int = 0) -> SignatureSearchProblem:
     # transient arrays do not add to them.
     quads = sorted(quadrangles(relabelled), key=max)
 
+    rows = scheme_prefix(r, n)  # the normal form's forced first r+1 rows
     prefix = np.zeros((n, n), dtype=np.int8)
-    prefix[0, 1:r + 1] = 1
-    prefix[1:r + 1, 0] = 1
-    for (a, b), w in layout.pair_vertex.items():
-        prefix[a, w] = prefix[w, a] = 1
-        prefix[b, w] = prefix[w, b] = -1
+    prefix[:r + 1] = rows
+    prefix[:, :r + 1] = rows.T
 
     free_edges = [(int(v), int(w)) for v, w in relabelled.edges()
                   if v > r and w > r]

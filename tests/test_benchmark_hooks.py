@@ -1,12 +1,15 @@
-"""The benchmark's tracer (perfbench/tracing.py) replaces named functions in
-rectaspec's modules; a refactor that drops one of those names must fail here
-rather than break a traced benchmark run."""
+"""The benchmark (perfbench/) imports names from rectaspec and its tracer
+(perfbench/tracing.py) replaces named functions in rectaspec's modules; a
+refactor that drops one of those names must fail here rather than break a
+benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing_module():
@@ -22,4 +25,41 @@ def test_traced_names_resolve():
     assert hooks
     missing = [(module, attr) for module, attr in hooks
                if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def _rectaspec_imports():
+    """(file, module, name) for every ``from rectaspec... import name`` in
+    perfbench/*.py, at module level or inside a function, and (file,
+    module, None) for every ``import rectaspec...``; read with ast, not run."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "rectaspec":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "rectaspec":
+                        yield path.name, alias.name, None
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    """``from module import name`` (or ``import module``) would succeed."""
+    try:
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule
+    except ImportError:
+        return False
+    return True
+
+
+def test_benchmark_imports_resolve():
+    imports = list(_rectaspec_imports())
+    names = {name for _, _, name in imports}
+    # the worker, the self-test (some inside functions) and the inputs
+    assert {"active_backend", "run_search", "kernel_arguments",
+            "build_signature_problem", "search_weighing"} <= names
+    missing = [entry for entry in imports if not _resolves(*entry[1:])]
     assert missing == []

@@ -1,8 +1,11 @@
+import gc
+import warnings
+
 import pytest
 
 import rectaspec as rs
 from rectaspec.cli import main
-from rectaspec.formats import parse_signed, write_signed
+from rectaspec.formats import parse_signed, write_graph6, write_signed
 
 
 def run(capsys, *argv):
@@ -125,6 +128,18 @@ def test_convert_roundtrip(capsys, tmp_path):
     assert code == 0
     g = parse_signed(out)
     assert g.n == 8 and rs.certify_two_sym(g).lambda_sq == 3
+
+
+def test_convert_closes_its_input(capsys, tmp_path):
+    src = tmp_path / "q3.g6"
+    src.write_bytes(write_graph6(rs.hypercube(3)) + b"\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "convert", "--from", "graph6", "--to", "sg1",
+                           "--in", str(src))
+        gc.collect()
+    assert code == 0 and parse_signed(out).n == 8
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_catalog_listing(capsys):

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -100,6 +100,32 @@ class TestClassifyGram:
             cls = classify_gram(analyse_residual(scrambled, 0))
             assert cls.case == case, (case, cls.diagnostic)
             assert np.array_equal(cls.witness.apply(scrambled), cls.canonical)
+
+    def test_eigen_candidates_match_brute_force(self):
+        # up to sign, the candidates are every x in {0, +-1}^n with M x = q x
+        rng = random.Random(9)
+        shapes = [("a", 2, 1, 4, 0), ("a", 4, 2, 8, 0), ("b", 2, 1, 2, 1),
+                  ("b", 4, 2, 4, 2), ("c", 2, 1, 0, 2), ("c", 6, 2, 0, 6),
+                  ("d", 3, 1, 0, 3), ("d", 6, 2, 0, 6), ("e", 3, 1, 2, 2),
+                  ("e", 4, 0, 4, 2), ("e", 5, 0, 2, 4), ("e", 6, 2, 4, 4)]
+        for case, lam, d0, d1, d2 in shapes:
+            n = d0 + d1 + d2
+            canonical = canonical_gram_form(case, lam, d0, d1, d2, n)
+            every = np.array(list(product((0, 1, -1), repeat=n)))
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                signs = [rng.choice((-1, 1)) for _ in range(n)]
+                m = GramWitness(tuple(perm), tuple(signs)).apply(canonical)
+                gr = analyse_residual(m, 0)
+                assert gr.case_label == case and gr.eigenvalue == lam
+                cls = classify_gram(gr)
+                assert np.array_equal(cls.witness.apply(m), canonical)
+                fixed = every[np.all(every @ m == lam * every, axis=1)]
+                oracle = {min(tuple(x.tolist()), tuple((-x).tolist()))
+                          for x in fixed if x.any()}
+                got = [min(x, tuple(-c for c in x)) for x in cls.eigen_candidates]
+                assert len(got) == len(set(got)) and set(got) == oracle, case
 
     def test_rank_preconditions(self):
         with pytest.raises(StructureError, match="rank"):
