@@ -134,15 +134,21 @@ def _parse_expression(expr: str, weighing_source):
     return constructions.catalog(expr, weighing_source=weighing_source)
 
 
-def cmd_construct(args) -> int:
-    obj = _parse_expression(args.expression, _read_opt(args, "weighing_file"))
+def _print_object(obj) -> int:
+    """graph6 for an underlying graph; otherwise the certificate on stderr
+    and sg1 on stdout."""
     if isinstance(obj, UnderlyingGraph):
         sys.stdout.write(formats.write_graph6(obj).decode() + "\n")
     else:
-        cert = strongest_certificate(obj)
-        print(f"# {_describe_certificate(cert)}", file=sys.stderr)
+        print(f"# {_describe_certificate(strongest_certificate(obj))}",
+              file=sys.stderr)
         sys.stdout.write(formats.write_signed(obj))
     return 0
+
+
+def cmd_construct(args) -> int:
+    return _print_object(_parse_expression(args.expression,
+                                           _read_opt(args, "weighing_file")))
 
 
 def cmd_extend(args) -> int:
@@ -238,14 +244,8 @@ def cmd_catalog(args) -> int:
             except constructions.CatalogError:
                 print(key)
         return 0
-    obj = constructions.catalog(args.id, weighing_source=_read_opt(args, "weighing_file"))
-    if isinstance(obj, UnderlyingGraph):
-        sys.stdout.write(formats.write_graph6(obj).decode() + "\n")
-    else:
-        print(f"# {_describe_certificate(strongest_certificate(obj))}",
-              file=sys.stderr)
-        sys.stdout.write(formats.write_signed(obj))
-    return 0
+    return _print_object(constructions.catalog(
+        args.id, weighing_source=_read_opt(args, "weighing_file")))
 
 
 def _add_graph_source(p):

@@ -127,7 +127,9 @@ def parse_signed(text: str) -> SignedGraph:
     if not lines:
         raise SignedFormatError("empty input")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "sg1" or not head[1].isdigit():
+    # ASCII digits only: str.isdigit also accepts "²", which int() refuses
+    if (len(head) != 2 or head[0] != "sg1"
+            or not (head[1].isascii() and head[1].isdigit())):
         raise SignedFormatError(f"header must be 'sg1 n', got {lines[0]!r}")
     n = int(head[1])
     if n < 1:

@@ -49,10 +49,11 @@ import numpy as np
 from ._kernel import run_search
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from ._kernel import run_weighing_search  # noqa: F401
-from .core import SignedGraph, UnderlyingGraph, _as_underlying, _bits, quadrangles
+from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bits, is_connected,
+                   quadrangles)
 from .formats import write_graph6
 from .spectral import certify_two_sym
-from .switching import scheme_layout, scheme_prefix, switching_isomorphic
+from .switching import SchemeError, scheme_layout, scheme_prefix, switching_isomorphic
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from .switching import class_invariants  # noqa: F401
 from .weighing import WeighingMatrix, equivalent, scheme_two_prefix
@@ -89,9 +90,11 @@ class SearchOutcome:
     row_candidates: dict[int, int] = field(default_factory=dict)  # dfs only
 
 
-def build_signature_problem(g, base: int = 0) -> SignatureSearchProblem:
+def build_signature_problem(g) -> SignatureSearchProblem:
     u = _as_underlying(g)
-    layout = scheme_layout(u, base)  # raises SchemeError naming the predicate
+    if not is_connected(u):
+        raise SchemeError("normal form needs a connected graph")
+    layout = scheme_layout(u)  # raises SchemeError naming the predicate
     r = layout.degree
     n = u.n
     inv = [0] * n
@@ -408,7 +411,7 @@ def _outcome(problem: SignatureSearchProblem, classes: dict[int, int],
                          problem=problem, **details)
 
 
-def search_signatures(g, node_budget: int | None = None, base: int = 0,
+def search_signatures(g, node_budget: int | None = None,
                       order_seed: int | None = None, progress=None,
                       progress_every: int = 0) -> SearchOutcome:
     """All two-eigenvalue signatures of a connected rectagraph, up to
@@ -422,7 +425,7 @@ def search_signatures(g, node_budget: int | None = None, base: int = 0,
     ``progress(nodes, dim)`` is called every ``progress_every`` of them,
     ``dim`` being the dimension of the class space.
     """
-    problem = build_signature_problem(g, base)
+    problem = build_signature_problem(g)
     solution = solve_parity_system(problem, _edge_order(problem, order_seed))
     if solution.particular is None:
         refutation = tuple(problem.constraint_quadrangles[ci]
@@ -445,7 +448,7 @@ def search_signatures(g, node_budget: int | None = None, base: int = 0,
     return _outcome(problem, classes, count, count == total, rank=solution.rank)
 
 
-def search_signatures_dfs(g, node_budget: int | None = None, base: int = 0,
+def search_signatures_dfs(g, node_budget: int | None = None,
                           order_seed: int | None = None, progress=None,
                           progress_every: int = 0) -> SearchOutcome:
     """Reference for ``search_signatures``: the paper's backtracking search.
@@ -457,7 +460,7 @@ def search_signatures_dfs(g, node_budget: int | None = None, base: int = 0,
     decisions.  The outcome records the per-row candidate counts of the
     paper's tables.
     """
-    problem = build_signature_problem(g, base)
+    problem = build_signature_problem(g)
     masks, nodes, row_cand, exhausted = run_search(
         *kernel_arguments(problem, order=_edge_order(problem, order_seed),
                           node_budget=node_budget or 0),

@@ -70,7 +70,7 @@ class SwitchingClass:
     base_vertex: int
     permutation: tuple[int, ...]
     switch_set: frozenset[int]
-    tail_size: int  # vertices at distance >= 3 from the base vertex
+    tail_size: int  # vertices at distance >= 3 from the base vertex, or unreachable
 
 
 def scheme_prefix(r: int, n: int) -> np.ndarray:
@@ -105,10 +105,11 @@ class SchemeLayout:
 
 def scheme_layout(g, base: int = 0) -> SchemeLayout:
     """Order vertices as: base, its neighbours, one common neighbour per
-    neighbour pair, then everything at distance >= 3 (in original index
-    order, which the enumeration itself does not prescribe)."""
+    neighbour pair, then everything at distance >= 3 or in another
+    component (in original index order, which the enumeration itself does
+    not prescribe)."""
     rep = structure_report(g)
-    for name in ("connected", "regular", "triangle_free", "zero_two"):
+    for name in ("regular", "triangle_free", "zero_two"):
         if not getattr(rep, name):
             raise SchemeError(f"normal form needs a {name.replace('_', '-')} graph")
     r = rep.degree
@@ -143,6 +144,8 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
 def schem_normal_form(g: SignedGraph, base: int = 0) -> SwitchingClass:
     """Representative of g's switching class whose first r+1 rows match
     ``scheme_prefix``; exists for every two-eigenvalue signed rectagraph.
+    A disconnected graph is normalised at the base's component; the other
+    components join the tail, which is left unswitched.
 
     The switch is forced: a spanning tree made of the base star plus one
     edge into each common-neighbour vertex is switched all-positive, and the

@@ -5,11 +5,15 @@ two-eigenvalue signed rectagraphs.
 An (n, r) weighing matrix is an n x n {0, +-1} matrix M with M^T M = r I.
 Equivalence means M = P N Q for signed permutation matrices P and Q; that is
 exactly a side-preserving switching isomorphism of the signed bipartite
-support graphs, which is how the decision procedure below works.
+support graphs, which is how the decision procedure below works.  The row
+normal form is read off the same graph (the biadjacency block of its star
+normal form at a column vertex), and one translation turns a switching
+isomorphism of support graphs into the witness (P, Q) for both.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +21,8 @@ import numpy as np
 
 from .core import SignedGraph, StructureError, bipartition, is_connected, structure_report
 from .spectral import Refusal, certify_two_sym
-from .switching import (DEFAULT_SIZE_CAP, SizeCapError, solve_switch_for_perm,
+from .switching import (DEFAULT_SIZE_CAP, SizeCapError, schem_normal_form,
+                        scheme_prefix, solve_switch_for_perm,
                         underlying_isomorphisms)
 
 
@@ -153,16 +158,6 @@ def from_bipartite_sr2se(g: SignedGraph) -> WeighingMatrix:
 # -- equivalence --------------------------------------------------------------
 
 
-def _sp_pairs_from_matrix(p: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(perm, signs) with p[i, perm[i]] = signs[i]."""
-    perm, signs = [], []
-    for i in range(p.shape[0]):
-        j = int(np.flatnonzero(p[i])[0])
-        perm.append(j)
-        signs.append(int(p[i, j]))
-    return tuple(perm), tuple(signs)
-
-
 def sp_matrix(perm, signs) -> np.ndarray:
     n = len(perm)
     p = np.zeros((n, n), dtype=np.int64)
@@ -192,14 +187,15 @@ class EquivalenceWitness:
         return np.array_equal(prod, np.asarray(m.entries, dtype=np.int64))
 
 
-def _witness_from_transform(rperm, rsigns, cperm, csigns) -> EquivalenceWitness:
-    """Witness for m = P norm Q given norm[i, j] =
-    rsigns[i] * csigns[j] * m[rperm[i], cperm[j]]."""
-    p0 = sp_matrix(rperm, rsigns)
-    q0 = sp_matrix(cperm, csigns).T
-    pp, ps = _sp_pairs_from_matrix(p0.T)
-    qp, qs = _sp_pairs_from_matrix(q0.T)
-    return EquivalenceWitness(p_perm=pp, p_signs=ps, q_perm=qp, q_signs=qs)
+def _witness_from_transform(n: int, perm, eps) -> EquivalenceWitness:
+    """Witness for M = P N Q from a switching isomorphism of M's support
+    graph onto N's (vertex v goes to perm[v] with sign eps[v]): row i of M
+    is row perm[n+i]-n of N times eps[n+i], column j is column perm[j]
+    times eps[j]."""
+    q_perm = sorted(range(n), key=perm.__getitem__)  # column perm[j] of N -> j
+    return EquivalenceWitness(p_perm=tuple(perm[n + i] - n for i in range(n)),
+                              p_signs=tuple(eps[n + i] for i in range(n)),
+                              q_perm=tuple(q_perm), q_signs=tuple(eps[j] for j in q_perm))
 
 
 def equivalent(m: WeighingMatrix, n: WeighingMatrix,
@@ -224,21 +220,7 @@ def equivalent(m: WeighingMatrix, n: WeighingMatrix,
         eps = solve_switch_for_perm(gm, gn, perm)
         if eps is None:
             continue
-        sz = m.n
-        # column i of m sits at column perm[i] of n's frame, sign eps[i];
-        # row j of m sits at row perm[n+j]-n, sign eps[n+j].
-        rperm = [0] * sz
-        rsigns = [0] * sz
-        cperm = [0] * sz
-        csigns = [0] * sz
-        for i in range(sz):
-            cperm[perm[i]] = i  # build n = transform(m) frame first
-        for i in range(sz):
-            csigns[perm[i]] = eps[i]
-        for j in range(sz):
-            rperm[perm[sz + j] - sz] = j
-            rsigns[perm[sz + j] - sz] = eps[sz + j]
-        witness = _witness_from_transform(rperm, rsigns, cperm, csigns)
+        witness = _witness_from_transform(m.n, perm, eps)
         if not witness.verify(m, n):
             raise RuntimeError("equivalence witness failed re-verification")
         return True, witness
@@ -253,81 +235,39 @@ def scheme_two_prefix(r: int, n: int) -> np.ndarray:
     intersection numbers in {0, 2}: row 0 carries r leading +1s, row i
     (1 <= i < r) meets row 0 in column 0 (same sign) and column i (opposite
     sign), and rows a < b (a >= 1) meet in column 0 and one block column
-    holding +1 in row a and -1 in row b."""
+    holding +1 in row a and -1 in row b.  That is ``scheme_prefix`` taken
+    at a column vertex: its rows 1..r against the base and the r(r-1)/2
+    pair columns, padded with zero columns to n."""
+    width = r * (r - 1) // 2 + 1
+    star = scheme_prefix(r, r + width)
     rows = np.zeros((r, n), dtype=np.int8)
-    rows[0, :r] = 1
-    for i in range(1, r):
-        rows[i, 0] = 1
-        rows[i, i] = -1
-    col = r
-    for a in range(1, r):
-        for b in range(a + 1, r):
-            rows[a, col] = 1
-            rows[b, col] = -1
-            col += 1
+    rows[:, :width] = star[1:, [0, *range(r + 1, r + width)]]
     return rows
 
 
 def schem2_normal_form(w: WeighingMatrix):
     """Equivalent matrix whose first r rows match ``scheme_two_prefix``,
-    plus the witness; needs intersection numbers within {0, 2}."""
+    plus the witness; needs intersection numbers within {0, 2}.
+
+    Two columns then meet in 0 or 2 rows too (count quadrangles both
+    ways), so the support graph has a star normal form at the first column
+    of row 0; the result is its biadjacency block in the new order.
+    """
     inter = intersection_numbers(w)
     if not inter <= {0, 2}:
         raise StructureError(
             f"normal form needs intersection numbers in {{0, 2}}, got {sorted(inter)}")
-    ent = np.asarray(w.entries, dtype=np.int64)
-    sz, r = w.n, w.r
-    row0 = 0
-    support0 = np.flatnonzero(ent[row0]).tolist()
-    anchor = support0[0]
-    sharing = [i for i in np.flatnonzero(ent[:, anchor]).tolist() if i != row0]
-    if len(sharing) != r - 1:
-        raise RuntimeError(f"column {anchor} does not have weight {r}")
-    row_order = [row0] + sharing
-    # row i's second meeting column with row 0 becomes column i
-    col_order = [anchor]
-    for i in row_order[1:]:
-        both = [c for c in support0 if c != anchor and ent[i, c]]
-        if len(both) != 1:
-            raise RuntimeError(f"rows {row0} and {i} do not meet in two columns")
-        col_order.append(both[0])
-    for a_pos in range(1, r):
-        for b_pos in range(a_pos + 1, r):
-            a, b = row_order[a_pos], row_order[b_pos]
-            shared = [c for c in np.flatnonzero(ent[a]).tolist()
-                      if c != anchor and ent[b, c]]
-            if len(shared) != 1:
-                raise RuntimeError(f"rows {a} and {b} do not meet in two columns")
-            col_order.append(shared[0])
-    col_order += [c for c in range(sz) if c not in set(col_order)]
-    row_order += [i for i in range(sz) if i not in set(row_order)]
-
-    rsigns = [1] * sz
-    csigns = [1] * sz
-    # row 0 all-positive on its support, every prefix row positive at column 0
-    for pos, c in enumerate(col_order):
-        if pos < r and ent[row0, c] != 0:
-            csigns[pos] = int(ent[row0, c])
-    for pos in range(1, r):
-        i = row_order[pos]
-        rsigns[pos] = int(ent[i, anchor]) * csigns[0]
-    # block columns: positive in their upper row
-    pos = r
-    for a_pos in range(1, r):
-        for b_pos in range(a_pos + 1, r):
-            a = row_order[a_pos]
-            csigns[pos] = rsigns[a_pos] * int(ent[a, col_order[pos]])
-            pos += 1
-
-    norm = np.zeros_like(ent)
-    for i in range(sz):
-        for j in range(sz):
-            norm[i, j] = rsigns[i] * csigns[j] * ent[row_order[i], col_order[j]]
-    if not np.array_equal(norm[:r], scheme_two_prefix(r, sz)):
+    sz = w.n
+    anchor = int(np.flatnonzero(w.entries[0])[0])
+    cls = schem_normal_form(_support_bipartite(w), base=anchor)
+    cols, rows = np.sort(cls.permutation[:sz]), np.sort(cls.permutation[sz:])
+    result = WeighingMatrix(cls.representative.adj[np.ix_(rows, cols)])
+    if not np.array_equal(result.entries[:w.r], scheme_two_prefix(w.r, sz)):
         raise RuntimeError("normalisation failed to reach the scheme prefix")
-    witness = _witness_from_transform(tuple(row_order), tuple(rsigns),
-                                      tuple(col_order), tuple(csigns))
-    result = WeighingMatrix(norm.astype(np.int8))
+    place = np.argsort(np.concatenate([cols, rows]))  # new label -> result's vertex
+    witness = _witness_from_transform(
+        sz, [int(place[v]) for v in cls.permutation],
+        [-1 if v in cls.switch_set else 1 for v in cls.permutation])
     if not witness.verify(w, result):
         raise RuntimeError("normal-form witness failed re-verification")
     return result, witness
@@ -349,7 +289,7 @@ def parse_weighing_text(text: str) -> WeighingMatrix:
     if not lines:
         raise WeighingFormatError("empty input")
     head = lines[0].split()
-    if len(head) != 2 or not all(p.lstrip("-").isdigit() for p in head):
+    if len(head) != 2 or not all(re.fullmatch("-?[0-9]+", p) for p in head):
         raise WeighingFormatError(f"header must be 'n r', got {lines[0]!r}")
     n, r = int(head[0]), int(head[1])
     if len(lines) - 1 != n:

@@ -1,10 +1,13 @@
 import gc
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
 import rectaspec as rs
-from rectaspec.cli import main
+from rectaspec.cli import build_parser, main
 from rectaspec.formats import parse_signed, write_graph6, write_signed
 
 
@@ -234,3 +237,14 @@ def test_search_output_digest(capsys, tmp_path, name, seed):
     assert code == 0
     digest = hashlib.sha256((out + err).encode()).hexdigest()
     assert digest == SEARCH_DIGESTS[name, seed]
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("rectaspec ")]
+    assert len(lines) >= 5
+    for ln in lines:
+        argv = shlex.split(ln, comments=True)[1:]
+        args = build_parser().parse_args(argv)
+        assert callable(args.fn), ln

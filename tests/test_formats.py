@@ -107,6 +107,9 @@ class TestSignedFormat:
     def test_bad_header(self):
         with pytest.raises(SignedFormatError, match="header"):
             parse_signed("graph 2\n")
+        # a digit to str.isdigit but not to int
+        with pytest.raises(SignedFormatError, match="header"):
+            parse_signed("sg1 \u00b2\n")
 
     def test_fuzzed_inputs_only_raise_format_errors(self):
         rng = random.Random(77)

@@ -82,6 +82,12 @@ class TestSignatureSearch:
         with pytest.raises(SchemeError, match="triangle-free"):
             search_signatures(k3)
 
+    def test_disconnected_graph_refused(self):
+        # the star normal form itself accepts it; the search must not
+        q3 = rs.hypercube(3).all_positive()
+        with pytest.raises(SchemeError, match="connected"):
+            search_signatures(rs.core.disjoint_union(q3, q3))
+
     def test_budget_exhaustion_flagged(self):
         # two pure-switching classes, so a budget of one stops short
         out = search_signatures(rs.underlying(rs.catalog("R6.7")), node_budget=1)

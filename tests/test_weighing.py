@@ -86,6 +86,55 @@ class TestNormalForm:
             rs.verify_weighing(np.eye(3, dtype=int)), norm)
 
 
+def scrambled(w, rng):
+    """P w Q for random signed permutation matrices P and Q."""
+    def factor():
+        return sp_matrix(rng.permutation(w.n).tolist(),
+                         rng.choice([-1, 1], w.n).tolist())
+    return rs.WeighingMatrix(factor() @ w.entries.astype(np.int64) @ factor())
+
+
+class TestNormalFormOfScrambles:
+    def check(self, w, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            m = scrambled(w, rng)
+            norm, witness = rs.schem2_normal_form(m)
+            assert np.array_equal(norm.entries[:w.r], scheme_two_prefix(w.r, w.n))
+            assert witness.verify(m, norm)
+            again, identity = rs.schem2_normal_form(norm)
+            assert again == norm
+            assert identity.p_perm == identity.q_perm == tuple(range(w.n))
+            assert set(identity.p_signs) == set(identity.q_signs) == {1}
+
+    @pytest.mark.parametrize("n, r", [(4, 2), (7, 4), (8, 4), (12, 5), (14, 4), (14, 5)])
+    def test_searched_classes(self, n, r):
+        from rectaspec.search import search_weighing
+
+        classes = search_weighing(n, r).matrices
+        assert classes
+        for i, w in enumerate(classes):
+            self.check(w, seed=100 * n + 10 * r + i)
+
+    def test_improper_identity(self):
+        # the support graph is three disjoint edges
+        self.check(rs.verify_weighing(np.eye(3, dtype=int)), seed=3)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_prefix_shape(self, r):
+        width = r * (r - 1) // 2 + 1
+        prefix = scheme_two_prefix(r, width + 3).astype(np.int64)
+        assert prefix.shape == (r, width + 3)
+        assert np.all(np.abs(prefix).sum(axis=1) == r)
+        assert np.flatnonzero(prefix[0]).tolist() == list(range(r))
+        for a in range(r):
+            for b in range(a + 1, r):
+                shared = np.flatnonzero(prefix[a] * prefix[b]).tolist()
+                assert len(shared) == 2
+                assert np.prod(prefix[a, shared] * prefix[b, shared]) == -1
+        assert not prefix[:, width:].any()
+
+
 class TestBipartiteCorrespondence:
     def test_searched_matrix_gives_24_vertex_graph(self):
         g = rs.to_bipartite_sr2se(searched_12_5())
@@ -199,3 +248,7 @@ class TestTextFormat:
             rs.parse_weighing_text("3 1\n+00\n0+0\n")
         with pytest.raises(WeighingFormatError, match="weight"):
             rs.parse_weighing_text("2 2\n+0\n0+\n")
+        # headers that pass a digit test but not int()
+        for head in ("--2 1", "\u00b2 1"):
+            with pytest.raises(WeighingFormatError, match="header"):
+                rs.parse_weighing_text(head + "\n+0\n0+\n")
