@@ -319,8 +319,9 @@ def _diagonals(g) -> tuple[np.ndarray, ...]:
     return rows, cols, counts, np.cumsum(counts) - counts, mids
 
 
-def quadrangles(g) -> list[tuple[int, int, int, int]]:
-    """All 4-cycles (a, b, c, d) of the underlying graph, edges ab, bc, cd, da.
+def quadrangles(g) -> np.ndarray:
+    """All 4-cycles (a, b, c, d) of the underlying graph, edges ab, bc, cd, da,
+    as the rows of a (k, 4) int64 array.
 
     Reported once each, with a the smallest vertex and b < d, in
     lexicographic order of (a, c) and then of (b, d).
@@ -328,18 +329,18 @@ def quadrangles(g) -> list[tuple[int, int, int, int]]:
     rows, cols, counts, first, mids = _diagonals(g)
     sizes = counts * (counts - 1) // 2
     start = np.cumsum(sizes) - sizes  # each pair's first quadrangle
-    quads = np.empty((4, int(sizes.sum())), dtype=np.int64)
+    quads = np.empty((int(sizes.sum()), 4), dtype=np.int64)
     for k in np.flatnonzero(np.bincount(counts)).tolist():
         # the k common neighbours of a pair give C(k, 2) quadrangles, taken
         # in the order of combinations(range(k), 2)
         i, j = np.triu_indices(k, 1)
         sel = np.flatnonzero(counts == k)
         at = start[sel, None] + np.arange(len(i))
-        quads[0, at] = rows[sel, None]
-        quads[1, at] = mids[first[sel, None] + i]
-        quads[2, at] = cols[sel, None]
-        quads[3, at] = mids[first[sel, None] + j]
-    return list(zip(*quads.tolist()))
+        quads[at, 0] = rows[sel, None]
+        quads[at, 1] = mids[first[sel, None] + i]
+        quads[at, 2] = cols[sel, None]
+        quads[at, 3] = mids[first[sel, None] + j]
+    return quads
 
 
 def structure_report(g) -> StructureReport:

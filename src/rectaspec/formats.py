@@ -139,10 +139,12 @@ def parse_signed(text: str) -> SignedGraph:
         parts = ln.split()
         if len(parts) != 3 or parts[2] not in ("+", "-"):
             raise SignedFormatError(f"edge line must be 'u v +|-', got {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+        a, b = parts[0], parts[1]
+        # ASCII digits only, as in the header: int() also reads "١", "1_0"
+        # and "+1"
+        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
             raise SignedFormatError(f"bad vertex index in {ln!r}")
+        u, v = int(a), int(b)
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise SignedFormatError(f"vertex out of range in {ln!r}")
         if adj[u, v]:

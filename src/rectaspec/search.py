@@ -61,15 +61,23 @@ from .weighing import WeighingMatrix, equivalent, scheme_two_prefix
 
 @dataclass(frozen=True)
 class SignatureSearchProblem:
-    """Normalised signature search instance over a fixed labelling."""
+    """Normalised signature search instance over a fixed labelling.
+
+    Constraint i says that quadrangle ``constraint_quadrangles[i]`` is
+    negative: the sign bits of its free edges sum to
+    ``constraint_targets[i]`` over GF(2).  Row i of ``constraint_edges``
+    holds the free-edge ids of the quadrangle's edges ab, bc, cd, da, with
+    ``len(free_edges)`` standing in for each fixed edge.  The three arrays
+    are read-only.
+    """
 
     graph: UnderlyingGraph  # relabelled underlying graph
     degree: int
     prefix_signs: np.ndarray  # int8 matrix: fixed signs, 0 where free/absent
     free_edges: tuple[tuple[int, int], ...]
-    constraint_edges: tuple[tuple[int, ...], ...]
-    constraint_targets: tuple[int, ...]
-    constraint_quadrangles: tuple[tuple[int, int, int, int], ...]  # (a, b, c, d)
+    constraint_edges: np.ndarray  # (k, 4) free-edge ids
+    constraint_targets: np.ndarray  # (k,) 0 or 1
+    constraint_quadrangles: np.ndarray  # (k, 4) rows (a, b, c, d)
     labelling: tuple[int, ...]  # original vertex -> search label
     tail_size: int
     # per tail vertex, BFS order: (free-edge bit to its parent, star bitmask)
@@ -102,65 +110,65 @@ def build_signature_problem(g) -> SignatureSearchProblem:
         inv[new] = old
     adj = u.adj[np.ix_(inv, inv)]
     relabelled = UnderlyingGraph(adj)
-    # sorted by the last row they touch, the order in which the row-by-row
-    # DFS completes them: elimination then meets a contradiction near the
-    # prefix early (Gewirtz x K2: at row 57 of 1,485 instead of 496).
+    # sorted, stably, by the last row they touch, the order in which the
+    # row-by-row DFS completes them: elimination then meets a contradiction
+    # near the prefix early (Gewirtz x K2: at row 57 of 1,485 instead of
+    # 496).  a is a quadrangle's smallest vertex and b < d, so its largest
+    # is c or d.
     # Listed before the edge maps below exist, so that the listing's
     # transient arrays do not add to them.
-    quads = sorted(quadrangles(relabelled), key=max)
+    quads = quadrangles(relabelled)
+    order = np.argsort(np.maximum(quads[:, 2], quads[:, 3]), kind="stable")
 
     rows = scheme_prefix(r, n)  # the normal form's forced first r+1 rows
     prefix = np.zeros((n, n), dtype=np.int8)
     prefix[:r + 1] = rows
     prefix[:, :r + 1] = rows.T
 
-    free_edges = [(int(v), int(w)) for v, w in relabelled.edges()
-                  if v > r and w > r]
-    # both orientations of every edge: its free-edge id or its fixed sign bit
-    free_id = {}
-    for i, (v, w) in enumerate(free_edges):
-        free_id[v, w] = free_id[w, v] = i
-    fixed_bit = {(int(v), int(w)): int(prefix[v, w] < 0)
-                 for v, w in zip(*np.nonzero(prefix))}
+    # the free edges join two vertices past the prefix; each has its id at
+    # both orientations in ``ids``, every other entry the sentinel n_free
+    v, w = np.nonzero(np.triu(adj[r + 1:, r + 1:]))
+    v += r + 1
+    w += r + 1
+    n_free = len(v)
+    ids = np.full((n, n), n_free, dtype=np.intp)
+    ids[v, w] = ids[w, v] = np.arange(n_free)
 
-    constraint_edges = []
-    constraint_targets = []
-    constraint_quadrangles = []
-    for quad in quads:
-        a, b, c, d = quad
-        free = []
-        parity = 0  # xor of negative bits over the fixed edges
-        for e in ((a, b), (b, c), (c, d), (a, d)):
-            i = free_id.get(e)
-            if i is not None:
-                free.append(i)
-            elif e in fixed_bit:
-                parity ^= fixed_bit[e]
-            else:
-                raise RuntimeError("edge neither free nor fixed")
-        if not free:
-            if parity != 1:
-                raise RuntimeError("fixed prefix carries a positive quadrangle")
-            continue
-        constraint_edges.append(tuple(free))
-        constraint_targets.append(1 ^ parity)
-        constraint_quadrangles.append(quad)
+    # one flat index reads both matrices at ab, bc, cd, da of each
+    # quadrangle; the columns are combined one by one, because NumPy
+    # reduces a length-4 axis several times slower
+    at = quads * n + quads[:, [1, 2, 3, 0]]
+    edges = ids.take(at)
+    signs = prefix.take(at)
+    fixed = edges == n_free
+    if np.any(fixed & (signs == 0)):
+        raise RuntimeError("edge neither free nor fixed")
+    neg = signs < 0
+    parity = neg[:, 0] ^ neg[:, 1] ^ neg[:, 2] ^ neg[:, 3]  # fixed edges only
+    closed = fixed[:, 0] & fixed[:, 1] & fixed[:, 2] & fixed[:, 3]
+    if not parity[closed].all():
+        raise RuntimeError("fixed prefix carries a positive quadrangle")
+    sel = order[~closed[order]]  # in sorted order, the quadrangles left open
+    constraint_edges = edges[sel]
+    constraint_targets = (~parity[sel]).astype(np.uint8)
+    constraint_quadrangles = quads[sel]
+    for arr in (constraint_edges, constraint_targets, constraint_quadrangles):
+        arr.setflags(write=False)
 
     # every edge at a tail vertex is free: switching it flips just its star
-    star = [0] * n
-    for i, (v, w) in enumerate(free_edges):
-        star[v] |= 1 << i
-        star[w] |= 1 << i
-    tail_stars = tuple(
-        (1 << free_id[v, parent], star[v])
-        for v, parent in relabelled.spanning_forest
-        if v >= n - layout.tail_size)
+    tail = n - layout.tail_size
+    on_star = np.zeros((layout.tail_size, n_free + 1), dtype=bool)
+    on_star[np.arange(layout.tail_size)[:, None], ids[tail:]] = True
+    stars = [int.from_bytes(row.tobytes(), "little") for row in
+             np.packbits(on_star[:, :n_free], axis=1, bitorder="little")]
+    tail_stars = tuple((1 << int(ids[x, parent]), stars[x - tail])
+                       for x, parent in relabelled.spanning_forest if x >= tail)
 
     return SignatureSearchProblem(
         graph=relabelled, degree=r, prefix_signs=prefix,
-        free_edges=tuple(free_edges), constraint_edges=tuple(constraint_edges),
-        constraint_targets=tuple(constraint_targets),
-        constraint_quadrangles=tuple(constraint_quadrangles),
+        free_edges=tuple(zip(v.tolist(), w.tolist())),
+        constraint_edges=constraint_edges, constraint_targets=constraint_targets,
+        constraint_quadrangles=constraint_quadrangles,
         labelling=layout.perm, tail_size=layout.tail_size, tail_stars=tail_stars)
 
 
@@ -168,16 +176,17 @@ def kernel_arguments(problem: SignatureSearchProblem, order=None,
                      node_budget: int = 0) -> tuple:
     """Argument tuple for the signature DFS kernel ``run_search``."""
     n_free = len(problem.free_edges)
+    constraint_edges = [tuple(e for e in row if e != n_free)
+                        for row in problem.constraint_edges.tolist()]
     edge_constraints = [[] for _ in range(n_free)]
-    for ci, edges in enumerate(problem.constraint_edges):
+    for ci, edges in enumerate(constraint_edges):
         for e in edges:
             edge_constraints[e].append(ci)
     row_free_counts = [0] * problem.graph.n
     for v, w in problem.free_edges:
         row_free_counts[v] += 1
         row_free_counts[w] += 1
-    return (n_free, [tuple(e) for e in problem.constraint_edges],
-            list(problem.constraint_targets),
+    return (n_free, constraint_edges, problem.constraint_targets.tolist(),
             [tuple(c) for c in edge_constraints],
             [(v, w) for v, w in problem.free_edges], row_free_counts,
             order if order is not None else list(range(n_free)), node_budget)
@@ -220,6 +229,22 @@ def _reduce(pivots: dict, row: int, target: int = 0,
     return 0, target, combo
 
 
+def _constraint_rows(problem: SignatureSearchProblem):
+    """(free-edge ids, target) of each constraint, in order, as Python ints.
+
+    Converted a block at a time, each block twice the last: a refutation
+    usually stops within the first few dozen rows (Gewirtz x K2: row 57 of
+    1,485), and converting the rest would cost more than the elimination.
+    """
+    edges, targets = problem.constraint_edges, problem.constraint_targets
+    start, size = 0, 64
+    while start < len(targets):
+        yield from zip(edges[start:start + size].tolist(),
+                       targets[start:start + size].tolist())
+        start += size
+        size *= 2
+
+
 def solve_parity_system(problem: SignatureSearchProblem, order) -> ParitySolution:
     """Gaussian elimination over GF(2) on Python-int row bitmasks.
 
@@ -228,15 +253,12 @@ def solve_parity_system(problem: SignatureSearchProblem, order) -> ParitySolutio
     combines, so the first row that reduces to 0 = 1 names its refutation
     and elimination stops there.
     """
-    column = [0] * len(problem.free_edges)
+    column = [0] * (len(problem.free_edges) + 1)  # the sentinel's stays 0
     for j, e in enumerate(order):
         column[e] = 1 << j
     pivots: dict[int, tuple[int, int, int]] = {}
-    for ci, (edges, target) in enumerate(zip(problem.constraint_edges,
-                                             problem.constraint_targets)):
-        row = 0
-        for e in edges:
-            row |= column[e]
+    for ci, ((ab, bc, cd, da), target) in enumerate(_constraint_rows(problem)):
+        row = column[ab] | column[bc] | column[cd] | column[da]
         low, target, combo = _reduce(pivots, row, target, 1 << ci)
         if not low and target:
             return ParitySolution(len(pivots), None, (), tuple(_bits(combo)))
@@ -428,8 +450,8 @@ def search_signatures(g, node_budget: int | None = None,
     problem = build_signature_problem(g)
     solution = solve_parity_system(problem, _edge_order(problem, order_seed))
     if solution.particular is None:
-        refutation = tuple(problem.constraint_quadrangles[ci]
-                           for ci in solution.refutation)
+        refutation = tuple(map(tuple, problem.constraint_quadrangles[
+            list(solution.refutation)].tolist()))
         check_refutation(problem, refutation)
         return _outcome(problem, {}, 0, True, rank=solution.rank,
                         refutation=refutation)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import networkx as nx
 import numpy as np
 
 from .core import SignedGraph, StructureError, quadrangles, structure_report
@@ -175,8 +174,12 @@ def schem_normal_form(g: SignedGraph, base: int = 0) -> SwitchingClass:
                           tail_size=layout.tail_size)
 
 
-def _to_nx(g, colours=None) -> nx.Graph:
+def _to_nx(g, colours=None):
     """Underlying graph of either graph type as networkx, edges in row order."""
+    # imported on use: importing the package, and so every CLI call, would
+    # otherwise pay for networkx, which only isomorphism and WL hashing need
+    import networkx as nx
+
     out = nx.Graph()
     for v in range(g.n):
         out.add_node(v, c=None if colours is None else colours[v])
@@ -190,6 +193,8 @@ def underlying_isomorphisms(u1, u2, colours1=None, colours2=None):
     optional vertex colourings."""
     if u1.n != u2.n or sorted(u1.degrees) != sorted(u2.degrees):
         return
+    import networkx as nx
+
     match = nx.isomorphism.categorical_node_match("c", None)
     gm = nx.isomorphism.GraphMatcher(_to_nx(u1, colours1), _to_nx(u2, colours2),
                                      node_match=match)
@@ -253,7 +258,7 @@ def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:
     """Per-vertex (negative, positive) quadrangle counts, sorted."""
     neg = [0] * g.n
     pos = [0] * g.n
-    for a, b, c, d in quadrangles(g):
+    for a, b, c, d in quadrangles(g).tolist():
         sign = (int(g.adj[a, b]) * int(g.adj[b, c])
                 * int(g.adj[c, d]) * int(g.adj[d, a]))
         target = neg if sign < 0 else pos
@@ -264,6 +269,8 @@ def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:
 
 def underlying_certificate(g) -> str:
     """Isomorphism-invariant fingerprint of the underlying graph."""
+    import networkx as nx
+
     # degrees as the initial colours; without a node attribute networkx
     # 3.5+ warns that its default labelling changed
     return nx.weisfeiler_lehman_graph_hash(_to_nx(g, g.degrees), node_attr="c",

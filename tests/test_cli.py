@@ -1,6 +1,9 @@
 import gc
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -248,3 +251,16 @@ def test_readme_command_lines_parse():
         argv = shlex.split(ln, comments=True)[1:]
         args = build_parser().parse_args(argv)
         assert callable(args.fn), ln
+
+
+def test_import_does_not_load_networkx():
+    # only switching isomorphism and WL hashing use networkx; a CLI call
+    # that needs neither must not pay for importing it
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rectaspec.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -206,8 +206,8 @@ def test_structure_matches_matrix_and_networkx_oracle():
         # the documented order: a smallest, b < d, lexicographic in (a, c)
         # and then in (b, d); the search's refutation order rests on it
         nbrs = [set(np.flatnonzero(row).tolist()) for row in a]
-        assert quadrangles(g) == [
-            (x, b, c, d) for x in range(n) for c in range(x + 1, n)
+        assert quadrangles(g).tolist() == [
+            [x, b, c, d] for x in range(n) for c in range(x + 1, n)
             for b, d in combinations(sorted(v for v in nbrs[x] & nbrs[c] if v > x), 2)]
         wide_codegrees |= n > 64 and int(codeg.max()) > 2
         assert is_rectagraph(g) == (expected.connected and expected.triangle_free

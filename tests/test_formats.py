@@ -111,6 +111,13 @@ class TestSignedFormat:
         with pytest.raises(SignedFormatError, match="header"):
             parse_signed("sg1 \u00b2\n")
 
+    @pytest.mark.parametrize("index", ["\u0661", "1_0", "+1"],
+                             ids=["arabic-indic-digit", "underscore", "plus-sign"])
+    def test_vertex_index_ascii_digits_only(self, index):
+        # each is a vertex index to int() but not to the format
+        with pytest.raises(SignedFormatError, match="bad vertex index"):
+            parse_signed(f"sg1 11\n{index} 0 +\n")
+
     def test_fuzzed_inputs_only_raise_format_errors(self):
         rng = random.Random(77)
         alphabet = "sg1 023+-\nx"

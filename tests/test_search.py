@@ -8,6 +8,7 @@ import pytest
 
 import rectaspec as rs
 from rectaspec._kernel import run_weighing_search
+from rectaspec.core import quadrangles
 from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
                               naive_signature_classes, proof_log,
@@ -135,10 +136,13 @@ def _gf2_consistent(problem):
     """Independent feasibility check: the quadrangle parity constraints form
     a linear system over GF(2); eliminate and look for 0 = 1."""
     pivots = {}
-    for edges, target in zip(problem.constraint_edges, problem.constraint_targets):
+    n_free = len(problem.free_edges)  # the id of a fixed edge
+    for edges, target in zip(problem.constraint_edges.tolist(),
+                             problem.constraint_targets.tolist()):
         vec = 0
         for e in edges:
-            vec |= 1 << e
+            if e != n_free:
+                vec |= 1 << e
         t = target
         while vec:
             lead = vec.bit_length() - 1
@@ -153,6 +157,50 @@ def _gf2_consistent(problem):
             if t:
                 return False
     return True
+
+
+def _loop_constraints(problem):
+    """The parity system by the per-quadrangle loop the array gathers
+    replaced: (free ids, target, quadrangle) per constraint, in order."""
+    free_id = {}
+    for i, (v, w) in enumerate(problem.free_edges):
+        free_id[v, w] = free_id[w, v] = i
+    prefix = problem.prefix_signs
+    out = []
+    for quad in sorted(map(tuple, quadrangles(problem.graph).tolist()), key=max):
+        a, b, c, d = quad
+        free, parity = [], 0
+        for e in ((a, b), (b, c), (c, d), (d, a)):
+            if e in free_id:
+                free.append(free_id[e])
+            else:
+                assert prefix[e] != 0
+                parity ^= int(prefix[e] < 0)
+        if free:
+            out.append((tuple(free), 1 ^ parity, quad))
+        else:
+            assert parity == 1
+    return out
+
+
+class TestArrayBuild:
+    @pytest.mark.parametrize("maker", [
+        lambda: rs.hypercube(3), lambda: rs.hypercube(5), rs.clebsch_graph,
+        lambda: rs.folded_cube(5), rs.gewirtz_graph,
+        lambda: rs.underlying(rs.catalog("R6.7")),
+        lambda: rs.bibd_incidence(rs.constructions.biplane_7_4_2()),
+    ], ids=["Q3", "Q5", "Clebsch", "FC5", "Gewirtz", "R6.7", "biplane"])
+    def test_matches_loop_reference(self, maker):
+        problem = build_signature_problem(maker())
+        n_free = len(problem.free_edges)
+        got = [(tuple(e for e in edges if e != n_free), target, tuple(quad))
+               for edges, target, quad in zip(problem.constraint_edges.tolist(),
+                                               problem.constraint_targets.tolist(),
+                                               problem.constraint_quadrangles.tolist())]
+        assert got == _loop_constraints(problem)
+        for arr in (problem.constraint_edges, problem.constraint_targets,
+                    problem.constraint_quadrangles):
+            assert not arr.flags.writeable
 
 
 class TestAgainstLinearAlgebra:
@@ -203,6 +251,37 @@ class TestDfsReference:
             assert seen[-2] == seen[-1]
 
 
+# every catalog graph with n <= 64 that builds without a weighing file and
+# whose DFS finishes within 5,000 nodes (the triangle graphs T and K4 are
+# refused by the normal form)
+DFS_CATALOG = ["R1.1", "R2.1", "R3.1", "R4.1", "R4.2", "R5.4", "R6.7", "K22",
+               "CLEBSCH", "BIPLANE", "GEWIRTZ", "G1", "G2", "G3", "G4",
+               "Q1", "Q2", "Q3", "Q4", "FC4", "FC5"]
+
+
+class TestDfsCatalog:
+    def test_gf2_matches_dfs_on_catalog(self):
+        compared = []
+        for key in rs.constructions.catalog_ids():
+            try:
+                g = rs.catalog(key)
+            except rs.constructions.CatalogIngestError:
+                continue
+            if g.n > 64:
+                continue
+            try:
+                dfs = search_signatures_dfs(g, node_budget=5000)
+            except SchemeError:
+                continue
+            if not dfs.exhausted:
+                continue
+            gf2 = search_signatures(g)
+            assert ((len(gf2.solutions), gf2.raw_count, gf2.exhausted)
+                    == (len(dfs.solutions), dfs.raw_count, dfs.exhausted)), key
+            compared.append(key)
+        assert compared == DFS_CATALOG
+
+
 # Replaces the elimination with one whose particular solution has one edge
 # sign flipped (or whose refutation misses one quadrangle), then searches:
 # the certificate check must catch it.
@@ -223,11 +302,28 @@ search.search_signatures(rs.%s)
 """
 
 
-def _run_corrupted(flags, graph):
+# Replaces the normal form's prefix with one whose edge (0, 1) is flipped or
+# zeroed, then searches Q3: building the parity system must refuse it.
+CORRUPT_PREFIX_SEARCH = """
+import rectaspec as rs
+import rectaspec.search as search
+
+real = search.scheme_prefix
+
+def corrupted(r, n):
+    rows = real(r, n).copy()
+    rows[0, 1] = rows[1, 0] = %s
+    return rows
+
+search.scheme_prefix = corrupted
+search.search_signatures(rs.hypercube(3))
+"""
+
+
+def _run_corrupted(flags, fill, script=CORRUPT_ELIMINATION_SEARCH):
     src = os.path.dirname(os.path.dirname(rs.__file__))
     return subprocess.run(
-        [sys.executable, *flags, "-W", "ignore", "-c",
-         CORRUPT_ELIMINATION_SEARCH % graph],
+        [sys.executable, *flags, "-W", "ignore", "-c", script % fill],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": src})
 
@@ -245,6 +341,21 @@ class TestCertificationGate:
         assert done.returncode != 0
         assert ("RuntimeError: refutation leaves a free edge uncancelled"
                 in done.stderr)
+
+
+class TestBuildGate:
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+    def test_positive_prefix_quadrangle_raises(self, flags):
+        done = _run_corrupted(flags, "-rows[0, 1]", CORRUPT_PREFIX_SEARCH)
+        assert done.returncode != 0
+        assert ("RuntimeError: fixed prefix carries a positive quadrangle"
+                in done.stderr)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+    def test_unsigned_prefix_edge_raises(self, flags):
+        done = _run_corrupted(flags, "0", CORRUPT_PREFIX_SEARCH)
+        assert done.returncode != 0
+        assert "RuntimeError: edge neither free nor fixed" in done.stderr
 
 
 class TestProofLog:
