@@ -20,19 +20,60 @@ class StructureError(ValueError):
     """A structural precondition (regular / triangle-free / ...) failed."""
 
 
+def _exact_copy(values, dtype) -> np.ndarray:
+    """A private, C-contiguous, read-only copy of ``values`` in the integer
+    ``dtype``: the one way a graph, weighing or residual matrix enters.
+    ValueError when the input is not numeric or the cast would change an
+    entry (int8 wraps 257 to 1, an integer cast truncates 0.5 to 0)."""
+    src = np.asarray(values)
+    if src.dtype.kind not in "biuf":
+        raise ValueError(f"matrix entries must be numbers, not {src.dtype}")
+    if src.dtype == dtype:
+        out = np.array(src, dtype=dtype, order="C")
+    else:
+        with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+            out = np.array(src, dtype=dtype, order="C")
+        if not np.array_equal(out, src):
+            raise ValueError(f"matrix entries must be integers within the {out.dtype} range")
+    out.setflags(write=False)
+    return out
+
+
+def _bfs_forest(bits) -> tuple[tuple[int, int], ...]:
+    """(vertex, parent) pairs of a breadth-first spanning forest of the graph
+    with neighbour bitmasks ``bits``: the components in order of their
+    smallest vertex, which is the root (parent -1), each layer's vertices in
+    order of their parents, a parent's children ascending."""
+    seen = 0
+    order = []
+    for root in range(len(bits)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        order.append((root, -1))
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                new = bits[v] & ~seen
+                seen |= new
+                for w in _bits(new):
+                    order.append((w, v))
+                    nxt.append(w)
+            frontier = nxt
+    return tuple(order)
+
+
 @dataclass(frozen=True, eq=False)
 class _Graph:
-    """Read-only, validated int8 adjacency matrix and its support bitmasks;
-    equal only to a graph of the same type with the same matrix."""
+    """Validated int8 adjacency matrix, a read-only copy of the input, and
+    its support bitmasks; equal only to a graph of the same type with the
+    same matrix."""
 
     adj: np.ndarray
 
     def __post_init__(self):
-        adj = np.ascontiguousarray(self.adj, dtype=np.int8)
-        if adj is not self.adj and not np.array_equal(adj, self.adj):
-            # the cast changed an entry (257 wraps to 1, 0.5 truncates to 0)
-            raise ValueError("entries must lie in {-1, 0, +1}")
-        adj.setflags(write=False)
+        adj = _exact_copy(self.adj, np.int8)
         object.__setattr__(self, "adj", adj)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
@@ -61,29 +102,8 @@ class _Graph:
 
     @cached_property
     def spanning_forest(self) -> tuple[tuple[int, int], ...]:
-        """(vertex, parent) pairs in BFS order per component; roots have
-        parent -1."""
-        bits = self.row_bits
-        seen = 0
-        order = []
-        for root in range(self.n):
-            if seen >> root & 1:
-                continue
-            seen |= 1 << root
-            order.append((root, -1))
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    new = bits[v] & ~seen
-                    seen |= new
-                    while new:
-                        w = (new & -new).bit_length() - 1
-                        new &= new - 1
-                        order.append((w, v))
-                        nxt.append(w)
-                frontier = nxt
-        return tuple(order)
+        """``_bfs_forest`` of the support."""
+        return _bfs_forest(self.row_bits)
 
     def __eq__(self, other):
         return type(other) is type(self) and np.array_equal(self.adj, other.adj)
@@ -140,7 +160,7 @@ class UnderlyingGraph(_Graph):
         return [(int(u), int(v)) for u, v in zip(us, vs)]
 
     def all_positive(self) -> SignedGraph:
-        return SignedGraph(self.adj.copy())
+        return SignedGraph(self.adj)
 
     @staticmethod
     def from_edges(n: int, edges) -> "UnderlyingGraph":
@@ -255,10 +275,6 @@ def _codegrees(g) -> np.ndarray:
     the diagonal)."""
     support = g.adj != 0
     return _path_counts(support, support)
-
-
-def is_triangle_free(g) -> bool:
-    return _triangle_free(g, _codegrees(g))
 
 
 def _triangle_free(g, codegrees: np.ndarray) -> bool:

@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .core import SignedGraph, StructureError, structure_report
+from .core import SignedGraph, StructureError, _exact_copy, structure_report
 from .exactlinalg import exact_matmul, rank
 from .spectral import (certify_four_sym, certify_three_sym, certify_two_sym)
 
@@ -60,7 +60,7 @@ class ExtensionVector:
         return np.asarray(self.entries, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: equality and hash by identity
 class GramResidual:
     matrix: np.ndarray  # int64, read-only
     lambda_sq: int
@@ -83,8 +83,7 @@ def gram_residual(g: SignedGraph, lambda_sq: int) -> GramResidual:
 
 
 def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
-    m = np.array(m, dtype=np.int64)  # a private copy, frozen below
-    m.setflags(write=False)
+    m = _exact_copy(m, np.int64)
     diag = np.diagonal(m)
     counts = None
     if np.all((diag >= 0) & (diag <= 2)):
@@ -131,7 +130,7 @@ def _case_of(m, counts, eig) -> str | None:
 # -- rank-2 classification with witness ---------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: equality and hash by identity
 class ClassifiedGram:
     case: str | None
     witness: GramWitness | None
@@ -449,7 +448,7 @@ def classify_constant_diag_gram(m) -> ConstantDiagVerdict:
     the diagonal equals 2 and exhibit the switching onto 2J + 2J (two
     all-twos blocks of size n/2, q = n); anything else is rejected with the
     violated hypothesis or conclusion named."""
-    m = np.asarray(m, dtype=np.int64)
+    m = _exact_copy(m, np.int64)
     n = m.shape[0]
     if n < 3:
         raise StructureError("need order at least 3")

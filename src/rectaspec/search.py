@@ -49,17 +49,18 @@ import numpy as np
 from ._kernel import run_search
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from ._kernel import run_weighing_search  # noqa: F401
-from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bits, is_connected,
-                   quadrangles)
+from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _bits,
+                   is_connected, quadrangles)
 from .formats import write_graph6
 from .spectral import certify_two_sym
 from .switching import SchemeError, scheme_layout, scheme_prefix, switching_isomorphic
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from .switching import class_invariants  # noqa: F401
-from .weighing import WeighingMatrix, equivalent, scheme_two_prefix
+from .weighing import (WeighingMatrix, equivalent, intersection_numbers,
+                       scheme_two_prefix, verify_weighing)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignatureSearchProblem:
     """Normalised signature search instance over a fixed labelling.
 
@@ -68,7 +69,7 @@ class SignatureSearchProblem:
     ``constraint_targets[i]`` over GF(2).  Row i of ``constraint_edges``
     holds the free-edge ids of the quadrangle's edges ab, bc, cd, da, with
     ``len(free_edges)`` standing in for each fixed edge.  The three arrays
-    are read-only.
+    are read-only; equality and hashing go by identity.
     """
 
     graph: UnderlyingGraph  # relabelled underlying graph
@@ -741,11 +742,11 @@ def _support_stars(n: int, r: int, rows) -> list[tuple[int, int]]:
     """(parent bit, star) of every switchable vertex of a support, in BFS
     order per component.
 
-    The vertices are the rows and the columns.  Tail rows and the columns
-    outside the prefix support carry only variable signs, so switching one
-    flips exactly its star; the prefix vertices are fixed.  A component
-    without row 0 holds no fixed vertex, and switching all of it changes
-    nothing, so its root is left out.
+    The vertices are the rows 0..n-1 and the columns n..2n-1.  Tail rows and
+    the columns outside the prefix support carry only variable signs, so
+    switching one flips exactly its star; the prefix vertices are fixed.  A
+    component without row 0 holds no fixed vertex, and switching all of it
+    changes nothing, so its root is left out.
     """
     width = r * (r - 1) // 2 + 1
     col_rows = [0] * n
@@ -753,28 +754,16 @@ def _support_stars(n: int, r: int, rows) -> list[tuple[int, int]]:
         for c in _bits(mask):
             col_rows[c] |= 1 << i
     stars = []
-    seen_rows = seen_cols = 0
-    for root in range(n):
-        if seen_rows >> root & 1:
+    for v, parent in _bfs_forest([mask << n for mask in rows] + col_rows):
+        if parent < 0:
             continue
-        seen_rows |= 1 << root
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for c in _bits(rows[i] & ~seen_cols):
-                    seen_cols |= 1 << c
-                    if c >= width:
-                        stars.append((1 << ((i - r) * n + c),
-                                      sum(1 << ((k - r) * n + c)
-                                          for k in _bits(col_rows[c]))))
-                    for k in _bits(col_rows[c] & ~seen_rows):
-                        seen_rows |= 1 << k
-                        nxt.append(k)
-                        if k >= r:
-                            stars.append((1 << ((k - r) * n + c),
-                                          rows[k] << ((k - r) * n)))
-            frontier = nxt
+        if r <= v < n:  # tail row v, reached from column parent - n
+            shift = (v - r) * n
+            stars.append((1 << (shift + parent - n), rows[v] << shift))
+        elif v >= n + width:  # column c, reached from row parent
+            c = v - n
+            stars.append((1 << ((parent - r) * n + c),
+                          sum(1 << ((k - r) * n + c) for k in _bits(col_rows[c]))))
     return stars
 
 
@@ -791,17 +780,14 @@ def _weighing_candidate(prefix: np.ndarray, rows, mask: int) -> np.ndarray:
 
 
 def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
-    """Re-verify a candidate from its entries alone: W W^T = r I and every
+    """Re-verify a candidate from its entries alone: W^T W = r I and every
     pair of rows meeting in 0 or 2 columns."""
-    ent = np.asarray(arr, dtype=np.int64)
-    n = ent.shape[0]
-    if not np.array_equal(ent @ ent.T, r * np.eye(n, dtype=np.int64)):
+    w = verify_weighing(arr)
+    if not w or w.r != r:
         raise RuntimeError("search produced a non-weighing matrix")
-    support = (ent != 0).astype(np.int64)
-    overlap = support @ support.T - r * np.eye(n, dtype=np.int64)
-    if not np.all((overlap == 0) | (overlap == 2)):
+    if not intersection_numbers(w) <= {0, 2}:
         raise RuntimeError("search produced intersection numbers outside {0, 2}")
-    return WeighingMatrix(arr)
+    return w
 
 
 def search_weighing(n: int, r: int,

@@ -98,7 +98,6 @@ class SchemeLayout:
 
     perm: tuple[int, ...]  # old -> new
     degree: int
-    pair_vertex: dict  # (a, b) new labels with 1 <= a < b <= r -> new label of w
     tail_size: int
 
 
@@ -115,17 +114,14 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
     bits = g.row_bits
     nbrs = np.flatnonzero(g.adj[base]).tolist()
     order = [base] + nbrs
-    pair_vertex = {}
     for ia, a in enumerate(nbrs, start=1):
-        for ib, b in enumerate(nbrs[ia:], start=ia + 1):
+        for b in nbrs[ia:]:
             common = bits[a] & bits[b] & ~(1 << base)
             if common == 0 or common & (common - 1):
                 raise SchemeError(
                     f"neighbour pair ({a}, {b}) must share the base vertex and "
                     "exactly one more vertex")
-            w = common.bit_length() - 1
-            pair_vertex[(ia, ib)] = len(order)
-            order.append(w)
+            order.append(common.bit_length() - 1)
     placed = set(order)
     if len(placed) != len(order):
         raise SchemeError("enumeration revisited a vertex; graph is not zero-two")
@@ -136,8 +132,7 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
         perm[old] = new
     if len(order) - len(tail) != 1 + r + comb(r, 2):
         raise RuntimeError("layout placed the wrong number of prefix vertices")
-    return SchemeLayout(perm=tuple(perm), degree=r, pair_vertex=pair_vertex,
-                        tail_size=len(tail))
+    return SchemeLayout(perm=tuple(perm), degree=r, tail_size=len(tail))
 
 
 def schem_normal_form(g: SignedGraph, base: int = 0) -> SwitchingClass:
@@ -146,22 +141,18 @@ def schem_normal_form(g: SignedGraph, base: int = 0) -> SwitchingClass:
     A disconnected graph is normalised at the base's component; the other
     components join the tail, which is left unswitched.
 
-    The switch is forced: a spanning tree made of the base star plus one
-    edge into each common-neighbour vertex is switched all-positive, and the
-    remaining prefix signs are then determined by the negative quadrangles.
+    The switch is forced: the first three layers of the BFS forest from
+    the base (the base, its neighbours and the common-neighbour vertices)
+    span the prefix, that tree is switched all-positive, and the remaining
+    prefix signs are then determined by the negative quadrangles.
     """
     layout = scheme_layout(g, base)
     relabelled = relabel(g, layout.perm)
     r = layout.degree
-    tree = [(0, j) for j in range(1, r + 1)]
-    tree += [(a, w) for (a, _b), w in layout.pair_vertex.items()]
-    eps = [0] * g.n
-    eps[0] = 1
-    for u, v in tree:  # tree edges listed parent-first, so one pass settles eps
+    eps = [1] * g.n
+    # parents come before their children, so one pass settles eps
+    for v, u in relabelled.spanning_forest[1:1 + r + comb(r, 2)]:
         eps[v] = eps[u] * int(relabelled.adj[u, v])
-    for v in range(g.n):
-        if eps[v] == 0:
-            eps[v] = 1
     switch_set = frozenset(v for v in range(g.n) if eps[v] == -1)
     rep = switch(relabelled, switch_set)
     prefix = scheme_prefix(r, g.n)

@@ -19,8 +19,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import SignedGraph, StructureError, bipartition, is_connected, structure_report
-from .spectral import Refusal, certify_two_sym
+from .core import (SignedGraph, StructureError, _exact_copy, bipartition, is_connected,
+                   structure_report)
+from .exactlinalg import exact_matmul
+from .spectral import Refusal, _first_violation, certify_two_sym
 from .switching import (DEFAULT_SIZE_CAP, SizeCapError, schem_normal_form,
                         scheme_prefix, solve_switch_for_perm,
                         underlying_isomorphisms)
@@ -28,23 +30,18 @@ from .switching import (DEFAULT_SIZE_CAP, SizeCapError, schem_normal_form,
 
 @dataclass(frozen=True)
 class WeighingMatrix:
-    entries: np.ndarray  # int8, read-only
+    entries: np.ndarray  # int8, a read-only copy of the input
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.entries, dtype=np.int8)
-        arr.setflags(write=False)
+        arr = _exact_copy(self.entries, np.int8)
         object.__setattr__(self, "entries", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("weighing matrix must be square")
         if np.any(np.abs(arr) > 1):
             raise ValueError("entries must lie in {-1, 0, +1}")
-        gram = np.asarray(arr, dtype=np.int64)
-        gram = gram.T @ gram
-        r = int(gram[0, 0])
-        if not np.array_equal(gram, r * np.eye(self.n, dtype=np.int64)):
-            raise ValueError("M^T M is not a multiple of the identity")
-        if r == 0:
-            raise ValueError("weight must be at least 1")
+        refusal = _gram_refusal(arr)
+        if refusal is not None:
+            raise ValueError(refusal.reason)
 
     @property
     def n(self) -> int:
@@ -62,27 +59,37 @@ class WeighingMatrix:
         return hash(self.entries.tobytes())
 
 
-def verify_weighing(matrix):
-    """WeighingMatrix on success, else a Refusal naming the first violating
-    inner product."""
-    arr = np.asarray(matrix, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        return Refusal("matrix is not square")
-    if np.any(np.abs(arr) > 1):
-        rows, cols = np.nonzero(np.abs(arr) > 1)
-        i, j = int(rows[0]), int(cols[0])
-        return Refusal("entries must lie in {-1, 0, +1}", witness=(i, j, int(arr[i, j])))
-    gram = arr.T @ arr
-    r = int(gram[0, 0])
-    off = gram - r * np.eye(arr.shape[0], dtype=np.int64)
+def _gram_refusal(arr: np.ndarray) -> Refusal | None:
+    """Refusal naming the first inner product of two columns of the square
+    integer matrix ``arr`` that breaks M^T M = r I (r the weight of column
+    0), or weight 0; None for a weighing matrix."""
+    gram = exact_matmul(arr.T, arr)
+    r = int(gram[0, 0]) if len(gram) else 0
+    off = gram - r * np.eye(len(gram), dtype=np.int64)
     if np.any(off):
-        rows, cols = np.nonzero(off)
-        i, j = int(rows[0]), int(cols[0])
+        i, j, _ = _first_violation(off)
         return Refusal(f"columns {i} and {j} have inner product {int(gram[i, j])}, "
                        f"expected {r if i == j else 0}", witness=(i, j, int(gram[i, j])))
     if r == 0:
         return Refusal("zero matrix has weight 0")
-    return WeighingMatrix(np.asarray(matrix, dtype=np.int8))
+    return None
+
+
+def verify_weighing(matrix):
+    """WeighingMatrix on success, else a Refusal: for input that is not
+    numeric or holds non-integers, a non-square matrix, the first entry
+    outside {-1, 0, +1}, or the first violating inner product."""
+    try:
+        arr = _exact_copy(matrix, np.int64)
+    except ValueError as err:
+        return Refusal(str(err))
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        return Refusal("matrix is not square")
+    if np.any(np.abs(arr) > 1):
+        return Refusal("entries must lie in {-1, 0, +1}",
+                       witness=_first_violation(np.where(np.abs(arr) > 1, arr, 0)))
+    refusal = _gram_refusal(arr)
+    return WeighingMatrix(arr) if refusal is None else refusal
 
 
 def intersection_numbers(w: WeighingMatrix) -> set[int]:

@@ -28,8 +28,24 @@ def test_signed_graph_validation():
             rs.SignedGraph(adj)
         with pytest.raises(ValueError):
             rs.UnderlyingGraph(adj)
+    for adj in ([[0, 257], [257, 0]], [[0, 1.5], [1.5, 0]], [["0", "1"], ["1", "0"]]):
+        with pytest.raises(ValueError):  # a ValueError, not an OverflowError
+            rs.SignedGraph(adj)
     with pytest.raises(ValueError):
         rs.SignedGraph.from_edges(3, [(0, 1, 1), (0, 1, -1)])  # duplicate
+
+
+@pytest.mark.parametrize("make, field", [(rs.SignedGraph, "adj"),
+                                         (rs.UnderlyingGraph, "adj"),
+                                         (rs.WeighingMatrix, "entries")])
+def test_constructors_copy_the_callers_array(make, field):
+    base = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    view = base[:]
+    stored = getattr(make(view), field)
+    assert view.flags.writeable and not stored.flags.writeable
+    assert not np.shares_memory(stored, base)
+    base[0, 1] = 0  # a write through the view's base leaves the object alone
+    assert np.array_equal(stored, [[0, 1], [1, 0]])
 
 
 def test_underlying_erases_signs():

@@ -271,6 +271,16 @@ class TestConstantDiagClassifier:
         verdict = classify_constant_diag_gram(m)
         assert not verdict.confirmed
 
+    def test_fractional_entry_rejected(self):
+        m = np.zeros((4, 4))
+        m[:2, :2] = 2
+        m[2:, 2:] = 2
+        m[0, 1] = m[1, 0] = 2.9  # truncated to 2, this is the confirmed form
+        with pytest.raises(ValueError):
+            classify_constant_diag_gram(m)
+        with pytest.raises(ValueError):
+            analyse_residual(m, 0)
+
     def test_rank_one_rejected(self):
         verdict = classify_constant_diag_gram(2 * np.ones((3, 3), dtype=np.int64))
         assert not verdict.confirmed and "rank" in verdict.reason

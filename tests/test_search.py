@@ -203,6 +203,18 @@ class TestArrayBuild:
             assert not arr.flags.writeable
 
 
+def test_records_with_array_fields_compare_by_identity():
+    from rectaspec.extension import analyse_residual, canonical_gram_form, classify_gram
+
+    m = canonical_gram_form("c", 2, 1, 0, 2, 3)
+    for make in (lambda: build_signature_problem(rs.hypercube(3)),
+                 lambda: analyse_residual(m, 0),
+                 lambda: classify_gram(analyse_residual(m, 0))):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
+
 class TestAgainstLinearAlgebra:
     @pytest.mark.parametrize("maker,expect", [
         (lambda: rs.hypercube(4), True),

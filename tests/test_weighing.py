@@ -35,6 +35,30 @@ class TestVerify:
         ref = rs.verify_weighing(np.ones((2, 2), dtype=int))
         assert not ref and ref.witness is not None
 
+    def test_entries_outside_signs_refused(self):
+        ref = rs.verify_weighing([[0, 257], [257, 0]])
+        assert not ref and ref.witness == (0, 1, 257)
+        assert not rs.verify_weighing([[0, 1.5], [1.5, 0]])
+        assert not rs.verify_weighing(np.array([[0, 1.5], [1.5, 0]]))
+
+
+# each becomes I_2 under a plain int8 cast
+CAST_CHANGES = [[[257, 0], [0, 1]], [[1.5, 0], [0, 1]],
+                [[1, 256], [256, 1]], [[1, 0.5], [0.5, 1]],
+                [["1", "0"], ["0", "1"]]]
+
+
+@pytest.mark.parametrize("entries", CAST_CHANGES)
+@pytest.mark.parametrize("wrap", [np.array, list], ids=["array", "list"])
+def test_weighing_matrix_refuses_what_a_cast_changes(entries, wrap):
+    with pytest.raises(ValueError):
+        rs.WeighingMatrix(wrap(entries))
+
+
+def test_weighing_matrix_names_the_inner_product():
+    with pytest.raises(ValueError, match="columns 0 and 1 have inner product 2"):
+        rs.WeighingMatrix(np.ones((2, 2), dtype=np.int8))
+
 
 class TestIntersectionNumbers:
     def test_identity(self):
