@@ -134,7 +134,9 @@ def parse_signed(text: str) -> SignedGraph:
     n = int(head[1])
     if n < 1:
         raise SignedFormatError("vertex count must be positive")
-    adj = np.zeros((n, n), dtype=np.int8)
+    seen: set[tuple[int, int]] = set()  # edges as (low, high)
+    ends: list[int] = []  # low, high of each edge in turn
+    signs: list[int] = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3 or parts[2] not in ("+", "-"):
@@ -147,10 +149,15 @@ def parse_signed(text: str) -> SignedGraph:
         u, v = int(a), int(b)
         if not (0 <= u < n and 0 <= v < n) or u == v:
             raise SignedFormatError(f"vertex out of range in {ln!r}")
-        if adj[u, v]:
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen:
             raise SignedFormatError(f"duplicate edge ({u}, {v})")
-        sign = 1 if parts[2] == "+" else -1
-        adj[u, v] = adj[v, u] = sign
+        seen.add(pair)
+        ends += pair
+        signs.append(1 if parts[2] == "+" else -1)
+    adj = np.zeros((n, n), dtype=np.int8)
+    low, high = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    adj[low, high] = adj[high, low] = np.array(signs, dtype=np.int8)
     return SignedGraph(adj)
 
 

@@ -41,7 +41,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -653,25 +652,62 @@ class _SupportSearch:
         # every prefix row meets the other prefix rows
         self.inter = [r - 1] * r + [0] * (n - r)
         self.col_weight = [int(w) for w in np.count_nonzero(prefix, axis=0)]
+        # single[a]: the columns that share exactly one placed row with a.
+        # No column pair reaches three rows, so placing or undoing a row
+        # toggles each pair in it between one row and zero or two.
+        self.single = [0] * n
+        for mask in self.rows:
+            for j in _bits(mask):
+                self.single[j] ^= mask ^ 1 << j
         self.pivots: dict[int, tuple[int, int, int]] = {}
         self.found: list[tuple[tuple[int, ...], dict]] = []
         self.nodes = 0
 
     def run(self) -> bool:
         """Search every support; False when the node budget cut it."""
-        n, r = self.n, self.r
+        n, r, rows = self.n, self.r, self.rows
         full = sum(1 << j for j in range(n) if self.col_weight[j] == r)
-        cands = [m for m in (sum(1 << j for j in cols)
-                             for cols in combinations(range(n), r))
-                 if not m & full
-                 and all((m & row).bit_count() in (0, 2) for row in self.rows)]
+        # grow the first tail row column by column, dropping a partial row
+        # as soon as it meets some prefix row in 3 columns
+        cands = [0]
+        for left in range(r, 0, -1):
+            cands = [m | 1 << c for m in cands
+                     for c in range(m.bit_length(), n - left + 1)
+                     if not full >> c & 1
+                     and all(((m | 1 << c) & row).bit_count() <= 2 for row in rows)]
+        cands = [m for m in cands if all((m & row).bit_count() != 1 for row in rows)]
+        # every later row is one of these candidates: list its columns once
+        self.columns = {m: _bits(m) for m in cands}
         return self.extend(r, sorted(cands), full)
+
+    def _completable(self, cands: list[int]) -> bool:
+        """Whether the rows still to come, all drawn from ``cands``, can
+        lift every column to weight r and put every column pair that shares
+        one row into a second.
+
+        A complete support that carries signs has W^T W = r I, so two
+        columns share an even number of rows, and counting quadrangles by
+        rows and by columns leaves 0 or 2; a branch that misses either goal
+        finds nothing.  Later rows are distinct candidates, except at r = 2,
+        where a row may repeat once (two equal rows meet in r columns).
+        """
+        r, columns = self.r, self.columns
+        held = [0] * self.n  # candidates holding the column
+        reach = [0] * self.n  # their union
+        for c in cands:
+            for j in columns[c]:
+                held[j] += 1
+                reach[j] |= c
+        uses = 2 if r == 2 else 1
+        return all(r - weight <= uses * count and not pairs & ~near
+                   for weight, count, pairs, near
+                   in zip(self.col_weight, held, self.single, reach))
 
     def extend(self, i: int, cands: list[int], full: int) -> bool:
         """Place row i from ``cands``; False once the budget is spent."""
         n, r, quota = self.n, self.r, self.quota
-        rows, inter, col_weight, pivots = (self.rows, self.inter,
-                                           self.col_weight, self.pivots)
+        rows, inter, col_weight, single, pivots = (
+            self.rows, self.inter, self.col_weight, self.single, self.pivots)
         if i == n:
             self.found.append((tuple(rows), dict(pivots)))
             return True
@@ -694,9 +730,10 @@ class _SupportSearch:
             inter[i] = len(partners)
             for p in partners:
                 inter[p] += 1
-            cols = _bits(mask)
+            cols = self.columns[mask]
             for j in cols:
                 col_weight[j] += 1
+                single[j] ^= mask ^ 1 << j
             added: list[int] = []
             ok = (min(col_weight) >= r - future
                   and all(inter[p] + future >= quota for p in range(i)))
@@ -720,15 +757,13 @@ class _SupportSearch:
                 # next row only when r = 2 (it meets itself in r columns)
                 nxt = [c for c in cands[k:]
                        if not c & now_full and (c & mask).bit_count() in (0, 2)]
-                cover = now_full  # columns that later rows can still fill
-                for c in nxt:
-                    cover |= c
-                if cover == (1 << n) - 1:
+                if self._completable(nxt):
                     going = self.extend(i + 1, nxt, now_full)
             for low in added:
                 del pivots[low]
             for j in cols:
                 col_weight[j] -= 1
+                single[j] ^= mask ^ 1 << j
             for p in partners:
                 inter[p] -= 1
             inter[i] = 0
@@ -802,10 +837,15 @@ def search_weighing(n: int, r: int,
     of rows meets in 0 or 2 columns, every pair of columns in at most 2
     rows, every column reaches weight r and no more, and every row meets
     exactly r(r-1)/2 others (its r columns carry r(r-1) other entries, two
-    per row it meets).  Given the support, W W^T = r I says that every
-    quadrangle (two rows meeting in two columns) has sign product -1: one
-    parity equation over GF(2), added as soon as the row that closes it is
-    placed, so a partial support whose equations are inconsistent is cut.
+    per row it meets).  A branch is cut as soon as the candidates left for
+    its later rows cannot lift some column to weight r, or cannot add a
+    second row to some column pair that shares exactly one: every support
+    that carries signs has its column pairs in 0 or 2 rows (see
+    ``_SupportSearch._completable``).  Given the support, W W^T = r I says
+    that every quadrangle (two rows meeting in two columns) has sign
+    product -1: one parity equation over GF(2), added as soon as the row
+    that closes it is placed, so a partial support whose equations are
+    inconsistent is cut.
     A complete support is signed by the particular solution plus the null
     space, up to the switchings the normal form leaves free (see
     ``_support_stars``); every class is materialised, re-verified and

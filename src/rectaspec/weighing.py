@@ -88,8 +88,12 @@ def verify_weighing(matrix):
     if np.any(np.abs(arr) > 1):
         return Refusal("entries must lie in {-1, 0, +1}",
                        witness=_first_violation(np.where(np.abs(arr) > 1, arr, 0)))
-    refusal = _gram_refusal(arr)
-    return WeighingMatrix(arr) if refusal is None else refusal
+    # the constructor runs the Gram check; only a refusal pays for a second
+    # product, to name the witness
+    try:
+        return WeighingMatrix(arr)
+    except ValueError:  # the Gram check is the only one left to fail
+        return _gram_refusal(arr)
 
 
 def intersection_numbers(w: WeighingMatrix) -> set[int]:

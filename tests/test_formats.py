@@ -96,6 +96,25 @@ class TestSignedFormat:
         with pytest.raises(SignedFormatError, match="duplicate"):
             parse_signed("sg1 2\n0 1 +\n0 1 -\n")
 
+    def test_duplicate_edge_in_reverse_order(self):
+        with pytest.raises(SignedFormatError, match=r"^duplicate edge \(1, 0\)$"):
+            parse_signed("sg1 2\n0 1 +\n1 0 -\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("sg1 3\n0 1 +\n0 1 -\n0 5 +\n", "duplicate edge"),
+        ("sg1 3\n0 1 +\n0 5 +\n0 1 -\n", "vertex out of range"),
+        ("sg1 3\n0 x +\n0 1 y\n", "bad vertex index"),
+        ("sg1 3\n0 1 y\n0 x +\n", "edge line"),
+    ], ids=["duplicate-then-range", "range-then-duplicate", "index-then-sign",
+            "sign-then-index"])
+    def test_first_bad_line_is_reported(self, text, message):
+        with pytest.raises(SignedFormatError, match=message):
+            parse_signed(text)
+
+    def test_no_edges(self):
+        g = parse_signed("sg1 3\n")
+        assert g.n == 3 and not np.any(g.adj)
+
     def test_out_of_range(self):
         with pytest.raises(SignedFormatError, match="range"):
             parse_signed("sg1 2\n0 2 +\n")

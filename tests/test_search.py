@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from rectaspec.search import (_solution_graph, build_signature_problem,
                               naive_signature_classes, proof_log,
                               search_signatures, search_signatures_dfs,
                               search_weighing, verify_nonexistence)
+from rectaspec.search import _SupportSearch
 from rectaspec.switching import SchemeError, solve_switch_for_perm
 from rectaspec.weighing import equivalent, scheme_two_prefix
 
@@ -507,6 +509,59 @@ class TestWeighingSupportSearch:
     def test_supports_without_signs_are_cut(self):
         out = search_weighing(16, 6)
         assert out.matrices == [] and out.supports == 0 and out.exhausted
+
+
+# sha256 of the matrices' entries in order, supports and raw_count of
+# exhausted searches, recorded before the column-pair and column-demand cuts:
+# the cuts may change only the node count
+SUPPORT_SEARCH_ANSWERS = {
+    (4, 2): ("d86c726174adfa33baf314362e7c68ac7fc6347f4d0c5d8dd5edd7baefc654b3", 1, 1),
+    (4, 3): ("ec122b60bf8d2613741a6b55ecfd01aa679e9e4822afc89173eeb38abad9e3e5", 1, 1),
+    (7, 4): ("d48f00c89f130eef2afd6d4cb8fce9b070c756fc157c04871298332693df86cb", 1, 1),
+    (8, 3): ("d0c81762110389be5601aa65ce75344a043eeab2a9b4e73439aa9eab739c2d95", 1, 1),
+    (8, 4): ("4aec352a2746cf64a5855f86ee316e749d62ec85036dc33534448fd6f36cbcc2", 1, 1),
+    (12, 5): ("4da296c5c2f239cc2d074825a9432d1bb374df1671ccf122cf7aa3562977278e", 6, 6),
+    (13, 4): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0, 0),
+    (16, 6): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0, 0),
+    (14, 4): ("0768844b2804041f7a9af3bb20242c1a14538b388436aff804f413a74b1de8ec", 30, 30),
+    (14, 5): ("1a786891753e375eb4ff58606a8a5580d9aeb69860fe9d0c81045afd8cb3faf7", 30, 30),
+}
+
+
+class TestSupportSearchCuts:
+    @pytest.mark.parametrize("n, r", list(SUPPORT_SEARCH_ANSWERS))
+    def test_answers_are_unchanged(self, n, r):
+        out = search_weighing(n, r)
+        digest = hashlib.sha256(b"".join(w.entries.tobytes()
+                                         for w in out.matrices)).hexdigest()
+        assert (digest, out.supports, out.raw_count) == SUPPORT_SEARCH_ANSWERS[n, r]
+        assert out.exhausted
+
+    @pytest.mark.parametrize("n, r", [(6, 2), (8, 2), (10, 2), (8, 3), (7, 4),
+                                      (14, 4), (12, 5), (14, 5)])
+    def test_found_supports_are_semibiplanes(self, n, r):
+        search = _SupportSearch(n, r, scheme_two_prefix(r, n), 0)
+        assert search.run() and search.found
+        for rows, _ in search.found:
+            support = np.array([[mask >> c & 1 for c in range(n)] for mask in rows])
+            meet = support.T @ support
+            # every column in r rows, every column pair in 0 or 2
+            assert set(np.diag(meet).tolist()) == {r}
+            assert set(meet[np.triu_indices(n, 1)].tolist()) <= {0, 2}
+
+    def test_cuts_shrink_the_16_6_refutation(self):
+        # the search without the cuts placed 4,255 support rows
+        out = search_weighing(16, 6)
+        assert out.exhausted and out.supports == 0 and out.nodes < 4255
+
+    @pytest.mark.parametrize("n, supports", [(6, 3), (8, 15), (10, 105)])
+    def test_weight_two_reuses_rows(self, n, supports):
+        # at r = 2 two equal rows meet in r columns, so one candidate can
+        # fill a column twice; a demand count that uses each candidate once
+        # cuts every completion here
+        out = search_weighing(n, 2)
+        assert out.supports == out.raw_count == supports
+        assert len(out.matrices) == 1 and out.exhausted
 
 
 # A subprocess flips one sign of the first matrix the weighing search

@@ -41,6 +41,23 @@ class TestVerify:
         assert not rs.verify_weighing([[0, 1.5], [1.5, 0]])
         assert not rs.verify_weighing(np.array([[0, 1.5], [1.5, 0]]))
 
+    def test_accepted_matrix_costs_one_product(self, monkeypatch):
+        import rectaspec.weighing as weighing
+
+        calls = []
+        real = weighing.exact_matmul
+        monkeypatch.setattr(weighing, "exact_matmul",
+                            lambda a, b: calls.append(1) or real(a, b))
+        assert rs.verify_weighing(H4)
+        assert len(calls) == 1
+
+    def test_refusal_names_the_inner_product(self):
+        ref = rs.verify_weighing(np.ones((2, 2), dtype=int))
+        assert ref.reason == "columns 0 and 1 have inner product 2, expected 0"
+        assert ref.witness == (0, 1, 2)
+        ref = rs.verify_weighing(np.zeros((2, 2), dtype=int))
+        assert ref.reason == "zero matrix has weight 0"
+
 
 # each becomes I_2 under a plain int8 cast
 CAST_CHANGES = [[[257, 0], [0, 1]], [[1.5, 0], [0, 1]],
