@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-weighing",
                        help="weighing matrices with intersection numbers {0,2}")
-    p.add_argument("--order", "--n", type=int, required=True, dest="order")
-    p.add_argument("--weight", "--r", type=int, required=True, dest="weight")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--weight", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--expect-solutions", action="store_true")
     p.set_defaults(fn=cmd_search_weighing)

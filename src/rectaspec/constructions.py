@@ -61,7 +61,7 @@ def bipartite_double(g: SignedGraph) -> SignedGraph:
 
 
 def negation(g: SignedGraph) -> SignedGraph:
-    return SignedGraph((-g.adj).astype(np.int8), labels=g.labels)
+    return SignedGraph((-g.adj).astype(np.int8))
 
 
 def ltimes_charpoly_transform(p: list[int]) -> list[int]:
@@ -312,12 +312,11 @@ def catalog(key: str, weighing_source: str | None = None):
     bipartiteness) before being handed out.
     """
     key = key.strip()
-    if key.startswith("G") and key[1:].isdigit():
-        return signed_cube(int(key[1:]))
-    if key.startswith("Q") and key[1:].isdigit():
-        return hypercube(int(key[1:]))
-    if key.startswith("FC") and key[2:].isdigit():
-        return folded_cube(int(key[2:]))
+    for family, build in (("G", signed_cube), ("Q", hypercube), ("FC", folded_cube)):
+        # ASCII digits only: str.isdigit also accepts "٣" and "²"
+        digits = key[len(family):]
+        if key.startswith(family) and digits.isascii() and digits.isdigit():
+            return build(int(digits))
     if key == "T":
         return signed_tetrahedron()
     if key == "K22":

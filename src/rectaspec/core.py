@@ -4,8 +4,9 @@ A signed graph is stored as a symmetric n x n matrix with entries in
 {-1, 0, +1} and zero diagonal: the entry carries the edge sign, zero means
 non-edge.  The underlying (unsigned) graph is the entrywise absolute value.
 Both graph types share one base class.  Every structural predicate reads
-only the per-row bitmasks of the support (``row_bits``), so it accepts
-either type and never builds an underlying graph first.
+only the per-row bitmasks of the support (``row_bits``) and the one
+breadth-first spanning forest built from them (``spanning_forest``), so it
+accepts either type and never builds an underlying graph first.
 """
 
 from __future__ import annotations
@@ -116,13 +117,6 @@ class _Graph:
 class SignedGraph(_Graph):
     """Immutable signed graph; ``adj`` is a read-only int8 matrix."""
 
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label count must match vertex count")
-
     def edges(self) -> list[tuple[int, int, int]]:
         """Sorted (u, v, sign) triples with u < v."""
         return list(self._edges)
@@ -133,7 +127,7 @@ class SignedGraph(_Graph):
         return tuple(zip(us.tolist(), vs.tolist(), self.adj[us, vs].tolist()))
 
     @staticmethod
-    def from_edges(n: int, edges, labels=None) -> "SignedGraph":
+    def from_edges(n: int, edges) -> "SignedGraph":
         adj = np.zeros((n, n), dtype=np.int8)
         for u, v, sign in edges:
             if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -143,7 +137,7 @@ class SignedGraph(_Graph):
             if adj[u, v]:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             adj[u, v] = adj[v, u] = sign
-        return SignedGraph(adj, labels=tuple(labels) if labels else None)
+        return SignedGraph(adj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,60 +196,37 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _neighbours(bits, mask: int) -> int:
-    """Bitmask of every neighbour of a vertex in ``mask``."""
-    out = 0
-    for v in _bits(mask):
-        out |= bits[v]
-    return out
-
-
-def _reach(bits, frontier: int) -> int:
-    """Bitmask of every vertex reachable from the vertices in ``frontier``."""
-    seen = frontier
-    while frontier:
-        frontier = _neighbours(bits, frontier) & ~seen
-        seen |= frontier
-    return seen
-
-
 def components(g) -> list[list[int]]:
-    """Connected components of the underlying graph, each sorted."""
-    bits = g.row_bits
-    seen = 0
+    """Connected components of the underlying graph, each sorted: the trees
+    of ``spanning_forest``, listed by their roots."""
     comps = []
-    for start in range(g.n):
-        if not seen >> start & 1:
-            comp = _reach(bits, 1 << start)
-            seen |= comp
-            comps.append(_bits(comp))
-    return comps
+    for v, parent in g.spanning_forest:
+        if parent < 0:
+            comps.append([])
+        comps[-1].append(v)
+    return [sorted(comp) for comp in comps]
 
 
 def is_connected(g) -> bool:
-    return _reach(g.row_bits, 1) == (1 << g.n) - 1
+    """True when ``spanning_forest`` has one root."""
+    return all(parent >= 0 for _, parent in g.spanning_forest[1:])
 
 
 def bipartition(g) -> tuple[list[int], list[int]] | None:
     """Two-colouring of the underlying graph, or None if an odd cycle exists.
 
-    Breadth-first by layers, each component's smallest vertex on side 0.  A
-    layer's neighbours lie in the layers just before it, in it and just
-    after it, so an odd cycle shows as a neighbour on the layer's own side.
+    A vertex's side is the parity of its depth in ``spanning_forest``, so
+    each component's smallest vertex, its root, is on side 0.  The colouring
+    is proper unless an edge joins two vertices of one side.
     """
-    bits = g.row_bits
+    side = [0] * g.n
     sides = [0, 0]
-    for start in range(g.n):
-        if (sides[0] | sides[1]) >> start & 1:
-            continue
-        frontier, side = 1 << start, 0
-        while frontier:
-            sides[side] |= frontier
-            nxt = _neighbours(bits, frontier)
-            if nxt & sides[side]:
-                return None
-            frontier = nxt & ~sides[1 - side]
-            side = 1 - side
+    for v, parent in g.spanning_forest:
+        if parent >= 0:
+            side[v] = 1 - side[parent]
+        sides[side[v]] |= 1 << v
+    if any(bits & sides[s] for bits, s in zip(g.row_bits, side)):
+        return None
     return _bits(sides[0]), _bits(sides[1])
 
 
@@ -395,8 +366,7 @@ def delete_vertices(g: SignedGraph, remove) -> SignedGraph:
     if not keep:
         raise ValueError("cannot delete every vertex")
     idx = np.asarray(keep)
-    labels = tuple(g.labels[v] for v in keep) if g.labels else None
-    return SignedGraph(g.adj[np.ix_(idx, idx)], labels=labels)
+    return SignedGraph(g.adj[np.ix_(idx, idx)])
 
 
 def disjoint_union(a: SignedGraph, b: SignedGraph) -> SignedGraph:

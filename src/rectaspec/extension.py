@@ -19,8 +19,6 @@ from .core import SignedGraph, StructureError, _exact_copy, structure_report
 from .exactlinalg import exact_matmul, rank
 from .spectral import (certify_four_sym, certify_three_sym, certify_two_sym)
 
-CASE_NAMES = ("a", "b", "c", "d", "e")
-
 
 class ExtensionError(StructureError):
     """Extension preconditions failed or no admissible vector exists."""
@@ -39,25 +37,6 @@ class GramWitness:
         signs = np.asarray(self.signs)
         out[np.ix_(self.perm, self.perm)] = np.outer(signs, signs) * m
         return out
-
-
-@dataclass(frozen=True)
-class ExtensionVector:
-    """{0, +-1} eigenvector of a residual matrix, used to border A."""
-
-    entries: tuple[int, ...]
-    norm_sq: int
-
-    @staticmethod
-    def from_entries(entries) -> "ExtensionVector":
-        entries = tuple(int(x) for x in entries)
-        if any(abs(x) > 1 for x in entries):
-            raise ValueError("extension vector entries must lie in {-1, 0, +1}")
-        return ExtensionVector(entries=entries,
-                               norm_sq=sum(x * x for x in entries))
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)  # arrays: equality and hash by identity
@@ -329,10 +308,10 @@ def extend_one_vertex(g: SignedGraph, lambda_sq: int | None = None) -> SignedGra
         raise ExtensionError("residual diagonal must lie in {0, 1}")
     m = gr.matrix
     pivot = next(i for i in range(g.n) if m[i, i] == 1)
-    x = ExtensionVector.from_entries(m[pivot])
-    if not np.array_equal(np.outer(x.array(), x.array()), m):
+    x = m[pivot]
+    if not np.array_equal(np.outer(x, x), m):
         raise ExtensionError("residual is not a {0, +-1} rank-1 square")
-    out = _border(g, x.array())
+    out = _border(g, x)
     cert = certify_two_sym(out)
     if not (cert and cert.lambda_sq == lam_sq):
         raise RuntimeError("extended graph failed its A^2 = lambda^2 I certificate")
@@ -404,7 +383,7 @@ def _extend_pair(g: SignedGraph, lam_sq: int, eigenvalue: int, excluded,
     vectors = {vec for cand in classified.eigen_candidates
                for vec in (cand, tuple(-c for c in cand))}
     for vec in sorted(vectors):
-        x = ExtensionVector.from_entries(vec).array()
+        x = np.asarray(vec, dtype=np.int64)
         if int(x @ x) != eigenvalue or any(x[i] == 0 for i in v2):
             continue
         if transport:

@@ -52,7 +52,8 @@ from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _b
                    is_connected, quadrangles)
 from .formats import write_graph6
 from .spectral import certify_two_sym
-from .switching import SchemeError, scheme_layout, scheme_prefix, switching_isomorphic
+from .switching import (SchemeError, relabel, scheme_layout, scheme_prefix,
+                        switching_isomorphic)
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from .switching import class_invariants  # noqa: F401
 from .weighing import (WeighingMatrix, equivalent, intersection_numbers,
@@ -105,11 +106,7 @@ def build_signature_problem(g) -> SignatureSearchProblem:
     layout = scheme_layout(u)  # raises SchemeError naming the predicate
     r = layout.degree
     n = u.n
-    inv = [0] * n
-    for old, new in enumerate(layout.perm):
-        inv[new] = old
-    adj = u.adj[np.ix_(inv, inv)]
-    relabelled = UnderlyingGraph(adj)
+    relabelled = relabel(u, layout.perm)
     # sorted, stably, by the last row they touch, the order in which the
     # row-by-row DFS completes them: elimination then meets a contradiction
     # near the prefix early (Gewirtz x K2: at row 57 of 1,485 instead of
@@ -127,7 +124,7 @@ def build_signature_problem(g) -> SignatureSearchProblem:
 
     # the free edges join two vertices past the prefix; each has its id at
     # both orientations in ``ids``, every other entry the sentinel n_free
-    v, w = np.nonzero(np.triu(adj[r + 1:, r + 1:]))
+    v, w = np.nonzero(np.triu(relabelled.adj[r + 1:, r + 1:]))
     v += r + 1
     w += r + 1
     n_free = len(v)
@@ -433,6 +430,13 @@ def _outcome(problem: SignatureSearchProblem, classes: dict[int, int],
                          problem=problem, **details)
 
 
+def _check_counts(**counts) -> None:
+    """ValueError naming the first count that is negative (None is allowed)."""
+    for name, value in counts.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must not be negative, got {value}")
+
+
 def search_signatures(g, node_budget: int | None = None,
                       order_seed: int | None = None, progress=None,
                       progress_every: int = 0) -> SearchOutcome:
@@ -447,6 +451,7 @@ def search_signatures(g, node_budget: int | None = None,
     ``progress(nodes, dim)`` is called every ``progress_every`` of them,
     ``dim`` being the dimension of the class space.
     """
+    _check_counts(node_budget=node_budget, progress_every=progress_every)
     problem = build_signature_problem(g)
     solution = solve_parity_system(problem, _edge_order(problem, order_seed))
     if solution.particular is None:
@@ -482,6 +487,7 @@ def search_signatures_dfs(g, node_budget: int | None = None,
     decisions.  The outcome records the per-row candidate counts of the
     paper's tables.
     """
+    _check_counts(node_budget=node_budget, progress_every=progress_every)
     problem = build_signature_problem(g)
     masks, nodes, row_cand, exhausted = run_search(
         *kernel_arguments(problem, order=_edge_order(problem, order_seed),
@@ -854,6 +860,7 @@ def search_weighing(n: int, r: int,
     """
     if n < r or r < 1:
         raise ValueError("need n >= r >= 1")
+    _check_counts(node_budget=node_budget)
     width = r * (r - 1) // 2 + 1
     if n < width:
         return WeighingSearchOutcome([], 0, True, 0)

@@ -36,18 +36,15 @@ def switch(g: SignedGraph, vertices) -> SignedGraph:
     s = set(vertices)
     eps = np.asarray([-1 if v in s else 1 for v in range(g.n)], dtype=np.int8)
     adj = (g.adj * np.outer(eps, eps)).astype(np.int8)
-    return SignedGraph(adj, labels=g.labels)
+    return SignedGraph(adj)
 
 
-def relabel(g: SignedGraph, perm) -> SignedGraph:
-    """Relabel with ``perm[old] = new``."""
-    perm = list(perm)
+def relabel(g, perm):
+    """Relabel with ``perm[old] = new``; a graph of ``g``'s own type."""
     inv = [0] * g.n
     for old, new in enumerate(perm):
         inv[new] = old
-    idx = np.asarray(inv)
-    labels = tuple(g.labels[i] for i in inv) if g.labels else None
-    return SignedGraph(g.adj[np.ix_(idx, idx)], labels=labels)
+    return type(g)(g.adj[np.ix_(inv, inv)])
 
 
 def apply_signed_permutation(g: SignedGraph, perm, switch_set) -> SignedGraph:

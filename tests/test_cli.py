@@ -91,6 +91,16 @@ def test_search_weighing_budget(capsys, order, weight, budget):
         f"nodes {min(budget, total)} exhausted {exhausted}")
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--catalog", "Q3", "--budget", "-1"),
+    ("search", "--catalog", "Q3", "--progress-every", "-1"),
+    ("search-weighing", "--order", "12", "--weight", "5", "--budget", "-3"),
+])
+def test_negative_counts_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "must not be negative" in err
+
+
 def test_construct_expression(capsys):
     code, out, _ = run(capsys, "construct", "ltimes-k2(R5.4)")
     assert code == 0

@@ -170,8 +170,10 @@ class TestCatalog:
         assert rs.certify_four_sym(rs.catalog("T"))
 
     def test_unknown_id(self):
-        with pytest.raises(CatalogError):
-            rs.catalog("R9.9")
+        # the cube families take ASCII digits only, as sg1 headers do
+        for key in ["R9.9", "Q\u0663", "FC\u0664", "G\u0664", "Q\u00b2"]:
+            with pytest.raises(CatalogError, match="unknown catalog id"):
+                rs.catalog(key)
 
     def test_ingest_rows_demand_a_source(self):
         for key in ["R5.1", "R5.2", "R5.3", "R6.1", "R6.5", "R7.5"]:

@@ -7,9 +7,9 @@ import pytest
 
 import rectaspec as rs
 from rectaspec.core import StructureError, disjoint_union
-from rectaspec.extension import (ExtensionError, ExtensionVector, GramWitness,
-                                 analyse_residual, canonical_gram_form,
-                                 classify_constant_diag_gram, classify_gram,
+from rectaspec.extension import (ExtensionError, GramWitness, analyse_residual,
+                                 canonical_gram_form, classify_constant_diag_gram,
+                                 classify_gram,
                                  classify_small_spectrum_02graph,
                                  extend_four_to_three, extend_one_vertex,
                                  extend_zero_pair, gram_residual)
@@ -17,12 +17,6 @@ from rectaspec.extension import (ExtensionError, ExtensionVector, GramWitness,
 
 def k13():
     return rs.SignedGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-
-
-def test_extension_vector_rejects_entries_outside_signs():
-    assert ExtensionVector.from_entries((1, 0, -1)).norm_sq == 2
-    with pytest.raises(ValueError):
-        ExtensionVector.from_entries((2,))
 
 
 class TestGramResidual:

@@ -97,6 +97,14 @@ class TestSignatureSearch:
         assert not out.exhausted and out.nodes == 1
         assert not search_signatures_dfs(rs.folded_cube(5), node_budget=10).exhausted
 
+    def test_negative_counts_refused(self):
+        g = rs.hypercube(3)
+        for search in (search_signatures, search_signatures_dfs):
+            with pytest.raises(ValueError, match="node_budget"):
+                search(g, node_budget=-1)
+            with pytest.raises(ValueError, match="progress_every"):
+                search(g, progress_every=-1)
+
     def test_progress_counts_class_masks(self):
         calls = []
         out = search_signatures(rs.underlying(rs.catalog("R6.7")),
@@ -455,6 +463,10 @@ class TestWeighingSearch:
         out = search_weighing(n, r, node_budget=budget)
         assert out.nodes == min(budget, total)
         assert out.exhausted == (total <= budget)
+
+    def test_negative_budget_refused(self):
+        with pytest.raises(ValueError, match="node_budget"):
+            search_weighing(12, 5, node_budget=-3)
 
     def test_budget_equal_to_the_node_count_exhausts(self):
         total = search_weighing(12, 5).nodes
