@@ -185,10 +185,14 @@ def cmd_extend(args) -> int:
 
 
 def _span(text: str) -> range:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+    lo, colon, hi = text.partition(":")
+    if not colon:
+        hi = lo
+    # ASCII digits only: int() also reads "١٦" as 16
+    if not all(x.isascii() and x.isdigit() for x in (lo, hi)) or int(lo) > int(hi):
+        raise SystemExit2(f"bad range {text!r}: need lo or lo:hi in ASCII "
+                          "digits with lo <= hi")
+    return range(int(lo), int(hi) + 1)
 
 
 def cmd_filter(args) -> int:
@@ -207,10 +211,8 @@ def cmd_convert(args) -> int:
         obj = formats.parse_graph6(data.encode())
     elif src == "sg1":
         obj = formats.parse_signed(data)
-    elif src == "wm":
-        obj = formats.parse_weighing_text(data)
     else:
-        raise SystemExit2(f"unknown source format {src!r}")
+        obj = formats.parse_weighing_text(data)
     if dst == "graph6":
         g = obj if isinstance(obj, (SignedGraph, UnderlyingGraph)) \
             else weighing.to_bipartite_sr2se(obj)
@@ -219,12 +221,10 @@ def cmd_convert(args) -> int:
         if isinstance(obj, weighing.WeighingMatrix):
             obj = weighing.to_bipartite_sr2se(obj)
         out = formats.write_signed(_as_signed(obj))
-    elif dst == "wm":
+    else:
         if not isinstance(obj, weighing.WeighingMatrix):
             obj = weighing.from_bipartite_sr2se(_as_signed(obj))
         out = weighing.write_weighing_text(obj)
-    else:
-        raise SystemExit2(f"unknown target format {dst!r}")
     if args.outfile is None:
         sys.stdout.write(out)
     else:

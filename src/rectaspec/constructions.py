@@ -9,6 +9,7 @@ matrix file.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -132,9 +133,7 @@ def signed_tetrahedron() -> SignedGraph:
         4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, -1)])
 
 
-_GEWIRTZ_CACHE: list = []
-
-
+@cache
 def gewirtz_graph() -> UnderlyingGraph:
     """The unique strongly regular (56, 10, 0, 2) graph.
 
@@ -143,8 +142,6 @@ def gewirtz_graph() -> UnderlyingGraph:
     points) has 56 members, adjacent when disjoint.  The structure is
     verified before the graph is handed out.
     """
-    if _GEWIRTZ_CACHE:
-        return _GEWIRTZ_CACHE[0]
     mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]  # GF(4)
     inverse = {1: 1, 2: 3, 3: 2}
     points: list[tuple[int, int, int]] = []
@@ -182,7 +179,6 @@ def gewirtz_graph() -> UnderlyingGraph:
     rep = structure_report(g)
     if not (rep.degree == 10 and rep.connected and rep.triangle_free and rep.zero_two):
         raise RuntimeError("Gewirtz construction is not a 10-regular rectagraph")
-    _GEWIRTZ_CACHE.append(g)
     return g
 
 
@@ -294,8 +290,14 @@ def _recorded(key: str) -> SignedGraph:
     return SignedGraph(adj)
 
 
+_NAMED = {
+    "T": signed_tetrahedron, "K22": k22, "K4": k4, "CLEBSCH": clebsch_graph,
+    "BIPLANE": lambda: bibd_incidence(biplane_7_4_2()), "GEWIRTZ": gewirtz_graph,
+}
+
+
 def catalog_ids() -> list[str]:
-    extras = ["T", "K22", "K4", "CLEBSCH", "BIPLANE", "GEWIRTZ"]
+    extras = list(_NAMED)
     extras += [f"G{r}" for r in range(1, 11)]
     extras += [f"Q{r}" for r in range(1, 11)]
     extras += [f"FC{r}" for r in range(4, 8)]
@@ -317,18 +319,8 @@ def catalog(key: str, weighing_source: str | None = None):
         digits = key[len(family):]
         if key.startswith(family) and digits.isascii() and digits.isdigit():
             return build(int(digits))
-    if key == "T":
-        return signed_tetrahedron()
-    if key == "K22":
-        return k22()
-    if key == "K4":
-        return k4()
-    if key == "CLEBSCH":
-        return clebsch_graph()
-    if key == "BIPLANE":
-        return bibd_incidence(biplane_7_4_2())
-    if key == "GEWIRTZ":
-        return gewirtz_graph()
+    if key in _NAMED:
+        return _NAMED[key]()
     if key not in _CATALOG_CERTS:
         raise CatalogError(f"unknown catalog id {key!r}")
     n, r, bip = _CATALOG_CERTS[key]

@@ -44,31 +44,23 @@ def charpoly(a) -> list[int]:
 
     Returns the monic coefficient list [1, c1, ..., cn] with
     p(x) = x^n + c1*x^(n-1) + ... + cn.  Uses the Faddeev-LeVerrier
-    recurrence with Python integers; every division is exact.
+    recurrence on an object array of Python integers; every division is
+    exact.
     """
-    rows = [[int(x) for x in row] for row in np.asarray(a)]
-    n = len(rows)
-    if n == 0:
-        return [1]
+    a = np.asarray(a).astype(object)
+    n = len(a)
     coeffs = [1]
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = np.identity(n, dtype=object)
     for k in range(1, n + 1):
-        am = _pymatmul(rows, m)
-        trace = sum(am[i][i] for i in range(n))
+        am = a @ m
+        trace = am.trace()
         if trace % k:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
         ck = -(trace // k)
         coeffs.append(ck)
-        for i in range(n):
-            am[i][i] += ck
+        am.flat[::n + 1] += ck
         m = am
     return coeffs
-
-
-def _pymatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def rank(a) -> int:
@@ -95,12 +87,6 @@ def rank(a) -> int:
         r += 1
         col += 1
     return r
-
-
-def nullity(a) -> int:
-    """Dimension of the kernel of a square integer matrix."""
-    mat = np.asarray(a)
-    return mat.shape[0] - rank(mat)
 
 
 # -- small dense polynomial helpers (integer coefficients, highest power first)

@@ -44,7 +44,9 @@ _HEADER = b">>graph6<<"
 
 def parse_graph6(data: bytes | str) -> UnderlyingGraph:
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        if not data.isascii():
+            raise Graph6ByteError("non-ASCII character in graph6 text")
+        data = data.encode("ascii")
     data = data.strip()
     if data.startswith(_HEADER):
         data = data[len(_HEADER):]

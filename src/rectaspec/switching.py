@@ -34,6 +34,8 @@ class SchemeError(StructureError):
 def switch(g: SignedGraph, vertices) -> SignedGraph:
     """Negate every edge with exactly one endpoint in ``vertices``."""
     s = set(vertices)
+    if not s.issubset(range(g.n)):
+        raise ValueError(f"switch set has a vertex outside range({g.n})")
     eps = np.asarray([-1 if v in s else 1 for v in range(g.n)], dtype=np.int8)
     adj = (g.adj * np.outer(eps, eps)).astype(np.int8)
     return SignedGraph(adj)
@@ -41,6 +43,8 @@ def switch(g: SignedGraph, vertices) -> SignedGraph:
 
 def relabel(g, perm):
     """Relabel with ``perm[old] = new``; a graph of ``g``'s own type."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError(f"perm is not a permutation of range({g.n})")
     inv = [0] * g.n
     for old, new in enumerate(perm):
         inv[new] = old

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _exact_copy, bipartition, is_connected,
-                   structure_report)
+from .core import (SignedGraph, StructureError, _exact_copy, _path_counts,
+                   bipartition, is_connected, structure_report)
 from .exactlinalg import exact_matmul
 from .spectral import Refusal, _first_violation, certify_two_sym
 from .switching import (DEFAULT_SIZE_CAP, SizeCapError, schem_normal_form,
@@ -98,9 +97,9 @@ def verify_weighing(matrix):
 
 def intersection_numbers(w: WeighingMatrix) -> set[int]:
     """Counts of shared support positions over all row pairs."""
-    support = (w.entries != 0).astype(np.int64)
-    overlap = support @ support.T
-    return {int(overlap[i, j]) for i, j in combinations(range(w.n), 2)}
+    support = w.entries != 0
+    overlap = _path_counts(support, support.T)
+    return set(overlap[np.triu_indices(w.n, 1)].astype(np.int64).tolist())
 
 
 def is_proper(w: WeighingMatrix) -> bool:

@@ -275,6 +275,38 @@ def test_criterion_08_small_zero_two_falsification_suite():
               f"zero falsification events, in {elapsed:.2f}s")
 
 
+def test_derived_multiplicities_match_exact_rank():
+    """ThreeSym and FourSym read their multiplicities off tr(A^2) and the
+    verified identity; exact elimination must agree on every certificate of
+    the criterion-08 suite and of small catalog deletions."""
+    from rectaspec.exactlinalg import rank
+
+    graphs = [s for u in _connected_zero_two_graphs(8)
+              for s in _signings_up_to_switching(u)]
+    for key in ["R1.1", "R2.1", "R3.1", "R4.1", "R4.2", "R5.4", "R6.7", "T",
+                "K22", "K4", "CLEBSCH", "BIPLANE", "Q5", "FC5"]:
+        g = rs.catalog(key)
+        g = g if isinstance(g, rs.SignedGraph) else g.all_positive()
+        first = range(min(6, g.n))
+        graphs += [rs.delete_vertices(g, {v}) for v in first if g.n > 1]
+        graphs += [rs.delete_vertices(g, set(pair))
+                   for pair in combinations(first, 2) if g.n > 2]
+    three = four = 0
+    for h in graphs:
+        a = h.adj.astype(np.int64)
+        eye = np.eye(h.n, dtype=np.int64)
+        cert = rs.certify_three_sym(h)
+        if cert:
+            assert cert.d == h.n - rank(a) and 2 * cert.m + cert.d == h.n
+            three += 1
+        cert = rs.certify_four_sym(h)
+        if cert:
+            assert rank(a @ a - cert.lambda_sq * eye) == 2
+            assert rank(a @ a - cert.mu_sq * eye) == 2 * cert.m
+            four += 1
+    assert (three, four) == (84, 36)
+
+
 def test_criterion_09_oracle_equivalence():
     start = time.perf_counter()
     # degree at least 4 forces order >= 1 + r + C(r,2) >= 11, hence more

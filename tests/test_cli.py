@@ -43,6 +43,41 @@ def test_filter_range(capsys):
     assert "FAIL sum-of-two-squares" in out
 
 
+def test_filter_lo_hi_range(capsys):
+    code, out, _ = run(capsys, "filter", "--n", "22:24", "--r", "5:6",
+                       "--bipartite")
+    assert code == 0
+    assert out.splitlines() == [
+        "n=22 r=5 bipartite: FAIL square",
+        "n=22 r=6 bipartite: FAIL quadrangle-integrality sum-of-two-squares "
+        "mod-4 bound square",
+        "n=23 r=5 bipartite: FAIL quadrangle-integrality bound",
+        "n=23 r=6 bipartite: FAIL quadrangle-integrality bound",
+        "n=24 r=5 bipartite: PASS",
+        "n=24 r=6 bipartite: FAIL bound",
+    ]
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--n", "5:2"), ("--n", "\u0661\u0666"), ("--r", "5:"), ("--r", "-3")])
+def test_filter_refuses_a_bad_range(capsys, flag, text):
+    argv = {"--n": "16", "--r": "5", flag: text}
+    with pytest.raises(SystemExit) as err:
+        main(["filter", *(x for kv in argv.items() for x in kv)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "bad range" in captured.err
+
+
+@pytest.mark.parametrize("sources", [
+    (), ("--catalog", "R3.1", "--graph6-file", "q3.g6")])
+def test_check_needs_exactly_one_source(capsys, sources):
+    with pytest.raises(SystemExit) as err:
+        main(["check", *sources])
+    assert err.value.code == 2
+    assert "exactly one of" in capsys.readouterr().err
+
+
 def test_search_catalog(capsys, tmp_path):
     log = tmp_path / "clebsch.log"
     code, out, err = run(capsys, "search", "--catalog", "CLEBSCH",
@@ -75,6 +110,12 @@ def test_search_expect_solutions_failure(capsys, tmp_path):
 def test_search_weighing(capsys):
     code, out, _ = run(capsys, "search-weighing", "--order", "4", "--weight", "3")
     assert code == 0 and "classes 1" in out
+
+
+def test_search_weighing_expect_solutions_failure(capsys):
+    code, out, _ = run(capsys, "search-weighing", "--order", "13", "--weight",
+                       "4", "--expect-solutions")
+    assert code == 1 and out.endswith("classes 0 nodes 193 exhausted true\n")
 
 
 @pytest.mark.parametrize("order, weight", [(12, 5), (13, 4), (8, 4), (16, 6)])
@@ -114,6 +155,31 @@ def test_construct_underlying(capsys):
     assert code == 0 and out.strip()  # graph6 text
 
 
+@pytest.mark.parametrize("expression, message", [
+    ("ltimes-k2(R5.4", "malformed expression"),
+    ("frob(Q3)", "unknown construction 'frob'"),
+])
+def test_construct_usage_errors(capsys, expression, message):
+    with pytest.raises(SystemExit) as err:
+        main(["construct", expression])
+    assert err.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_extend_echoes_a_two_eigenvalue_input(capsys):
+    code, out, err = run(capsys, "extend", "--catalog", "R3.1")
+    assert code == 0 and "already a two-eigenvalue graph" in err
+    assert out == write_signed(rs.catalog("R3.1"))
+
+
+def test_extend_refuses_an_input_without_certificate(capsys, tmp_path):
+    path = tmp_path / "k3.sg1"
+    k3 = rs.UnderlyingGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    path.write_text(write_signed(k3.all_positive()))
+    code, out, err = run(capsys, "extend", "--signed-file", str(path))
+    assert code == 1 and out == ""
+    assert "refusal: no applicable spectrum shape" in err
+
+
 def test_extend_pipeline(capsys, tmp_path):
     g = rs.delete_vertices(rs.signed_cube(3), {0, 1})  # adjacent pair
     path = tmp_path / "g.sg1"
@@ -144,6 +210,24 @@ def test_convert_roundtrip(capsys, tmp_path):
     assert code == 0
     g = parse_signed(out)
     assert g.n == 8 and rs.certify_two_sym(g).lambda_sq == 3
+
+
+def test_convert_from_sg1_to_graph6_and_wm(capsys, tmp_path):
+    from rectaspec.formats import parse_graph6
+    from rectaspec.weighing import parse_weighing_text
+
+    g = rs.catalog("R3.1")
+    src = tmp_path / "g.sg1"
+    src.write_text(write_signed(g))
+    code, out, _ = run(capsys, "convert", "--from", "sg1", "--to", "graph6",
+                       "--in", str(src))
+    assert code == 0 and parse_graph6(out) == rs.hypercube(3)
+    dst = tmp_path / "w.txt"
+    code, out, _ = run(capsys, "convert", "--from", "sg1", "--to", "wm",
+                       "--in", str(src), "--out", str(dst))
+    assert code == 0 and out == ""
+    w = parse_weighing_text(dst.read_text())
+    assert (w.n, w.r) == (4, 3)
 
 
 def test_convert_closes_its_input(capsys, tmp_path):

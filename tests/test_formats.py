@@ -53,6 +53,14 @@ class TestGraph6:
         with pytest.raises(Graph6ByteError):
             parse_graph6(bytes([30, 95]))
 
+    def test_text_input(self):
+        g = rs.hypercube(3)
+        assert parse_graph6(write_graph6(g).decode() + "\n") == g
+        # "é" must not become "?", a data byte of six zero bits
+        for text in ("Bé", "B\u00a0", "G\u2028"):
+            with pytest.raises(Graph6ByteError, match="non-ASCII"):
+                parse_graph6(text)
+
     def test_header_prefix_accepted(self):
         g = parse_graph6(b">>graph6<<A_")
         assert g.n == 2

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import rectaspec as rs
@@ -127,6 +128,33 @@ class TestFilter:
         verdict = rs.filter_sr2se(10, 5)
         assert not verdict.passed and "bound" in verdict.failures
 
+    def test_admits_exactly_the_bipartite_target_orders(self):
+        # Mulder's 2^r bound cuts the tails: 36, 40, ... for r = 5 and
+        # 72, 80, ... for r = 6 passed the other conditions
+        def admitted(r):
+            return [n for n in range(2, 200)
+                    if rs.filter_sr2se(n, r, bipartite=True).passed]
+
+        assert admitted(5) == [24, 28, 32]
+        assert admitted(6) == [32, 40, 48, 56, 64]
+
+    @pytest.mark.parametrize("n, r, bipartite, failures", [
+        (36, 5, True, ("bound",)),  # n > 2^r
+        (10, 5, False, ("bound",)),  # n < C(r+1, 2) + 1
+        (7, 3, False, ("quadrangle-integrality",)),
+        (82, 12, False, ("sum-of-two-squares",)),
+        (58, 10, False, ("quadrangle-integrality", "mod-4")),
+        (37, 8, True, ("bound",)),  # odd order, unequal sides
+        (16, 5, True, ("bound",)),  # a side of 8 < C(r, 2) + 1
+        (22, 5, True, ("square",)),  # odd side, non-square r
+        (10, 4, True, ("bound",)),  # odd side past its own bound
+        (36, 6, True, ("sum-of-two-squares",)),  # side = 2 mod 4
+        (14, 3, True, ("bound", "quadrangle-integrality", "sum-of-two-squares",
+                       "mod-4", "square")),
+    ])
+    def test_failure_names(self, n, r, bipartite, failures):
+        assert rs.filter_sr2se(n, r, bipartite=bipartite).failures == failures
+
     def test_passes_every_catalog_parameter_pair(self):
         from rectaspec.constructions import _CATALOG_CERTS
 
@@ -148,6 +176,13 @@ def test_sum_of_two_squares():
 class TestTraceIdentities:
     def test_cube(self):
         assert rs.trace_identities(rs.hypercube(3)) == (0, 168, 168)
+
+    def test_matches_matrix_powers(self):
+        for g in (rs.clebsch_graph(), rs.catalog("K4"), rs.catalog("BIPLANE")):
+            a = np.abs(g.adj.astype(np.int64))
+            sq = a @ a
+            t3, t4, _ = rs.trace_identities(g)
+            assert (t3, t4) == (np.trace(sq @ a), np.trace(sq @ sq))
 
     def test_k4_has_triangles(self):
         t3, _, _ = rs.trace_identities(rs.catalog("K4"))

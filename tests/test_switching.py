@@ -188,6 +188,18 @@ def test_decisions_leave_no_reference_cycles():
         gc.set_debug(0)
         gc.garbage.clear()
 
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [0, 1, 2], [1, 2, 3, 4]])
+def test_relabel_refuses_a_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel(rs.catalog("T"), perm)
+
+
+@pytest.mark.parametrize("vertices", [[4], [-1]])
+def test_switch_refuses_a_vertex_outside_the_graph(vertices):
+    with pytest.raises(ValueError, match="outside range"):
+        switch(rs.catalog("T"), vertices)
+
+
 def test_relabel_roundtrip():
     # graphs compare equal only to their own type, so the path also checks
     # that relabel returns an UnderlyingGraph for an UnderlyingGraph
