@@ -28,7 +28,8 @@ Two searches live here:
   support grows, so a support that cannot be signed is cut as soon as its
   equations contradict.  Each complete support is signed by its particular
   solution plus null space, up to switching, and the classes are then
-  deduped by weighing equivalence.
+  deduped pairwise by weighing equivalence, which the sign-propagating
+  matcher of ``weighing.equivalent`` decides.
 
 Both searches are deterministic; the signature search also writes a
 replayable proof log (the text format below).
@@ -831,6 +832,27 @@ def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
     return w
 
 
+def _signed_supports(n: int, r: int, node_budget: int):
+    """The support search run to its end or its budget, whether it
+    exhausted, and every certified sign class over its supports, in the
+    order found: the raw matrices that ``search_weighing`` dedupes."""
+    prefix = scheme_two_prefix(r, n)
+    supports = _SupportSearch(n, r, prefix, node_budget)
+    exhausted = supports.run()
+    candidates = []
+    for rows, pivots in supports.found:
+        columns = 0
+        for i in range(r, n):
+            columns |= rows[i] << ((i - r) * n)
+        particular, null_basis = _back_substitute(pivots, columns)
+        stars = _support_stars(n, r, rows)
+        start, basis = _class_space(particular, null_basis,
+                                    partial(_switch_key, stars), len(stars))
+        candidates += [_check_weighing(_weighing_candidate(prefix, rows, mask), r)
+                       for mask in _gray_code(start, basis, 1 << len(basis))]
+    return supports, exhausted, candidates
+
+
 def search_weighing(n: int, r: int,
                     node_budget: int | None = None) -> WeighingSearchOutcome:
     """All (n, r) weighing matrices with row intersection numbers in {0, 2},
@@ -865,21 +887,7 @@ def search_weighing(n: int, r: int,
     if n < width:
         return WeighingSearchOutcome([], 0, True, 0)
 
-    prefix = scheme_two_prefix(r, n)
-    supports = _SupportSearch(n, r, prefix, node_budget or 0)
-    exhausted = supports.run()
-    candidates = []
-    for rows, pivots in supports.found:
-        columns = 0
-        for i in range(r, n):
-            columns |= rows[i] << ((i - r) * n)
-        particular, null_basis = _back_substitute(pivots, columns)
-        stars = _support_stars(n, r, rows)
-        start, basis = _class_space(particular, null_basis,
-                                    partial(_switch_key, stars), len(stars))
-        candidates += [_check_weighing(_weighing_candidate(prefix, rows, mask), r)
-                       for mask in _gray_code(start, basis, 1 << len(basis))]
-
+    supports, exhausted, candidates = _signed_supports(n, r, node_budget or 0)
     reps: list[WeighingMatrix] = []
     for w in candidates:
         if not any(equivalent(w, rep, cap=4 * n)[0] for rep in reps):

@@ -57,11 +57,12 @@ def _first_violation(diff: np.ndarray) -> tuple[int, int, int]:
     return (i, j, int(diff[i, j]))
 
 
-def certify_two_sym(g: SignedGraph):
+def certify_two_sym(g: SignedGraph, moments=None):
     """Certificate that the spectrum is exactly {-sqrt(r), +sqrt(r)}.
 
     Holds iff A^2 = r*I with r the (common) vertex degree; a non-regular
     graph is refused outright since the identity forces regularity.
+    ``moments``, g's ``_moments`` if the caller has them, saves squaring A.
     """
     degs = set(g.degrees)
     if len(degs) > 1:
@@ -70,8 +71,7 @@ def certify_two_sym(g: SignedGraph):
     r = g.degrees[0]
     if r == 0:
         return Refusal("degree 0: the spectrum {0} has one eigenvalue, not two")
-    a = np.asarray(g.adj, dtype=np.int64)
-    sq = exact_matmul(a, a)
+    _, sq, _, _ = moments or _moments(g)
     target = r * np.eye(g.n, dtype=np.int64)
     if not np.array_equal(sq, target):
         return Refusal("A^2 != r*I", witness=_first_violation(sq - target))
@@ -86,15 +86,16 @@ def _moments(g: SignedGraph):
     return a, sq, int(np.trace(sq)), int((sq * sq).sum())
 
 
-def certify_three_sym(g: SignedGraph):
+def certify_three_sym(g: SignedGraph, moments=None):
     """Certificate for spectrum {[-lam]^m, [0]^d, [lam]^m} with d >= 1.
 
     The unique candidate lam^2 is tr(A^4)/tr(A^2); the certificate is issued
     only if A^3 = lam^2 * A holds exactly and A^2 != lam^2 * I.  The identity
     leaves the eigenvalues 0 and +-lam, and tr A = 0 splits +-lam evenly, so
-    tr(A^2) = 2*m*lam^2 fixes m and d = n - 2m.
+    tr(A^2) = 2*m*lam^2 fixes m and d = n - 2m.  ``moments`` as for
+    ``certify_two_sym``.
     """
-    a, sq, t2, t4 = _moments(g)
+    a, sq, t2, t4 = moments or _moments(g)
     if t2 == 0:
         return Refusal("empty graph: no nonzero eigenvalue pair")
     if t4 % t2:
@@ -111,20 +112,21 @@ def certify_three_sym(g: SignedGraph):
                                d=g.n - 2 * m)
 
 
-def certify_four_sym(g: SignedGraph):
+def certify_four_sym(g: SignedGraph, moments=None):
     """Certificate for spectrum {[-lam]^m, [-mu]^1, [mu]^1, [lam]^m}, 1 <= mu < lam.
 
     lam^2 and mu^2 are recovered from tr(A^2), tr(A^4) and n, then the
     identity (A^2 - lam^2 I)(A^2 - mu^2 I) = 0 is verified.  It fixes the
     multiplicities: if lam^2 has multiplicity k in A^2, then
     k*lam^2 + (n - k)*mu^2 = tr(A^2) = 2*m*lam^2 + 2*mu^2 forces k = 2m, and
-    tr A = 0 splits each pair +-lam, +-mu evenly.
+    tr A = 0 splits each pair +-lam, +-mu evenly.  ``moments`` as for
+    ``certify_two_sym``.
     """
     n = g.n
     if n < 4 or n % 2:
         return Refusal(f"order {n} cannot carry the four-eigenvalue shape")
     m = (n - 2) // 2
-    _, sq, t2, t4 = _moments(g)
+    _, sq, t2, t4 = moments or _moments(g)
     if t2 % 2 or t4 % 2:
         return Refusal("trace parity rules out the shape")
     s, t = t2 // 2, t4 // 2
@@ -156,9 +158,11 @@ def certify_four_sym(g: SignedGraph):
 
 
 def strongest_certificate(g: SignedGraph):
-    """TwoSym, ThreeSym or FourSym certificate, else the TwoSym refusal."""
+    """TwoSym, ThreeSym or FourSym certificate, else None; A is squared
+    once for all three."""
+    moments = _moments(g)
     for fn in (certify_two_sym, certify_three_sym, certify_four_sym):
-        cert = fn(g)
+        cert = fn(g, moments)
         if cert:
             return cert
     return None

@@ -180,16 +180,13 @@ def _to_nx(g, colours=None):
     return out
 
 
-def underlying_isomorphisms(u1, u2, colours1=None, colours2=None):
-    """Yield dict isomorphisms from u1's vertices onto u2's, respecting the
-    optional vertex colourings."""
+def underlying_isomorphisms(u1, u2):
+    """Yield dict isomorphisms from u1's vertices onto u2's."""
     if u1.n != u2.n or sorted(u1.degrees) != sorted(u2.degrees):
         return
     import networkx as nx
 
-    match = nx.isomorphism.categorical_node_match("c", None)
-    gm = nx.isomorphism.GraphMatcher(_to_nx(u1, colours1), _to_nx(u2, colours2),
-                                     node_match=match)
+    gm = nx.isomorphism.GraphMatcher(_to_nx(u1), _to_nx(u2))
     try:
         yield from gm.isomorphisms_iter()
     finally:
@@ -225,8 +222,13 @@ def switching_isomorphic(g: SignedGraph, h: SignedGraph,
     Candidate permutations come from underlying-graph isomorphisms (which
     also handles matching up components of disconnected inputs); each
     candidate admits at most one switching.  A returned witness has been
-    re-verified by direct application.
+    re-verified by direct application.  Raises TypeError unless both
+    arguments are ``SignedGraph``.
     """
+    for arg in (g, h):
+        if not isinstance(arg, SignedGraph):
+            raise TypeError("switching_isomorphic takes two SignedGraph, "
+                            f"not {type(arg).__name__}")
     if g.n > cap or h.n > cap:
         raise SizeCapError(
             f"order exceeds the decision cap ({cap}); use class_invariants "

@@ -5,7 +5,10 @@ two-eigenvalue signed rectagraphs.
 An (n, r) weighing matrix is an n x n {0, +-1} matrix M with M^T M = r I.
 Equivalence means M = P N Q for signed permutation matrices P and Q; that is
 exactly a side-preserving switching isomorphism of the signed bipartite
-support graphs, which is how the decision procedure below works.  The row
+support graphs.  The decision procedure finds one by backtracking over the
+support bitmasks in a vertex order fixed in advance, propagating the
+switching signs from vertex to vertex as it places them, so that every
+partial map is checked on edges, non-edges and signs at once.  The row
 normal form is read off the same graph (the biadjacency block of its star
 normal form at a column vertex), and one translation turns a switching
 isomorphism of support graphs into the witness (P, Q) for both.
@@ -18,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _exact_copy, _path_counts,
+from .core import (SignedGraph, StructureError, _bits, _exact_copy, _path_counts,
                    bipartition, is_connected, structure_report)
 from .exactlinalg import exact_matmul
 from .spectral import Refusal, _first_violation, certify_two_sym
 from .switching import (DEFAULT_SIZE_CAP, SizeCapError, schem_normal_form,
-                        scheme_prefix, solve_switch_for_perm,
-                        underlying_isomorphisms)
+                        scheme_prefix)
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
+from .switching import solve_switch_for_perm  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -208,33 +212,134 @@ def _witness_from_transform(n: int, perm, eps) -> EquivalenceWitness:
                               q_perm=tuple(q_perm), q_signs=tuple(eps[j] for j in q_perm))
 
 
+def _sign_bits(g: SignedGraph) -> tuple[list[int], list[int]]:
+    """Per vertex, the bitmasks of its positive and of its negative
+    neighbours."""
+    pos, neg = [0] * g.n, [0] * g.n
+    for a, b, sign in g.edges():
+        side = pos if sign > 0 else neg
+        side[a] |= 1 << b
+        side[b] |= 1 << a
+    return pos, neg
+
+
+def _match_order(pos, neg) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The matcher's vertex order, each vertex with its (earlier neighbour,
+    edge sign) pairs in order of placement; the first is its anchor.  Next
+    comes the vertex with the most neighbours already placed, ties to the
+    lowest index, so a vertex with none starts a new component."""
+    size = len(pos)
+    placed, count, order = 0, [0] * size, []
+    where = [0] * size
+    for k in range(size):
+        v = max((u for u in range(size) if not placed >> u & 1),
+                key=lambda u: (count[u], -u))
+        earlier = sorted(_bits((pos[v] | neg[v]) & placed), key=where.__getitem__)
+        order.append((v, tuple((u, 1 if pos[v] >> u & 1 else -1) for u in earlier)))
+        placed |= 1 << v
+        where[v] = k
+        for u in _bits(pos[v] | neg[v]):
+            count[u] += 1
+    return order
+
+
+def _support_match(g: SignedGraph, h: SignedGraph, n: int):
+    """A switching isomorphism of the support graph ``g`` onto ``h`` that
+    keeps the columns 0..n-1 and the rows n..2n-1 on their own side, as
+    (perm, eps): vertex v goes to perm[v] with sign eps[v]; None if there is
+    none.
+
+    Backtracking over the order ``_match_order`` fixes in advance.  A vertex
+    with an earlier neighbour may go only to an unused neighbour of its
+    anchor's image, and the images of its earlier neighbours, split by the
+    sign each edge must carry after switching, must be exactly the used
+    positive and the used negative neighbours of its own image: that checks
+    every edge, non-edge and sign back to the vertices already placed and
+    fixes the vertex's sign.  A vertex with no earlier neighbour starts a
+    component; it takes sign +1 (switching a whole component changes
+    nothing) and any unused vertex of its side and degree.  The search is
+    one loop over explicit per-depth state, so it leaves no reference cycle.
+    """
+    size = g.n
+    gpos, gneg = _sign_bits(g)
+    hpos, hneg = _sign_bits(h)
+    hbits = h.row_bits
+    order = _match_order(gpos, gneg)
+    starts: dict[tuple[bool, int], int] = {}  # (is a column, degree) -> h's vertices
+    for w, bits in enumerate(hbits):
+        key = (w < n, bits.bit_count())
+        starts[key] = starts.get(key, 0) | 1 << w
+    degree = g.degrees
+    perm, eps = [0] * size, [0] * size
+    untried = [0] * size  # images left to try at each depth
+    wanted = [(0, 0)] * size  # (positive, negative) neighbour images at each depth
+    used, k = 0, 0
+    untried[0] = starts.get((order[0][0] < n, degree[order[0][0]]), 0)
+    while True:
+        cands = untried[k]
+        if not cands:
+            k -= 1
+            if k < 0:
+                return None
+            used ^= 1 << perm[order[k][0]]
+            continue
+        low = cands & -cands
+        untried[k] = cands ^ low
+        w = low.bit_length() - 1
+        have = (hpos[w] & used, hneg[w] & used)
+        p, q = wanted[k]
+        if have == (p, q):
+            sign = 1
+        elif have == (q, p):
+            sign = -1
+        else:
+            continue
+        v = order[k][0]
+        perm[v], eps[v] = w, sign
+        used |= low
+        k += 1
+        if k == size:
+            return perm, eps
+        v, earlier = order[k]
+        p = q = 0
+        for u, edge in earlier:
+            if eps[u] * edge > 0:
+                p |= 1 << perm[u]
+            else:
+                q |= 1 << perm[u]
+        wanted[k] = (p, q)
+        if earlier:
+            untried[k] = hbits[perm[earlier[0][0]]] & ~used
+        else:
+            untried[k] = starts.get((v < n, degree[v]), 0) & ~used
+
+
 def equivalent(m: WeighingMatrix, n: WeighingMatrix,
                cap: int = DEFAULT_SIZE_CAP):
     """Decide M = P N Q for signed permutation matrices P, Q.
 
-    Reduces to switching isomorphism of the signed bipartite support graphs
-    with the two sides kept apart by a vertex colouring; every candidate
-    isomorphism is completed by spanning-forest sign propagation.  Returns
-    (bool, witness-or-None); a returned witness re-verifies by
-    multiplication.
+    Reduces to a side-preserving switching isomorphism of the signed
+    bipartite support graphs, which ``_support_match`` decides by
+    backtracking with sign propagation.  Returns (bool, witness-or-None); a
+    returned witness re-verifies by multiplication.  Raises TypeError unless
+    both arguments are ``WeighingMatrix``.
     """
+    for arg in (m, n):
+        if not isinstance(arg, WeighingMatrix):
+            raise TypeError(f"equivalent takes two WeighingMatrix, not {type(arg).__name__}")
     if (m.n, m.r) != (n.n, n.r):
         return False, None
     if 2 * m.n > cap:
         raise SizeCapError(
             f"order exceeds the decision cap ({cap}); screen with "
             "intersection numbers and support invariants instead")
-    gm, gn = _support_bipartite(m), _support_bipartite(n)
-    colours = [0] * m.n + [1] * m.n
-    for perm in underlying_isomorphisms(gm, gn, colours, colours):
-        eps = solve_switch_for_perm(gm, gn, perm)
-        if eps is None:
-            continue
-        witness = _witness_from_transform(m.n, perm, eps)
-        if not witness.verify(m, n):
-            raise RuntimeError("equivalence witness failed re-verification")
-        return True, witness
-    return False, None
+    found = _support_match(_support_bipartite(m), _support_bipartite(n), m.n)
+    if found is None:
+        return False, None
+    witness = _witness_from_transform(m.n, *found)
+    if not witness.verify(m, n):
+        raise RuntimeError("equivalence witness failed re-verification")
+    return True, witness
 
 
 # -- row normal form ----------------------------------------------------------

@@ -523,6 +523,17 @@ class TestWeighingSupportSearch:
         assert out.matrices == [] and out.supports == 0 and out.exhausted
 
 
+def test_budgeted_20_6_dedupes_to_two_classes():
+    # recorded values of a budgeted run, not a classification of W(20, 6):
+    # the first 20,000 support rows hold 145 signed supports in 2 classes.
+    # Pairwise VF2 took 1,045 s over them; the matcher takes seconds.
+    out = search_weighing(20, 6, node_budget=20000)
+    assert (out.supports, out.raw_count, len(out.matrices)) == (145, 145, 2)
+    assert out.nodes == 20000 and not out.exhausted
+    a, b = out.matrices
+    assert not equivalent(a, b)[0] and not equivalent(b, a)[0]
+
+
 # sha256 of the matrices' entries in order, supports and raw_count of
 # exhausted searches, recorded before the column-pair and column-demand cuts:
 # the cuts may change only the node count

@@ -113,6 +113,33 @@ def test_strongest_certificate_order():
     assert strongest_certificate(k3) is None
 
 
+def _one_edge_negated(g):
+    adj = np.array(g.adj)
+    u, v, sign = g.edges()[0]
+    adj[u, v] = adj[v, u] = -sign
+    return rs.SignedGraph(adj)
+
+
+@pytest.mark.parametrize("make, kind, products", [
+    # squared in all three certifiers before: 3, 2 and 4 products
+    (lambda: _one_edge_negated(rs.catalog("R7.7")), None, 1),
+    (lambda: rs.delete_vertices(rs.signed_cube(3), {2}), "ThreeSym", 2),
+    (lambda: rs.catalog("T"), "FourSym", 2),
+    (lambda: rs.catalog("R7.7"), "TwoSym", 1),
+], ids=["R7.7-negated-edge", "three", "four", "R7.7"])
+def test_strongest_certificate_squares_once(monkeypatch, make, kind, products):
+    import rectaspec.spectral as spectral
+
+    g = make()
+    calls = []
+    real = spectral.exact_matmul
+    monkeypatch.setattr(spectral, "exact_matmul",
+                        lambda a, b: calls.append(1) or real(a, b))
+    cert = strongest_certificate(g)
+    assert (cert.kind if cert else None) == kind
+    assert len(calls) == products
+
+
 class TestFilter:
     def test_bipartite_36_6_fails_sum_of_two_squares(self):
         verdict = rs.filter_sr2se(36, 6, bipartite=True)

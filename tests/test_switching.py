@@ -159,12 +159,19 @@ class TestClassInvariants:
         assert all(neg == 3 and pos == 0 for neg, pos in counts)
 
 
-def test_underlying_isomorphisms_respect_colours():
+@pytest.mark.parametrize("g, h", [
+    (lambda: rs.underlying(rs.catalog("R3.1")), lambda: rs.catalog("R3.1")),
+    (lambda: rs.catalog("R3.1"), lambda: rs.underlying(rs.catalog("R3.1"))),
+    (lambda: rs.catalog("R3.1").adj, lambda: rs.catalog("R3.1")),
+], ids=["underlying-first", "underlying-second", "ndarray"])
+def test_switching_isomorphic_refuses_other_types(g, h):
+    with pytest.raises(TypeError, match="SignedGraph"):
+        rs.switching_isomorphic(g(), h())
+
+
+def test_underlying_isomorphisms_count_automorphisms():
     u = rs.catalog("K22")
-    plain = sum(1 for _ in underlying_isomorphisms(u, u))
-    coloured = sum(1 for _ in underlying_isomorphisms(
-        u, u, [0, 0, 1, 1], [0, 0, 1, 1]))
-    assert plain == 8 and coloured == 4  # side swap removed
+    assert sum(1 for _ in underlying_isomorphisms(u, u)) == 8
 
 
 def test_decisions_leave_no_reference_cycles():

@@ -9,6 +9,7 @@ import rectaspec as rs
 from rectaspec.core import StructureError
 from rectaspec.weighing import (WeighingFormatError, scheme_two_prefix,
                                 sp_matrix)
+from vf2_oracle import vf2_equivalent
 
 H4 = np.array([[1, 1, 1, 1],
                [1, -1, 1, -1],
@@ -237,6 +238,121 @@ class TestEquivalence:
         assert not ok
         assert rs.is_proper(proper) and not rs.is_proper(improper)
         assert rs.intersection_numbers(proper) != rs.intersection_numbers(improper)
+
+    def test_sums_of_unlike_blocks(self):
+        # equivalent by construction (the VF2 oracle did not finish these
+        # nine pairs in three minutes).  Each
+        # component root may go to any unused column of its degree: with
+        # blocks of three kinds in shuffled order, the lowest unused column
+        # is often in a component of the wrong kind
+        from rectaspec.search import search_weighing
+
+        blocks = [search_weighing(7, 4).matrices[0].entries, H4,
+                  search_weighing(8, 4).matrices[0].entries]
+        rng = np.random.default_rng(19)
+        for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+            m = direct_sum(*(blocks[i] for i in order))
+            for _ in range(3):
+                other = scrambled(direct_sum(*blocks), rng)
+                ok, witness = rs.equivalent(m, other)
+                assert ok and witness.verify(m, other)
+
+
+def direct_sum(*blocks) -> rs.WeighingMatrix:
+    size = sum(len(b) for b in blocks)
+    out = np.zeros((size, size), dtype=np.int8)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return rs.WeighingMatrix(out)
+
+
+def sylvester(k: int) -> rs.WeighingMatrix:
+    """The Sylvester Hadamard matrix of order 2^k."""
+    h = np.ones((1, 1), dtype=np.int8)
+    for _ in range(k):
+        h = np.kron(h, np.array([[1, 1], [1, -1]], dtype=np.int8))
+    return rs.WeighingMatrix(h)
+
+
+def raw_candidates(n, r):
+    from rectaspec.search import _signed_supports
+
+    return _signed_supports(n, r, 0)[2]
+
+
+def agrees_with_vf2(m, n) -> bool:
+    ok, witness = rs.equivalent(m, n)
+    if ok and not witness.verify(m, n):
+        return False
+    return ok == vf2_equivalent(m, n) and (witness is None) == (not ok)
+
+
+class TestEquivalenceAgainstVF2:
+    """``equivalent`` against the VF2 candidate loop it replaced
+    (tests/vf2_oracle.py)."""
+
+    @pytest.mark.parametrize("n, r, count", [(8, 4, 1), (12, 5, 6), (14, 5, 30)])
+    def test_raw_candidate_pairs(self, n, r, count):
+        cands = raw_candidates(n, r)
+        assert len(cands) == count
+        for i, m in enumerate(cands):
+            for other in cands[i:]:
+                assert agrees_with_vf2(m, other)
+
+    @pytest.mark.parametrize("n, r", [(8, 4), (12, 5), (14, 5)])
+    def test_signed_permutations_of_candidates(self, n, r):
+        rng = np.random.default_rng(10 * n + r)
+        cands = raw_candidates(n, r)
+        for m in cands:
+            assert agrees_with_vf2(scrambled(m, rng), m)
+            assert agrees_with_vf2(cands[0], scrambled(m, rng))
+
+    def test_direct_sums_are_told_apart(self):
+        from rectaspec.search import search_weighing
+
+        w74 = search_weighing(7, 4).matrices[0].entries
+        w84 = search_weighing(8, 4).matrices[0]
+        rng = np.random.default_rng(3)
+        h4h4 = direct_sum(H4, H4)
+        assert not rs.equivalent(w84, h4h4)[0]
+        assert agrees_with_vf2(w84, h4h4)
+        assert agrees_with_vf2(scrambled(h4h4, rng), w84)
+        proper = direct_sum(w74, w84.entries)
+        improper = direct_sum(w74, H4, H4)
+        assert not rs.equivalent(proper, improper)[0]
+        assert agrees_with_vf2(proper, scrambled(improper, rng))
+        assert agrees_with_vf2(direct_sum(w84.entries, w74), scrambled(proper, rng))
+
+    def test_oracle_keeps_the_sides_apart(self):
+        from vf2_oracle import coloured_isomorphisms
+
+        g = rs.to_bipartite_sr2se(sylvester(1))  # K2,2: columns 0, 1; rows 2, 3
+        plain = sum(1 for _ in coloured_isomorphisms(g, g, [0] * 4, [0] * 4))
+        sides = sum(1 for _ in coloured_isomorphisms(g, g, [0, 0, 1, 1], [0, 0, 1, 1]))
+        assert plain == 8 and sides == 4  # side swap removed
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_sylvester_hadamard_is_found(self, k):
+        # VF2 walks the isomorphisms of K8,8 for 54 s on H8 and does not
+        # finish H16
+        h = sylvester(k)
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            other = scrambled(h, rng)
+            ok, witness = rs.equivalent(h, other)
+            assert ok and witness.verify(h, other)
+
+
+@pytest.mark.parametrize("m, n", [
+    (lambda: H4, lambda: H4),
+    (lambda: rs.WeighingMatrix(H4), lambda: H4),
+    (lambda: rs.WeighingMatrix(H4), lambda: rs.signed_cube(3)),
+], ids=["ndarrays", "ndarray-second", "graph-second"])
+def test_equivalent_refuses_other_types(m, n):
+    with pytest.raises(TypeError, match="WeighingMatrix"):
+        rs.equivalent(m(), n())
 
 
 # Makes every equivalence witness negate the first row of P, then asks
