@@ -26,8 +26,7 @@ from .weighing import (EquivalenceWitness, WeighingMatrix, equivalent,
                        parse_weighing_text, schem2_normal_form,
                        to_bipartite_sr2se, verify_weighing,
                        write_weighing_text)
-from .search import (SearchOutcome, naive_signature_classes, proof_log,
-                     search_signatures, search_signatures_dfs,
+from .search import (SearchOutcome, proof_log, search_signatures,
                      search_weighing, verify_nonexistence)
 from .extension import (GramResidual, classify_constant_diag_gram,
                         classify_gram, classify_small_spectrum_02graph,

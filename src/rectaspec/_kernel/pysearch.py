@@ -1,14 +1,14 @@
-"""Pure-Python backtracking kernels.
+"""Pure-Python backtracking kernels; no search in the package calls them.
 
-``run_search`` is the only signature DFS, the kernel of the reference search
-``search.search_signatures_dfs``.  Its state is a trail-based DFS over edge
-sign bits with unit propagation on the quadrangle parity constraints: a
-constraint with one unassigned edge forces it, a fully assigned constraint
-with the wrong parity kills the branch.
+``run_search`` is the paper's row-by-row signature DFS, the kernel of the
+tests' reference search (``tests/reference_oracles.py``).  Its state is a
+trail-based DFS over edge sign bits with unit propagation on the quadrangle
+parity constraints: a constraint with one unassigned edge forces it, a fully
+assigned constraint with the wrong parity kills the branch.
 
 ``run_weighing_search`` is the old weighing search, which branches over the
-sign of every entry.  ``search.search_weighing`` replaced it; it stays as the
-oracle the tests compare that search against.
+sign of every entry.  ``search.search_weighing`` replaced it; the tests
+compare that search against it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
                progress=None, progress_every=0):
     """DFS over the free-edge signs.
 
-    Returns (solutions, nodes, row_candidates, exhausted); solutions are
-    bitmasks over free-edge ids with bit 1 meaning a negative edge,
-    row_candidates[v] counts consistent completions of vertex v's row.
+    Returns (solutions, nodes, row counts, exhausted); solutions are
+    bitmasks over free-edge ids with bit 1 meaning a negative edge, and
+    row counts[v] is the number of consistent completions of vertex v's row.
     ``progress`` is called as progress(nodes, depth) every ``progress_every``
     nodes; it never affects the traversal.
     """
@@ -172,7 +172,7 @@ def run_weighing_search(n, r, prefix_rows, node_budget=0):
     def suffix_support(mask, j):
         return (mask >> j).bit_count()
 
-    def row_candidates(i, prev_tail):
+    def row_choices(i, prev_tail):
         entries = [0] * n
         dots = [0] * i
         ovs = [0] * i
@@ -259,7 +259,7 @@ def run_weighing_search(n, r, prefix_rows, node_budget=0):
         remaining = n - i  # rows still to be filled, this one included
         if any(r - c > remaining for c in col_count):
             return
-        for entries, mask in row_candidates(i, prev_tail):
+        for entries, mask in row_choices(i, prev_tail):
             for p in range(i):
                 if supports[p] & mask:
                     inter_cnt[p] += 1

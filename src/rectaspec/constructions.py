@@ -9,7 +9,7 @@ matrix file.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +21,8 @@ from .spectral import certify_two_sym
 
 class CatalogError(KeyError):
     """Unknown catalog identifier."""
+
+    __str__ = Exception.__str__  # the message as is; KeyError would quote it
 
 
 class CatalogIngestError(RuntimeError):
@@ -290,18 +292,21 @@ def _recorded(key: str) -> SignedGraph:
     return SignedGraph(adj)
 
 
+# ids built directly, with no _CATALOG_CERTS row; each cube family member is
+# listed, so ``catalog`` builds no order outside these ranges
 _NAMED = {
     "T": signed_tetrahedron, "K22": k22, "K4": k4, "CLEBSCH": clebsch_graph,
     "BIPLANE": lambda: bibd_incidence(biplane_7_4_2()), "GEWIRTZ": gewirtz_graph,
+    **{f"{family}{r}": partial(build, r)
+       for family, build, orders in (("G", signed_cube, range(1, 11)),
+                                     ("Q", hypercube, range(1, 11)),
+                                     ("FC", folded_cube, range(4, 8)))
+       for r in orders},
 }
 
 
 def catalog_ids() -> list[str]:
-    extras = list(_NAMED)
-    extras += [f"G{r}" for r in range(1, 11)]
-    extras += [f"Q{r}" for r in range(1, 11)]
-    extras += [f"FC{r}" for r in range(4, 8)]
-    return sorted(_CATALOG_CERTS) + extras
+    return sorted(_CATALOG_CERTS) + list(_NAMED)
 
 
 def catalog(key: str, weighing_source: str | None = None):
@@ -314,11 +319,6 @@ def catalog(key: str, weighing_source: str | None = None):
     bipartiteness) before being handed out.
     """
     key = key.strip()
-    for family, build in (("G", signed_cube), ("Q", hypercube), ("FC", folded_cube)):
-        # ASCII digits only: str.isdigit also accepts "٣" and "²"
-        digits = key[len(family):]
-        if key.startswith(family) and digits.isascii() and digits.isdigit():
-            return build(int(digits))
     if key in _NAMED:
         return _NAMED[key]()
     if key not in _CATALOG_CERTS:

@@ -362,6 +362,8 @@ def is_rectagraph(g) -> bool:
 def delete_vertices(g: SignedGraph, remove) -> SignedGraph:
     """Induced subgraph on the complement of ``remove``."""
     remove = set(remove)
+    if not remove.issubset(range(g.n)):
+        raise ValueError(f"vertex to delete outside range({g.n})")
     keep = [v for v in range(g.n) if v not in remove]
     if not keep:
         raise ValueError("cannot delete every vertex")

@@ -17,8 +17,6 @@ Two searches live here:
   pure-switching classes are the 2^(dim - tail) cosets of the tail stars,
   one canonical mask each; each is materialised and certified, and switching
   isomorphism is then decided on those representatives.
-  ``search_signatures_dfs`` is the paper's row-by-row backtracking search
-  over the same equations, kept as the reference the tests compare against.
 
 * ``search_weighing``: all (n, r) weighing matrices with row intersection
   numbers in {0, 2} extending the weighing row normal form, up to
@@ -32,23 +30,24 @@ Two searches live here:
   matcher of ``weighing.equivalent`` decides.
 
 Both searches are deterministic; the signature search also writes a
-replayable proof log (the text format below).
+replayable proof log (the text format below).  The paper's row-by-row DFS
+over the same parity equations (``_kernel.run_search``, fed by
+``kernel_arguments``) is not a search here: the tests run it as a reference
+and the benchmark imports it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from ._kernel import run_search
-# not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
-from ._kernel import run_weighing_search  # noqa: F401
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
+from ._kernel import run_search, run_weighing_search  # noqa: F401
 from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _bits,
                    is_connected, quadrangles)
 from .formats import write_graph6
@@ -89,15 +88,13 @@ class SignatureSearchProblem:
 @dataclass
 class SearchOutcome:
     solutions: list[SignedGraph]  # one representative per switching class
-    nodes: int  # gf2: class masks enumerated; dfs: kernel decisions
+    nodes: int  # class masks enumerated
     exhausted: bool
     raw_count: int
     problem: SignatureSearchProblem = field(repr=False)
-    method: str = "gf2"
-    rank: int = 0  # gf2: rank of the parity rows eliminated
-    # gf2, inconsistent system: quadrangles whose equations sum to 0 = 1
+    rank: int = 0  # rank of the parity rows eliminated
+    # inconsistent system: quadrangles whose equations sum to 0 = 1
     refutation: tuple[tuple[int, int, int, int], ...] = ()
-    row_candidates: dict[int, int] = field(default_factory=dict)  # dfs only
 
 
 def build_signature_problem(g) -> SignatureSearchProblem:
@@ -172,7 +169,8 @@ def build_signature_problem(g) -> SignatureSearchProblem:
 
 def kernel_arguments(problem: SignatureSearchProblem, order=None,
                      node_budget: int = 0) -> tuple:
-    """Argument tuple for the signature DFS kernel ``run_search``."""
+    """Argument tuple for the signature DFS kernel ``run_search``, which
+    only the benchmark and the tests' reference search call."""
     n_free = len(problem.free_edges)
     constraint_edges = [tuple(e for e in row if e != n_free)
                         for row in problem.constraint_edges.tolist()]
@@ -476,65 +474,32 @@ def search_signatures(g, node_budget: int | None = None,
     return _outcome(problem, classes, count, count == total, rank=solution.rank)
 
 
-def search_signatures_dfs(g, node_budget: int | None = None,
-                          order_seed: int | None = None, progress=None,
-                          progress_every: int = 0) -> SearchOutcome:
-    """Reference for ``search_signatures``: the paper's backtracking search.
-
-    The pure-Python kernel (``run_search``) completes one adjacency-matrix
-    row at a time (ties broken by lowest index) with unit propagation on the
-    parity equations, and enumerates every raw solution; ``order_seed``
-    shuffles its free-edge order.  ``node_budget`` caps the number of
-    decisions.  The outcome records the per-row candidate counts of the
-    paper's tables.
-    """
-    _check_counts(node_budget=node_budget, progress_every=progress_every)
-    problem = build_signature_problem(g)
-    masks, nodes, row_cand, exhausted = run_search(
-        *kernel_arguments(problem, order=_edge_order(problem, order_seed),
-                          node_budget=node_budget or 0),
-        progress=progress, progress_every=progress_every)
-    classes = Counter(canonical_switch_key(problem, mask) for mask in masks)
-    free_rows = {v for e in problem.free_edges for v in e}
-    candidates = {v + 1: row_cand[v] if v in free_rows else 1
-                  for v in range(problem.degree + 1, problem.graph.n)}
-    return _outcome(problem, classes, nodes, exhausted, method="dfs",
-                    row_candidates=candidates)
-
-
 def proof_log(outcome: SearchOutcome) -> str:
     """Replayable line-oriented record of a signature search.
 
-    The ``method`` line gives, for the GF(2) search, the rank of the
-    eliminated parity rows, the null-space dimension and the tail size (the
-    classes number 2^(kernel-dim - tail) before switching isomorphism).  A
-    refutation stops at its first 0 = 1 row, so its rank counts the pivots
-    found before it and its kernel-dim is ``none``; the quadrangles (search
-    labels) whose equations sum to 0 = 1 follow, checkable against the
-    graph alone.  A DFS log has one candidate count per row instead.
+    The ``method`` line gives the rank of the eliminated parity rows, the
+    null-space dimension and the tail size (the classes number
+    2^(kernel-dim - tail) before switching isomorphism).  A refutation stops
+    at its first 0 = 1 row, so its rank counts the pivots found before it
+    and its kernel-dim is ``none``; the quadrangles (search labels) whose
+    equations sum to 0 = 1 follow, checkable against the graph alone.
     """
     problem = outcome.problem
     digest = hashlib.sha256(write_graph6(problem.graph)).hexdigest()
+    dim = ("none" if outcome.refutation
+           else len(problem.free_edges) - outcome.rank)
     lines = [
         "sigsearch v2",
         f"graph-sha256 {digest}",
         f"n {problem.graph.n} r {problem.degree}",
         "labelling " + ",".join(str(x) for x in problem.labelling),
         f"free-edges {len(problem.free_edges)}",
+        f"method gf2 rank {outcome.rank} kernel-dim {dim} tail {problem.tail_size}",
     ]
-    if outcome.method == "gf2":
-        dim = ("none" if outcome.refutation
-               else len(problem.free_edges) - outcome.rank)
-        lines.append(f"method gf2 rank {outcome.rank} kernel-dim {dim} "
-                     f"tail {problem.tail_size}")
-        if outcome.refutation:
-            lines.append(f"refutation {len(outcome.refutation)}")
-            lines += ["quadrangle " + " ".join(str(v) for v in quad)
-                      for quad in outcome.refutation]
-    else:
-        lines.append("method dfs")
-        lines += [f"row {row} candidates {count}"
-                  for row, count in sorted(outcome.row_candidates.items())]
+    if outcome.refutation:
+        lines.append(f"refutation {len(outcome.refutation)}")
+        lines += ["quadrangle " + " ".join(str(v) for v in quad)
+                  for quad in outcome.refutation]
     lines.append(f"solutions {len(outcome.solutions)} nodes {outcome.nodes} "
                  f"exhausted {'true' if outcome.exhausted else 'false'}")
     return "\n".join(lines) + "\n"
@@ -549,81 +514,6 @@ def verify_nonexistence(g, node_budget: int | None = None):
     """
     outcome = search_signatures(g, node_budget=node_budget)
     return outcome, proof_log(outcome)
-
-
-# -- independent small-scale oracle -------------------------------------------
-
-
-def naive_signature_classes(g) -> int:
-    """Number of switching classes of two-eigenvalue signatures of ``g``,
-    by full enumeration of all 2^|E| signatures.
-
-    Deliberately shares nothing with the pruned search: solutions come from
-    checking A^2 = r I directly, automorphisms from a brute-force permutation
-    scan, and class counting from closing the solution set under single
-    switches and automorphisms.  Only sensible for tiny graphs.
-    """
-    from itertools import permutations
-
-    u = _as_underlying(g)
-    n = u.n
-    edges = u.edges()
-    m = len(edges)
-    if m > 24:
-        raise ValueError("oracle is limited to 24 edges")
-    degs = u.degrees
-    r = degs[0]
-    if r == 0:
-        return 0  # the empty signature has spectrum {0}: one eigenvalue
-    target = np.asarray(r * np.eye(n), dtype=np.int64)
-
-    solutions = {}
-    for mask in range(1 << m):
-        adj = np.zeros((n, n), dtype=np.int64)
-        for i, (a, b) in enumerate(edges):
-            adj[a, b] = adj[b, a] = -1 if (mask >> i) & 1 else 1
-        if np.array_equal(adj @ adj, target):
-            solutions[mask] = len(solutions)
-    if not solutions:
-        return 0
-
-    autos = []
-    base = np.asarray(u.adj, dtype=np.int8)
-    for perm in permutations(range(n)):
-        p = list(perm)
-        if all(base[p[a]][p[b]] == base[a][b] for a in range(n) for b in range(a)):
-            autos.append(p)
-
-    parent = list(range(len(solutions)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    edge_at_vertex = [[i for i, (a, b) in enumerate(edges) if v in (a, b)]
-                      for v in range(n)]
-    for mask, idx in solutions.items():
-        for v in range(n):
-            flipped = mask
-            for i in edge_at_vertex[v]:
-                flipped ^= 1 << i
-            union(idx, solutions[flipped])
-        for p in autos:
-            new_mask = 0
-            for i, (a, b) in enumerate(edges):
-                x, y = p[a], p[b]
-                j = edges.index((min(x, y), max(x, y)))
-                if (mask >> i) & 1:
-                    new_mask |= 1 << j
-            union(idx, solutions[new_mask])
-    return len({find(i) for i in solutions.values()})
 
 
 # -- weighing-matrix search ----------------------------------------------------

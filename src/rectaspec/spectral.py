@@ -2,8 +2,8 @@
 
 A certificate is only issued after the defining polynomial identity has been
 verified entry-for-entry in integer arithmetic (A^2 = t*I, A^3 = t*A, or
-(A^2 - t1*I)(A^2 - t2*I) = 0).  Floating eigensolvers never decide anything
-here; ``float_spectrum_matches`` exists purely as a cross-check for tests.
+(A^2 - t1*I)(A^2 - t2*I) = 0).  No floating eigensolver runs here; the
+tests compare the certificates with numpy's eigenvalues on their own.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 
 from .core import SignedGraph, StructureError
 from .exactlinalg import charpoly, exact_matmul
-
-FLOAT_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,15 +38,6 @@ class SpectralCertificate:
 
     def __bool__(self):
         return True
-
-    def eigenvalue_multiset(self) -> list[float]:
-        lam = self.lambda_sq ** 0.5
-        if self.kind == "TwoSym":
-            return sorted([-lam] * self.m + [lam] * self.m)
-        if self.kind == "ThreeSym":
-            return sorted([-lam] * self.m + [0.0] * self.d + [lam] * self.m)
-        mu = self.mu_sq ** 0.5
-        return sorted([-lam] * self.m + [-mu, mu] + [lam] * self.m)
 
 
 def _first_violation(diff: np.ndarray) -> tuple[int, int, int]:
@@ -171,14 +160,6 @@ def strongest_certificate(g: SignedGraph):
 def char_poly(g: SignedGraph) -> list[int]:
     """Exact characteristic polynomial of the signed adjacency matrix."""
     return charpoly(g.adj)
-
-
-def float_spectrum_matches(g: SignedGraph, cert: SpectralCertificate,
-                           tol: float = FLOAT_CHECK_TOL) -> bool:
-    """Floating cross-check that numpy eigenvalues match the certificate."""
-    eig = np.sort(np.linalg.eigvalsh(np.asarray(g.adj, dtype=np.float64)))
-    claimed = np.asarray(cert.eigenvalue_multiset())
-    return eig.shape == claimed.shape and bool(np.max(np.abs(eig - claimed)) < tol)
 
 
 def sum_of_two_squares(k: int) -> bool:

@@ -19,9 +19,9 @@ from rectaspec.core import is_rectagraph
 from rectaspec.extension import (classify_small_spectrum_02graph,
                                  extend_four_to_three, extend_one_vertex,
                                  extend_zero_pair)
-from rectaspec.search import (naive_signature_classes, search_signatures,
-                              search_weighing)
+from rectaspec.search import search_signatures, search_weighing
 from rectaspec.switching import underlying_isomorphisms
+from reference_oracles import naive_signature_classes
 
 
 def report(num, text):

@@ -274,7 +274,7 @@ def test_usage_error_exit_code():
 
 def test_unknown_catalog_id(capsys):
     code, _, err = run(capsys, "check", "--catalog", "R9.9")
-    assert code == 1 and "unknown catalog id" in err
+    assert code == 1 and err == "error: unknown catalog id 'R9.9'\n"
 
 
 def _relabelled_search_inputs():

@@ -170,8 +170,10 @@ class TestCatalog:
         assert rs.certify_four_sym(rs.catalog("T"))
 
     def test_unknown_id(self):
-        # the cube families take ASCII digits only, as sg1 headers do
-        for key in ["R9.9", "Q\u0663", "FC\u0664", "G\u0664", "Q\u00b2"]:
+        # the cube families take exactly their listed orders, in ASCII
+        # digits; catalog refuses the rest before building anything
+        for key in ["R9.9", "Q\u0663", "FC\u0664", "G\u0664", "Q\u00b2",
+                    "Q11", "G11", "G40", "FC3", "FC8"]:
             with pytest.raises(CatalogError, match="unknown catalog id"):
                 rs.catalog(key)
 

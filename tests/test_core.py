@@ -151,6 +151,9 @@ def test_delete_vertices():
     assert h.n == 3
     with pytest.raises(ValueError):
         rs.delete_vertices(g, {0, 1, 2, 3})
+    for remove in ([7], [-1], [0, 4]):
+        with pytest.raises(ValueError, match=r"outside range\(4\)"):
+            rs.delete_vertices(g, remove)
 
 
 def test_is_rectagraph():

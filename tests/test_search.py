@@ -12,12 +12,12 @@ from rectaspec._kernel import run_weighing_search
 from rectaspec.core import quadrangles
 from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
-                              naive_signature_classes, proof_log,
-                              search_signatures, search_signatures_dfs,
-                              search_weighing, verify_nonexistence)
+                              proof_log, search_signatures, search_weighing,
+                              verify_nonexistence)
 from rectaspec.search import _SupportSearch
 from rectaspec.switching import SchemeError, solve_switch_for_perm
 from rectaspec.weighing import equivalent, scheme_two_prefix
+from reference_oracles import naive_signature_classes, search_signatures_dfs
 
 
 class TestSignatureSearch:
@@ -99,11 +99,10 @@ class TestSignatureSearch:
 
     def test_negative_counts_refused(self):
         g = rs.hypercube(3)
-        for search in (search_signatures, search_signatures_dfs):
-            with pytest.raises(ValueError, match="node_budget"):
-                search(g, node_budget=-1)
-            with pytest.raises(ValueError, match="progress_every"):
-                search(g, progress_every=-1)
+        with pytest.raises(ValueError, match="node_budget"):
+            search_signatures(g, node_budget=-1)
+        with pytest.raises(ValueError, match="progress_every"):
+            search_signatures(g, progress_every=-1)
 
     def test_progress_counts_class_masks(self):
         calls = []
@@ -392,10 +391,6 @@ class TestProofLog:
         assert lines[5] == "method gf2 rank 2 kernel-dim 1 tail 1"
         assert not [ln for ln in lines if ln.startswith("row ")]
         assert lines[-1] == "solutions 1 nodes 1 exhausted true"
-        dfs_lines = proof_log(search_signatures_dfs(rs.hypercube(3))).splitlines()
-        assert dfs_lines[5] == "method dfs"
-        row_lines = [ln for ln in dfs_lines if ln.startswith("row ")]
-        assert len(row_lines) == 8 - 4  # one per row past the prefix
 
     def test_refutation_lists_quadrangles(self):
         out = search_signatures(rs.folded_cube(5))
@@ -409,12 +404,6 @@ class TestProofLog:
         assert quads == list(out.refutation)
         check_refutation(out.problem, quads)
         assert lines[-1] == "solutions 0 nodes 0 exhausted true"
-
-    def test_row_candidates_deterministic(self):
-        a = search_signatures_dfs(rs.clebsch_graph())
-        b = search_signatures_dfs(rs.clebsch_graph())
-        assert a.row_candidates and a.row_candidates == b.row_candidates
-        assert a.nodes == b.nodes
 
 
 class TestWeighingSearch:

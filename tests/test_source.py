@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rectaspec"
+TRACING = PACKAGE.parents[1] / "perfbench" / "tracing.py"
 
 
 def test_no_assert_statements():
@@ -15,3 +19,44 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _traced_hooks() -> set[tuple[str, str]]:
+    """(module, attribute) of every ``SPANS`` and ``COUNTED`` entry of the
+    benchmark's tracer, read with ast, not run."""
+    hooks = set()
+    for node in ast.parse(TRACING.read_text(), str(TRACING)).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets in (["SPANS"], ["COUNTED"]):
+            hooks |= {(module, attr) for module, attr, _ in ast.literal_eval(node.value)}
+    return hooks
+
+
+def _silenced_imports():
+    """(place, module, name) for every name imported on a statement that
+    carries ``# noqa: F401``, module being the importing module's dotted name."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        text = path.read_text()
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        noqa = {tok.start[0] for tok in tokens
+                if tok.type == tokenize.COMMENT and re.search(r"noqa:\s*F401", tok.string)}
+        parts = ("rectaspec", *path.relative_to(PACKAGE).with_suffix("").parts)
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.walk(ast.parse(text, str(path))):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and noqa & set(range(node.lineno, node.end_lineno + 1))):
+                for alias in node.names:
+                    yield (f"{path.relative_to(PACKAGE)}:{node.lineno}", module,
+                           alias.asname or alias.name)
+
+
+def test_silenced_imports_are_tracer_hooks():
+    """An import kept unused only for the benchmark's tracer must name a
+    function the tracer wraps in that module; any other is dead."""
+    hooks = _traced_hooks()
+    assert hooks
+    silenced = list(_silenced_imports())
+    assert silenced
+    stale = [f"{place} {name}" for place, module, name in silenced
+             if (module, name) not in hooks]
+    assert stale == []
