@@ -359,8 +359,9 @@ def is_rectagraph(g) -> bool:
     return _triangle_free(g, codegrees) and _zero_two(codegrees)
 
 
-def delete_vertices(g: SignedGraph, remove) -> SignedGraph:
-    """Induced subgraph on the complement of ``remove``."""
+def delete_vertices(g, remove):
+    """Induced subgraph on the complement of ``remove``; a graph of ``g``'s
+    own type."""
     remove = set(remove)
     if not remove.issubset(range(g.n)):
         raise ValueError(f"vertex to delete outside range({g.n})")
@@ -368,7 +369,7 @@ def delete_vertices(g: SignedGraph, remove) -> SignedGraph:
     if not keep:
         raise ValueError("cannot delete every vertex")
     idx = np.asarray(keep)
-    return SignedGraph(g.adj[np.ix_(idx, idx)])
+    return type(g)(g.adj[np.ix_(idx, idx)])
 
 
 def disjoint_union(a: SignedGraph, b: SignedGraph) -> SignedGraph:

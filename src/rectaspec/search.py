@@ -46,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
-from ._kernel import run_search, run_weighing_search  # noqa: F401
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
+from ._kernel import run_search  # noqa: F401
 from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _bits,
                    is_connected, quadrangles)
 from .formats import write_graph6
@@ -397,8 +397,7 @@ def dedupe_switching_classes(graphs) -> list[SignedGraph]:
     """
     reps: list[SignedGraph] = []
     for g in graphs:
-        cap = max(g.n, 128)
-        if not any(switching_isomorphic(g, rep, cap=cap)[0] for rep in reps):
+        if not any(switching_isomorphic(g, rep)[0] for rep in reps):
             reps.append(g)
     return reps
 
@@ -722,15 +721,17 @@ def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
     return w
 
 
-def _signed_supports(n: int, r: int, node_budget: int):
-    """The support search run to its end or its budget, whether it
-    exhausted, and every certified sign class over its supports, in the
-    order found: the raw matrices that ``search_weighing`` dedupes."""
+def run_weighing_search(n: int, r: int, node_budget: int):
+    """(candidates, nodes, exhausted, supports): every certified sign class
+    over the supports, in the order found (the raw matrices that
+    ``search_weighing`` dedupes), the support rows placed, whether the
+    search ran to its end rather than its budget, and the complete supports
+    with a consistent parity system."""
     prefix = scheme_two_prefix(r, n)
-    supports = _SupportSearch(n, r, prefix, node_budget)
-    exhausted = supports.run()
+    tree = _SupportSearch(n, r, prefix, node_budget)
+    exhausted = tree.run()
     candidates = []
-    for rows, pivots in supports.found:
+    for rows, pivots in tree.found:
         columns = 0
         for i in range(r, n):
             columns |= rows[i] << ((i - r) * n)
@@ -740,7 +741,7 @@ def _signed_supports(n: int, r: int, node_budget: int):
                                     partial(_switch_key, stars), len(stars))
         candidates += [_check_weighing(_weighing_candidate(prefix, rows, mask), r)
                        for mask in _gray_code(start, basis, 1 << len(basis))]
-    return supports, exhausted, candidates
+    return candidates, tree.nodes, exhausted, len(tree.found)
 
 
 def search_weighing(n: int, r: int,
@@ -777,11 +778,10 @@ def search_weighing(n: int, r: int,
     if n < width:
         return WeighingSearchOutcome([], 0, True, 0)
 
-    supports, exhausted, candidates = _signed_supports(n, r, node_budget or 0)
+    candidates, nodes, exhausted, supports = run_weighing_search(n, r, node_budget or 0)
     reps: list[WeighingMatrix] = []
     for w in candidates:
-        if not any(equivalent(w, rep, cap=4 * n)[0] for rep in reps):
+        if not any(equivalent(w, rep)[0] for rep in reps):
             reps.append(w)
-    return WeighingSearchOutcome(matrices=reps, nodes=supports.nodes,
-                                 exhausted=exhausted, raw_count=len(candidates),
-                                 supports=len(supports.found))
+    return WeighingSearchOutcome(matrices=reps, nodes=nodes, exhausted=exhausted,
+                                 raw_count=len(candidates), supports=supports)

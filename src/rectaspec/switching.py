@@ -19,14 +19,6 @@ import numpy as np
 from .core import SignedGraph, StructureError, quadrangles, structure_report
 from .exactlinalg import charpoly
 
-DEFAULT_SIZE_CAP = 128
-
-
-class SizeCapError(ValueError):
-    """Instance too large for the exact decision procedure; screen with
-    class_invariants instead."""
-
-
 class SchemeError(StructureError):
     """The star normal form does not exist for this input."""
 
@@ -215,8 +207,7 @@ def solve_switch_for_perm(g: SignedGraph, h: SignedGraph, perm):
     return eps
 
 
-def switching_isomorphic(g: SignedGraph, h: SignedGraph,
-                         cap: int = DEFAULT_SIZE_CAP):
+def switching_isomorphic(g: SignedGraph, h: SignedGraph):
     """Decide switching isomorphism; returns (bool, witness-or-None).
 
     Candidate permutations come from underlying-graph isomorphisms (which
@@ -229,10 +220,6 @@ def switching_isomorphic(g: SignedGraph, h: SignedGraph,
         if not isinstance(arg, SignedGraph):
             raise TypeError("switching_isomorphic takes two SignedGraph, "
                             f"not {type(arg).__name__}")
-    if g.n > cap or h.n > cap:
-        raise SizeCapError(
-            f"order exceeds the decision cap ({cap}); use class_invariants "
-            "screening for larger graphs")
     if g.n != h.n:
         return False, None
     for perm in underlying_isomorphisms(g, h):

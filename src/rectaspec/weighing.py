@@ -25,8 +25,7 @@ from .core import (SignedGraph, StructureError, _bits, _exact_copy, _path_counts
                    bipartition, is_connected, structure_report)
 from .exactlinalg import exact_matmul
 from .spectral import Refusal, _first_violation, certify_two_sym
-from .switching import (DEFAULT_SIZE_CAP, SizeCapError, schem_normal_form,
-                        scheme_prefix)
+from .switching import schem_normal_form, scheme_prefix
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from .switching import solve_switch_for_perm  # noqa: F401
 
@@ -314,8 +313,7 @@ def _support_match(g: SignedGraph, h: SignedGraph, n: int):
             untried[k] = starts.get((v < n, degree[v]), 0) & ~used
 
 
-def equivalent(m: WeighingMatrix, n: WeighingMatrix,
-               cap: int = DEFAULT_SIZE_CAP):
+def equivalent(m: WeighingMatrix, n: WeighingMatrix):
     """Decide M = P N Q for signed permutation matrices P, Q.
 
     Reduces to a side-preserving switching isomorphism of the signed
@@ -329,10 +327,6 @@ def equivalent(m: WeighingMatrix, n: WeighingMatrix,
             raise TypeError(f"equivalent takes two WeighingMatrix, not {type(arg).__name__}")
     if (m.n, m.r) != (n.n, n.r):
         return False, None
-    if 2 * m.n > cap:
-        raise SizeCapError(
-            f"order exceeds the decision cap ({cap}); screen with "
-            "intersection numbers and support invariants instead")
     found = _support_match(_support_bipartite(m), _support_bipartite(n), m.n)
     if found is None:
         return False, None

@@ -28,6 +28,23 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def test_weighing_kernel_span_is_live():
+    """The tracer's ``kernel.wm`` span wraps the support search that
+    ``search_weighing`` runs, and its node count is the outcome's."""
+    from rectaspec.search import search_weighing
+
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outcome = search_weighing(13, 4)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans].count("kernel.wm") == 1
+    assert outcome.nodes > 0
+    assert tracer.counts["kernel.wm_nodes"] == outcome.nodes
+
+
 def _rectaspec_imports():
     """(file, module, name) for every ``from rectaspec... import name`` in
     perfbench/*.py, at module level or inside a function, and (file,

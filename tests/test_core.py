@@ -148,7 +148,10 @@ def test_components_and_disconnected_inputs():
 def test_delete_vertices():
     g = rs.signed_cube(2)
     h = rs.delete_vertices(g, {0})
-    assert h.n == 3
+    assert h.n == 3 and type(h) is rs.SignedGraph
+    u = rs.delete_vertices(rs.hypercube(3), [0])
+    assert type(u) is rs.UnderlyingGraph
+    assert u.n == 7 and sorted(u.degrees) == [2, 2, 2, 3, 3, 3, 3]
     with pytest.raises(ValueError):
         rs.delete_vertices(g, {0, 1, 2, 3})
     for remove in ([7], [-1], [0, 4]):

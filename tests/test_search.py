@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import rectaspec as rs
-from rectaspec._kernel import run_weighing_search
 from rectaspec.core import quadrangles
 from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
@@ -17,7 +16,8 @@ from rectaspec.search import (_solution_graph, build_signature_problem,
 from rectaspec.search import _SupportSearch
 from rectaspec.switching import SchemeError, solve_switch_for_perm
 from rectaspec.weighing import equivalent, scheme_two_prefix
-from reference_oracles import naive_signature_classes, search_signatures_dfs
+from reference_oracles import (naive_signature_classes, search_signatures_dfs,
+                               sign_by_sign_weighing_search)
 
 
 class TestSignatureSearch:
@@ -445,7 +445,7 @@ class TestWeighingSearch:
         # budget binds there
         prefix_rows = [tuple(int(v) for v in row)
                        for row in scheme_two_prefix(r, n)]
-        _, nodes, exhausted = run_weighing_search(n, r, prefix_rows, budget)
+        _, nodes, exhausted = sign_by_sign_weighing_search(n, r, prefix_rows, budget)
         assert nodes == budget and not exhausted
         # the support search needs fewer nodes: (8, 4) fits in 100
         total = search_weighing(n, r).nodes
@@ -470,11 +470,11 @@ class TestWeighingSearch:
 def _old_weighing_classes(n, r):
     """The old search: the sign-by-sign kernel, then pairwise equivalence."""
     prefix_rows = [tuple(int(v) for v in row) for row in scheme_two_prefix(r, n)]
-    tuples, _, exhausted = run_weighing_search(n, r, prefix_rows)
+    tuples, _, exhausted = sign_by_sign_weighing_search(n, r, prefix_rows)
     reps = []
     for t in tuples:
         w = rs.WeighingMatrix(np.asarray(t, dtype=np.int8).reshape(n, n))
-        if not any(equivalent(w, rep, cap=4 * n)[0] for rep in reps):
+        if not any(equivalent(w, rep)[0] for rep in reps):
             reps.append(w)
     return reps, exhausted
 
@@ -487,7 +487,7 @@ class TestWeighingSupportSearch:
         old, exhausted = _old_weighing_classes(n, r)
         assert len(out.matrices) == len(old) and out.exhausted == exhausted
         for w in out.matrices:
-            hits = [equivalent(w, o, cap=4 * n)[0] for o in old]
+            hits = [equivalent(w, o)[0] for o in old]
             assert hits.count(True) == 1
 
     @pytest.mark.parametrize("n, r, supports", [(14, 5, 30), (14, 4, 30)])

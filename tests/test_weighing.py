@@ -277,9 +277,9 @@ def sylvester(k: int) -> rs.WeighingMatrix:
 
 
 def raw_candidates(n, r):
-    from rectaspec.search import _signed_supports
+    from rectaspec.search import run_weighing_search
 
-    return _signed_supports(n, r, 0)[2]
+    return run_weighing_search(n, r, 0)[0]
 
 
 def agrees_with_vf2(m, n) -> bool:
@@ -343,6 +343,34 @@ class TestEquivalenceAgainstVF2:
             other = scrambled(h, rng)
             ok, witness = rs.equivalent(h, other)
             assert ok and witness.verify(h, other)
+
+
+class TestSwitchingAgreesWithEquivalence:
+    """``equivalent`` against ``switching_isomorphic`` on the signed support
+    graphs: the two decision procedures must agree before either replaces
+    the other."""
+
+    @staticmethod
+    def both(m, n):
+        from rectaspec.weighing import _support_bipartite
+
+        return (rs.equivalent(m, n)[0],
+                rs.switching_isomorphic(_support_bipartite(m), _support_bipartite(n))[0])
+
+    @pytest.mark.parametrize("n, r", [(8, 4), (12, 5), (14, 5), (16, 5)])
+    def test_signed_permutations_of_the_class(self, n, r):
+        from rectaspec.search import search_weighing
+
+        [m] = search_weighing(n, r).matrices
+        rng = np.random.default_rng(100 * n + r)
+        for _ in range(3):
+            assert self.both(m, scrambled(m, rng)) == (True, True)
+
+    def test_w84_against_h4_sum(self):
+        from rectaspec.search import search_weighing
+
+        w84 = search_weighing(8, 4).matrices[0]
+        assert self.both(w84, direct_sum(H4, H4)) == (False, False)
 
 
 @pytest.mark.parametrize("m, n", [
