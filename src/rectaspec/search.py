@@ -24,10 +24,11 @@ Two searches live here:
   bitmasks, and never branches on a sign: the signs of a support are the
   same kind of quadrangle parity system, eliminated incrementally while the
   support grows, so a support that cannot be signed is cut as soon as its
-  equations contradict.  Each complete support is signed by its particular
-  solution plus null space, up to switching, and the classes are then
-  deduped pairwise by weighing equivalence, which the sign-propagating
-  matcher of ``weighing.equivalent`` decides.
+  equations contradict, and the first tail row is tried only when it is
+  least in its orbit under the prefix's symmetry.  Each complete support is
+  signed by its particular solution plus null space, up to switching, and
+  the classes are then deduped pairwise by weighing equivalence, which the
+  sign-propagating matcher of ``weighing.equivalent`` decides.
 
 Both searches are deterministic; the signature search also writes a
 replayable proof log (the text format below).  The paper's row-by-row DFS
@@ -523,19 +524,21 @@ class WeighingSearchOutcome:
     matrices: list[WeighingMatrix]  # one per equivalence class
     nodes: int  # support rows placed
     exhausted: bool
-    raw_count: int  # certified sign classes over every support, before dedupe
-    supports: int = 0  # complete supports with a consistent parity system
+    raw_count: int  # certified sign classes over every kept support, before dedupe
+    supports: int = 0  # kept complete supports with a consistent parity system
 
 
 class _SupportSearch:
-    """Depth-first enumeration of the 0/1 supports extending the prefix.
+    """Depth-first enumeration of the 0/1 supports extending the prefix, up
+    to the prefix's symmetry in the first tail row.
 
     The sign of tail row i (i >= r) in column c is variable bit
     (i - r) * n + c, 1 meaning negative; prefix signs are constants.
-    ``found`` collects every complete support whose parity system is
-    consistent, as (row masks, pivots).  The state lives on this object and
-    not in a self-recursive closure, whose reference cycle would keep all of
-    it alive until the next full garbage collection.
+    ``found`` collects, as (row masks, pivots), every complete support whose
+    parity system is consistent and whose first tail row is least in its
+    orbit (see ``_orbit_least``).  The state lives on this object and not in
+    a self-recursive closure, whose reference cycle would keep all of it
+    alive until the next full garbage collection.
     """
 
     def __init__(self, n: int, r: int, prefix: np.ndarray, node_budget: int):
@@ -572,9 +575,50 @@ class _SupportSearch:
                      if not full >> c & 1
                      and all(((m | 1 << c) & row).bit_count() <= 2 for row in rows)]
         cands = [m for m in cands if all((m & row).bit_count() != 1 for row in rows)]
+        cands.sort()
         # every later row is one of these candidates: list its columns once
         self.columns = {m: _bits(m) for m in cands}
-        return self.extend(r, sorted(cands), full)
+        self.heads = self._orbit_least(cands)
+        return self.extend(r, cands, full)
+
+    def _orbit_least(self, cands: list[int]) -> set[int]:
+        """The candidates (ascending) that are least in their orbit under
+        G = S_r x Sym(columns width..n-1), width = 1 + r(r-1)/2, the
+        relabellings that fix the prefix support: S_r permutes the prefix
+        rows and, with them, their pair columns (column 0 lies in every
+        prefix row, columns 1..width-1 in two each).  Only these are
+        tried as the first tail row; later rows draw on every candidate.
+
+        A candidate meets each prefix row in 0 or 2 columns, so its pair
+        columns are the edges of a union of cycles on the prefix rows; the
+        rows it misses are the isolated vertices, as many as its columns
+        outside the prefix.  So two candidates share an orbit exactly when
+        those graphs have the same sorted component sizes, and the least of
+        an orbit is the first candidate with its sizes.
+
+        No class is lost.  G maps a signed support with this prefix to
+        another one, and switching restores the prefix signs: the prefix's
+        quadrangles span the cycle space of its support, and every
+        quadrangle has sign product -1 in both.  Of all images of all tail
+        rows over G, the least is the first tail row of the image it lies
+        in, and it is least in its orbit; so every equivalence class has a
+        support whose first tail row is kept.
+        """
+        pair = [0] * self.n  # the prefix rows holding each column
+        for a, row in enumerate(self.rows):
+            for c in _bits(row):
+                pair[c] |= 1 << a
+        least: dict[tuple[int, ...], int] = {}
+        for m in cands:
+            meets = [0] * self.r
+            for a, row in enumerate(self.rows):
+                for c in _bits(m & row):
+                    meets[a] |= pair[c] ^ 1 << a
+            roots = [k for k, (_, parent) in enumerate(_bfs_forest(meets))
+                     if parent < 0]
+            sizes = sorted(b - a for a, b in zip(roots, roots[1:] + [self.r]))
+            least.setdefault(tuple(sizes), m)
+        return set(least.values())
 
     def _completable(self, cands: list[int]) -> bool:
         """Whether the rows still to come, all drawn from ``cands``, can
@@ -610,6 +654,8 @@ class _SupportSearch:
         future = n - 1 - i  # rows after this one
         offset = (i - r) * n
         for k, mask in enumerate(cands):
+            if i == r and mask not in self.heads:
+                continue
             partners = [p for p in range(i) if rows[p] & mask]
             if (not quota - future <= len(partners) <= quota
                     or any(inter[p] == quota for p in partners)):
@@ -723,10 +769,10 @@ def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
 
 def run_weighing_search(n: int, r: int, node_budget: int):
     """(candidates, nodes, exhausted, supports): every certified sign class
-    over the supports, in the order found (the raw matrices that
+    over the kept supports, in the order found (the raw matrices that
     ``search_weighing`` dedupes), the support rows placed, whether the
-    search ran to its end rather than its budget, and the complete supports
-    with a consistent parity system."""
+    search ran to its end rather than its budget, and the kept complete
+    supports with a consistent parity system."""
     prefix = scheme_two_prefix(r, n)
     tree = _SupportSearch(n, r, prefix, node_budget)
     exhausted = tree.run()
@@ -756,7 +802,11 @@ def search_weighing(n: int, r: int,
     of rows meets in 0 or 2 columns, every pair of columns in at most 2
     rows, every column reaches weight r and no more, and every row meets
     exactly r(r-1)/2 others (its r columns carry r(r-1) other entries, two
-    per row it meets).  A branch is cut as soon as the candidates left for
+    per row it meets).  The first tail row is only ever a candidate least in
+    its orbit under the relabellings that fix the prefix support, which
+    keeps a support of every class (see ``_SupportSearch._orbit_least``);
+    ``supports`` and ``raw_count`` count what is kept, not every labelled
+    support.  A branch is cut as soon as the candidates left for
     its later rows cannot lift some column to weight r, or cannot add a
     second row to some column pair that shares exactly one: every support
     that carries signs has its column pairs in 0 or 2 rows (see

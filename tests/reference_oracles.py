@@ -10,9 +10,13 @@
 * ``sign_by_sign_weighing_search``: the old weighing search, which branches
   over every sign, checked against the support search of
   ``search.search_weighing``.
+* ``uncut_support_search``: the support search with every candidate tried
+  as the first tail row, checked against the orbit cut of
+  ``search._SupportSearch._orbit_least``.
 """
 
 from collections import Counter
+from contextlib import contextmanager
 from itertools import permutations
 
 import numpy as np
@@ -303,3 +307,22 @@ def sign_by_sign_weighing_search(n, r, prefix_rows, node_budget=0):
     nodes = state["nodes"]
     exhausted = not (node_budget and nodes >= node_budget)
     return solutions, nodes, exhausted
+
+
+class UncutSupportSearch(search._SupportSearch):
+    """``search._SupportSearch`` that tries every candidate as the first
+    tail row, so it finds every labelled support extending the prefix."""
+
+    def _orbit_least(self, cands):
+        return set(cands)
+
+
+@contextmanager
+def uncut_support_search():
+    """Within the block, ``search.run_weighing_search`` and
+    ``search.search_weighing`` run on ``UncutSupportSearch``."""
+    cut, search._SupportSearch = search._SupportSearch, UncutSupportSearch
+    try:
+        yield
+    finally:
+        search._SupportSearch = cut

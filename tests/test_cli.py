@@ -115,7 +115,7 @@ def test_search_weighing(capsys):
 def test_search_weighing_expect_solutions_failure(capsys):
     code, out, _ = run(capsys, "search-weighing", "--order", "13", "--weight",
                        "4", "--expect-solutions")
-    assert code == 1 and out.endswith("classes 0 nodes 193 exhausted true\n")
+    assert code == 1 and out.endswith("classes 0 nodes 66 exhausted true\n")
 
 
 @pytest.mark.parametrize("order, weight", [(12, 5), (13, 4), (8, 4), (16, 6)])

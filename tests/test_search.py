@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ import rectaspec as rs
 from rectaspec.core import quadrangles
 from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
-                              proof_log, search_signatures, search_weighing,
-                              verify_nonexistence)
+                              proof_log, run_weighing_search, search_signatures,
+                              search_weighing, verify_nonexistence)
 from rectaspec.search import _SupportSearch
 from rectaspec.switching import SchemeError, solve_switch_for_perm
 from rectaspec.weighing import equivalent, scheme_two_prefix
 from reference_oracles import (naive_signature_classes, search_signatures_dfs,
-                               sign_by_sign_weighing_search)
+                               sign_by_sign_weighing_search, uncut_support_search)
 
 
 class TestSignatureSearch:
@@ -435,8 +436,9 @@ class TestWeighingSearch:
             assert np.array_equal(ent.T @ ent, w.r * np.eye(w.n, dtype=np.int64))
 
     def test_budget_flag(self):
-        out = search_weighing(12, 5, node_budget=50)
-        assert not out.exhausted
+        # the exhausted search places 28 support rows
+        out = search_weighing(12, 5, node_budget=20)
+        assert out.nodes == 20 and not out.exhausted
 
     @pytest.mark.parametrize("n, r", [(12, 5), (13, 4), (8, 4), (16, 6)])
     @pytest.mark.parametrize("budget", [1, 10, 100])
@@ -447,7 +449,7 @@ class TestWeighingSearch:
                        for row in scheme_two_prefix(r, n)]
         _, nodes, exhausted = sign_by_sign_weighing_search(n, r, prefix_rows, budget)
         assert nodes == budget and not exhausted
-        # the support search needs fewer nodes: (8, 4) fits in 100
+        # the support search needs fewer nodes: all but (16, 6) fit in 100
         total = search_weighing(n, r).nodes
         out = search_weighing(n, r, node_budget=budget)
         assert out.nodes == min(budget, total)
@@ -495,8 +497,12 @@ class TestWeighingSupportSearch:
         # the old kernel took 281 s on (14, 4): 1,920 raw matrices, 1 class
         out = search_weighing(n, r)
         assert len(out.matrices) == 1 and out.exhausted
-        # each support carries one sign class up to the free switchings
-        assert out.supports == out.raw_count == supports
+        # each support carries one sign class up to the free switchings;
+        # ``supports`` labelled ones exist, and the orbit cut keeps fewer
+        with uncut_support_search():
+            uncut = search_weighing(n, r)
+        assert uncut.supports == uncut.raw_count == supports
+        assert out.supports == out.raw_count == {(14, 5): 2, (14, 4): 30}[n, r]
         w = out.matrices[0]
         assert rs.intersection_numbers(w) == {0, 2}
         # (14, 4) has block-sum supports only: W(7, 4) twice
@@ -525,19 +531,22 @@ def test_budgeted_20_6_dedupes_to_two_classes():
 
 # sha256 of the matrices' entries in order, supports and raw_count of
 # exhausted searches, recorded before the column-pair and column-demand cuts:
-# the cuts may change only the node count
+# those cuts may change only the node count.  The first-row orbit cut also
+# drops supports: (12, 5) and (14, 5) are re-recorded after it, and the
+# uncut reference still gives the earlier counts (UNCUT_SUPPORTS).
 SUPPORT_SEARCH_ANSWERS = {
     (4, 2): ("d86c726174adfa33baf314362e7c68ac7fc6347f4d0c5d8dd5edd7baefc654b3", 1, 1),
     (4, 3): ("ec122b60bf8d2613741a6b55ecfd01aa679e9e4822afc89173eeb38abad9e3e5", 1, 1),
     (7, 4): ("d48f00c89f130eef2afd6d4cb8fce9b070c756fc157c04871298332693df86cb", 1, 1),
     (8, 3): ("d0c81762110389be5601aa65ce75344a043eeab2a9b4e73439aa9eab739c2d95", 1, 1),
     (8, 4): ("4aec352a2746cf64a5855f86ee316e749d62ec85036dc33534448fd6f36cbcc2", 1, 1),
-    (12, 5): ("4da296c5c2f239cc2d074825a9432d1bb374df1671ccf122cf7aa3562977278e", 6, 6),
+    (12, 5): ("4da296c5c2f239cc2d074825a9432d1bb374df1671ccf122cf7aa3562977278e", 1, 1),
     (13, 4): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0, 0),
     (16, 6): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0, 0),
     (14, 4): ("0768844b2804041f7a9af3bb20242c1a14538b388436aff804f413a74b1de8ec", 30, 30),
-    (14, 5): ("1a786891753e375eb4ff58606a8a5580d9aeb69860fe9d0c81045afd8cb3faf7", 30, 30),
+    (14, 5): ("1a786891753e375eb4ff58606a8a5580d9aeb69860fe9d0c81045afd8cb3faf7", 2, 2),
 }
+UNCUT_SUPPORTS = {(12, 5): 6, (14, 5): 30}
 
 
 class TestSupportSearchCuts:
@@ -548,6 +557,16 @@ class TestSupportSearchCuts:
                                          for w in out.matrices)).hexdigest()
         assert (digest, out.supports, out.raw_count) == SUPPORT_SEARCH_ANSWERS[n, r]
         assert out.exhausted
+
+    @pytest.mark.parametrize("n, r", list(SUPPORT_SEARCH_ANSWERS))
+    def test_uncut_reference_gives_the_earlier_answers(self, n, r):
+        with uncut_support_search():
+            out = search_weighing(n, r)
+        digest, supports, _ = SUPPORT_SEARCH_ANSWERS[n, r]
+        supports = UNCUT_SUPPORTS.get((n, r), supports)
+        assert hashlib.sha256(b"".join(w.entries.tobytes()
+                                       for w in out.matrices)).hexdigest() == digest
+        assert out.supports == out.raw_count == supports and out.exhausted
 
     @pytest.mark.parametrize("n, r", [(6, 2), (8, 2), (10, 2), (8, 3), (7, 4),
                                       (14, 4), (12, 5), (14, 5)])
@@ -570,10 +589,68 @@ class TestSupportSearchCuts:
     def test_weight_two_reuses_rows(self, n, supports):
         # at r = 2 two equal rows meet in r columns, so one candidate can
         # fill a column twice; a demand count that uses each candidate once
-        # cuts every completion here
+        # cuts every completion here.  ``supports`` counts the labelled
+        # supports; every candidate shares one orbit, so the cut keeps the
+        # ones that start with the least.
+        with uncut_support_search():
+            uncut = search_weighing(n, 2)
+        assert uncut.supports == uncut.raw_count == supports
         out = search_weighing(n, 2)
-        assert out.supports == out.raw_count == supports
+        assert out.supports == out.raw_count == {6: 1, 8: 3, 10: 15}[n]
         assert len(out.matrices) == 1 and out.exhausted
+
+
+# every order whose class count the orbit cut must keep: the weighing search
+# tests' orders and the weight-two ones
+ORBIT_CUT_ORDERS = [(4, 2), (4, 3), (7, 4), (8, 3), (8, 4), (12, 5), (13, 4),
+                    (14, 4), (14, 5), (16, 5), (16, 6), (6, 2), (8, 2), (10, 2)]
+
+
+class TestOrbitCut:
+    @pytest.mark.parametrize("n, r", ORBIT_CUT_ORDERS + [(20, 6)])
+    def test_kept_first_rows_are_the_orbit_minima(self, n, r):
+        prefix = scheme_two_prefix(r, n)
+        tree = _SupportSearch(n, r, prefix, 1)
+        tree.run()  # the first rows are chosen before any node is placed
+        width = 1 + r * (r - 1) // 2
+        holders = {c: np.flatnonzero(prefix[:, c]).tolist() for c in range(1, width)}
+        column = {frozenset(rows): c for c, rows in holders.items()}
+        perms = list(permutations(range(r)))
+        assert len(perms) <= 720
+
+        def orbit_minimum(mask):
+            # the prefix rows permuted carry their pair columns with them;
+            # the least image of k tail columns is the lowest k of them
+            pairs = [holders[c] for c in range(1, width) if mask >> c & 1]
+            tail = ((1 << (mask >> width).bit_count()) - 1) << width
+            return tail | min(sum(1 << column[frozenset(p[a] for a in pair)]
+                                  for pair in pairs) for p in perms)
+
+        assert tree.heads == {orbit_minimum(m) for m in tree.columns}
+
+    @pytest.mark.parametrize("n, r", ORBIT_CUT_ORDERS)
+    def test_every_class_survives(self, n, r):
+        out = search_weighing(n, r)
+        with uncut_support_search():
+            uncut = search_weighing(n, r)
+            raw = run_weighing_search(n, r, 0)[0]
+        assert out.exhausted and uncut.exhausted
+        assert len(out.matrices) == len(uncut.matrices)
+        assert out.nodes <= uncut.nodes and out.supports <= uncut.supports
+        for w in raw:
+            assert [equivalent(w, rep)[0] for rep in out.matrices].count(True) == 1
+
+
+@pytest.mark.slow
+def test_20_6_has_two_classes():
+    # without the orbit cut the support search placed 11,776,326 rows and
+    # found 20,160 supports in 645 s
+    out = search_weighing(20, 6)
+    assert out.exhausted and len(out.matrices) == 2
+    assert (out.nodes, out.supports, out.raw_count) == (204528, 660, 660)
+    a, b = out.matrices
+    assert not equivalent(a, b)[0] and not equivalent(b, a)[0]
+    assert all(rs.intersection_numbers(w) <= {0, 2} for w in out.matrices)
 
 
 # A subprocess flips one sign of the first matrix the weighing search

@@ -277,9 +277,14 @@ def sylvester(k: int) -> rs.WeighingMatrix:
 
 
 def raw_candidates(n, r):
+    """Every certified sign class over every labelled support: the uncut
+    reference, since the orbit cut keeps 1 of (12, 5)'s 6 and 2 of
+    (14, 5)'s 30."""
     from rectaspec.search import run_weighing_search
+    from reference_oracles import uncut_support_search
 
-    return run_weighing_search(n, r, 0)[0]
+    with uncut_support_search():
+        return run_weighing_search(n, r, 0)[0]
 
 
 def agrees_with_vf2(m, n) -> bool:
