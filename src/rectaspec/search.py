@@ -40,6 +40,7 @@ and the benchmark imports it.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -388,18 +389,18 @@ def _gray_code(start: int, basis, count: int):
         yield mask
 
 
-def dedupe_switching_classes(graphs) -> list[SignedGraph]:
-    """Representatives of the switching isomorphism classes in ``graphs``.
+def dedupe_switching_classes(items, same) -> list:
+    """The first of each class in ``items``, ``same(a, b)[0]`` deciding a
+    class: ``switching_isomorphic`` or, for matrices, ``equivalent``.
 
-    No screening by ``class_invariants``: the candidates of one search share
-    a labelled underlying graph and A^2 = r I, so their invariants (n,
-    degrees, WL hash, charpoly (x^2 - r)^(n/2), all quadrangles negative)
-    are equal.
+    No ``class_invariants`` screen: the candidates of one signature search
+    share a labelled underlying graph and A^2 = r I, so their invariants
+    (charpoly (x^2 - r)^(n/2), all quadrangles negative, ...) are equal.
     """
-    reps: list[SignedGraph] = []
-    for g in graphs:
-        if not any(switching_isomorphic(g, rep)[0] for rep in reps):
-            reps.append(g)
+    reps = []
+    for item in items:
+        if not any(same(item, rep)[0] for rep in reps):
+            reps.append(item)
     return reps
 
 
@@ -424,9 +425,9 @@ def _outcome(problem: SignatureSearchProblem, classes: dict[int, int],
             # only the degenerate degree-0 graph may fail: its lone
             # signature has the one-eigenvalue spectrum {0}
             raise RuntimeError("search produced a non-solution")
-    return SearchOutcome(solutions=dedupe_switching_classes(valid), nodes=nodes,
-                         exhausted=exhausted, raw_count=raw_count,
-                         problem=problem, **details)
+    solutions = dedupe_switching_classes(valid, switching_isomorphic)
+    return SearchOutcome(solutions=solutions, nodes=nodes, exhausted=exhausted,
+                         raw_count=raw_count, problem=problem, **details)
 
 
 def _check_counts(**counts) -> None:
@@ -536,8 +537,10 @@ class _SupportSearch:
     (i - r) * n + c, 1 meaning negative; prefix signs are constants.
     ``found`` collects, as (row masks, pivots), every complete support whose
     parity system is consistent and whose first tail row is least in its
-    orbit (see ``_orbit_least``).  The state lives on this object and not in
-    a self-recursive closure, whose reference cycle would keep all of it
+    orbit (see ``_orbit_least``).  Placing and undoing a row updates the
+    only state kept: ``rows`` (prefix first), ``col_weight``, ``single``
+    and the parity ``pivots``.  It lives on this object and not in a
+    self-recursive closure, whose reference cycle would keep all of it
     alive until the next full garbage collection.
     """
 
@@ -548,8 +551,6 @@ class _SupportSearch:
                      for row in prefix]
         self.neg = [sum(1 << j for j in np.flatnonzero(row < 0).tolist())
                     for row in prefix]
-        # every prefix row meets the other prefix rows
-        self.inter = [r - 1] * r + [0] * (n - r)
         self.col_weight = [int(w) for w in np.count_nonzero(prefix, axis=0)]
         # single[a]: the columns that share exactly one placed row with a.
         # No column pair reaches three rows, so placing or undoing a row
@@ -644,10 +645,19 @@ class _SupportSearch:
                    in zip(self.col_weight, held, self.single, reach))
 
     def extend(self, i: int, cands: list[int], full: int) -> bool:
-        """Place row i from ``cands``; False once the budget is spent."""
+        """Place row i from ``cands``; False once the budget is spent.
+
+        Row i meets ``quota`` rows, at most ``future`` of them later, so it
+        must meet quota - future earlier ones (its partners).  No upper
+        bound can fail: a candidate has no ``full`` column and meets each
+        placed row in 0 or 2 columns, so 2 * len(partners), the sum of its
+        column weights, is at most r(r-1) = 2 * quota; and a placed row
+        meeting quota rows would have r(r-1) other entries in its r
+        columns, so every one of them would be full.
+        """
         n, r, quota = self.n, self.r, self.quota
-        rows, inter, col_weight, single, pivots = (
-            self.rows, self.inter, self.col_weight, self.single, self.pivots)
+        rows, col_weight, single, pivots = (
+            self.rows, self.col_weight, self.single, self.pivots)
         if i == n:
             self.found.append((tuple(rows), dict(pivots)))
             return True
@@ -657,28 +667,21 @@ class _SupportSearch:
             if i == r and mask not in self.heads:
                 continue
             partners = [p for p in range(i) if rows[p] & mask]
-            if (not quota - future <= len(partners) <= quota
-                    or any(inter[p] == quota for p in partners)):
-                continue
             # two partners meeting it in the same two columns would put that
             # column pair in three rows
-            meets = {rows[p] & mask for p in partners}
-            if len(meets) < len(partners):
+            if (len(partners) < quota - future
+                    or len({rows[p] & mask for p in partners}) < len(partners)):
                 continue
             if self.node_budget and self.nodes >= self.node_budget:
                 return False
             self.nodes += 1
             rows.append(mask)
-            inter[i] = len(partners)
-            for p in partners:
-                inter[p] += 1
             cols = self.columns[mask]
             for j in cols:
                 col_weight[j] += 1
                 single[j] ^= mask ^ 1 << j
             added: list[int] = []
-            ok = (min(col_weight) >= r - future
-                  and all(inter[p] + future >= quota for p in range(i)))
+            ok = min(col_weight) >= r - future
             for p in partners if ok else ():
                 both = rows[p] & mask  # the quadrangle's two columns
                 if p < r:
@@ -706,9 +709,6 @@ class _SupportSearch:
             for j in cols:
                 col_weight[j] -= 1
                 single[j] ^= mask ^ 1 << j
-            for p in partners:
-                inter[p] -= 1
-            inter[i] = 0
             rows.pop()
             if not going:
                 return False
@@ -773,6 +773,7 @@ def run_weighing_search(n: int, r: int, node_budget: int):
     ``search_weighing`` dedupes), the support rows placed, whether the
     search ran to its end rather than its budget, and the kept complete
     supports with a consistent parity system."""
+    n, r = operator.index(n), operator.index(r)
     prefix = scheme_two_prefix(r, n)
     tree = _SupportSearch(n, r, prefix, node_budget)
     exhausted = tree.run()
@@ -800,27 +801,29 @@ def search_weighing(n: int, r: int,
     each tail row is a bitmask of weight r, the tail rows are non-decreasing
     (equal supports meet in r columns, so only r = 2 has them), every pair
     of rows meets in 0 or 2 columns, every pair of columns in at most 2
-    rows, every column reaches weight r and no more, and every row meets
+    rows, and every column reaches weight r and no more.  So every row meets
     exactly r(r-1)/2 others (its r columns carry r(r-1) other entries, two
-    per row it meets).  The first tail row is only ever a candidate least in
-    its orbit under the relabellings that fix the prefix support, which
-    keeps a support of every class (see ``_SupportSearch._orbit_least``);
+    per row it meets).  The search checks only that each row meets enough
+    earlier rows for the later ones to make up that count: the column
+    weights rule out too many (see ``_SupportSearch.extend``).  The first
+    tail row is only ever a candidate least in its orbit under the
+    relabellings that fix the prefix support, which keeps a support of
+    every class (see ``_SupportSearch._orbit_least``);
     ``supports`` and ``raw_count`` count what is kept, not every labelled
-    support.  A branch is cut as soon as the candidates left for
-    its later rows cannot lift some column to weight r, or cannot add a
-    second row to some column pair that shares exactly one: every support
-    that carries signs has its column pairs in 0 or 2 rows (see
+    support.  A branch is cut as soon as the candidates left for its later
+    rows cannot lift some column to weight r, or cannot add a second row to
+    some column pair that shares exactly one (see
     ``_SupportSearch._completable``).  Given the support, W W^T = r I says
-    that every quadrangle (two rows meeting in two columns) has sign
-    product -1: one parity equation over GF(2), added as soon as the row
-    that closes it is placed, so a partial support whose equations are
-    inconsistent is cut.
-    A complete support is signed by the particular solution plus the null
-    space, up to the switchings the normal form leaves free (see
+    that every quadrangle (two rows meeting in two columns) has sign product
+    -1: one parity equation over GF(2), added as soon as the row that closes
+    it is placed, so a partial support whose equations are inconsistent is
+    cut.  A complete support is signed by the particular solution plus the
+    null space, up to the switchings the normal form leaves free (see
     ``_support_stars``); every class is materialised, re-verified and
-    deduped with ``equivalent``.  ``node_budget`` caps the support rows placed (the
-    ``nodes`` count); ``exhausted`` is False when it cut the search.
+    deduped with ``equivalent``.  ``node_budget`` caps the support rows
+    placed (``nodes``); ``exhausted`` is False when it cut the search.
     """
+    n, r = operator.index(n), operator.index(r)
     if n < r or r < 1:
         raise ValueError("need n >= r >= 1")
     _check_counts(node_budget=node_budget)
@@ -829,9 +832,5 @@ def search_weighing(n: int, r: int,
         return WeighingSearchOutcome([], 0, True, 0)
 
     candidates, nodes, exhausted, supports = run_weighing_search(n, r, node_budget or 0)
-    reps: list[WeighingMatrix] = []
-    for w in candidates:
-        if not any(equivalent(w, rep)[0] for rep in reps):
-            reps.append(w)
-    return WeighingSearchOutcome(matrices=reps, nodes=nodes, exhausted=exhausted,
-                                 raw_count=len(candidates), supports=supports)
+    matrices = dedupe_switching_classes(candidates, equivalent)
+    return WeighingSearchOutcome(matrices, nodes, exhausted, len(candidates), supports)

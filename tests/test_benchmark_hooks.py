@@ -45,6 +45,26 @@ def test_weighing_kernel_span_is_live():
     assert tracer.counts["kernel.wm_nodes"] == outcome.nodes
 
 
+def test_weighing_dedupe_span_is_live():
+    """``search_weighing`` dedupes in the tracer's ``search.dedupe`` span,
+    with every equivalence call inside it."""
+    from rectaspec.search import search_weighing
+
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outcome = search_weighing(10, 2)
+    finally:
+        tracer.uninstall()
+    assert (outcome.raw_count, len(outcome.matrices)) == (15, 1)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("search.dedupe") == 1
+    dedupe = names.index("search.dedupe")
+    equiv = [span for span in tracer.spans if span[0] == "weighing.equiv"]
+    assert equiv and all(span[3] == dedupe for span in equiv)
+
+
 def _rectaspec_imports():
     """(file, module, name) for every ``from rectaspec... import name`` in
     perfbench/*.py, at module level or inside a function, and (file,

@@ -600,6 +600,42 @@ class TestSupportSearchCuts:
         assert len(out.matrices) == 1 and out.exhausted
 
 
+# support rows placed by exhausted searches: a change to the cut set shows
+# here, not only in timings
+SUPPORT_SEARCH_NODES = {
+    (4, 2): 2, (4, 3): 1, (7, 4): 4, (8, 3): 12, (8, 4): 8, (12, 5): 28,
+    (13, 4): 66, (14, 4): 975, (14, 5): 135, (16, 5): 868, (16, 6): 181,
+    (6, 2): 5, (8, 2): 26, (10, 2): 192, (12, 2): 1864, (12, 3): 1388,
+    (10, 3): 49,
+}
+
+
+@pytest.mark.parametrize("n, r", list(SUPPORT_SEARCH_NODES))
+def test_support_search_node_counts(n, r):
+    out = search_weighing(n, r)
+    assert out.exhausted and out.nodes == SUPPORT_SEARCH_NODES[n, r]
+
+
+class TestNumpyIntegerParameters:
+    @pytest.mark.parametrize("n, r", [(12, 5), (14, 5), (16, 6)])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_same_outcome_as_python_ints(self, n, r, kind):
+        want = search_weighing(n, r)
+        for args in ((kind(n), kind(r)), (kind(n), r), (n, kind(r))):
+            out = search_weighing(*args)
+            assert (out.nodes, out.supports, out.raw_count, out.exhausted) == (
+                want.nodes, want.supports, want.raw_count, want.exhausted)
+            assert [w.entries.tobytes() for w in out.matrices] == [
+                w.entries.tobytes() for w in want.matrices]
+
+    @pytest.mark.parametrize("n, r", [(12.0, 5), (12, 5.0), ("12", 5)])
+    def test_non_integers_refused(self, n, r):
+        with pytest.raises(TypeError):
+            search_weighing(n, r)
+        with pytest.raises(TypeError):
+            run_weighing_search(n, r, 0)
+
+
 # every order whose class count the orbit cut must keep: the weighing search
 # tests' orders and the weight-two ones
 ORBIT_CUT_ORDERS = [(4, 2), (4, 3), (7, 4), (8, 3), (8, 4), (12, 5), (13, 4),
