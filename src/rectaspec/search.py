@@ -15,8 +15,10 @@ Two searches live here:
   space, which contains the star of every tail vertex (distance >= 3 from the
   base): those are the only switchings the prefix allows.  So the
   pure-switching classes are the 2^(dim - tail) cosets of the tail stars,
-  one canonical mask each; each is materialised and certified, and switching
-  isomorphism is then decided on those representatives.
+  one canonical mask each; each is materialised and certified, and the
+  representatives are then deduped pairwise by switching isomorphism,
+  which the sign-propagating matcher of ``switching.switching_match``
+  decides without VF2.
 
 * ``search_weighing``: all (n, r) weighing matrices with row intersection
   numbers in {0, 2} extending the weighing row normal form, up to
@@ -55,9 +57,9 @@ from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _b
 from .formats import write_graph6
 from .spectral import certify_two_sym
 from .switching import (SchemeError, relabel, scheme_layout, scheme_prefix,
-                        switching_isomorphic)
-# not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
-from .switching import class_invariants  # noqa: F401
+                        switching_match)
+# not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
+from .switching import class_invariants, switching_isomorphic  # noqa: F401
 from .weighing import (WeighingMatrix, equivalent, intersection_numbers,
                        scheme_two_prefix, verify_weighing)
 
@@ -391,7 +393,8 @@ def _gray_code(start: int, basis, count: int):
 
 def dedupe_switching_classes(items, same) -> list:
     """The first of each class in ``items``, ``same(a, b)[0]`` deciding a
-    class: ``switching_isomorphic`` or, for matrices, ``equivalent``.
+    class: the switching matcher ``switching_match`` for signed graphs or,
+    for matrices, ``equivalent``; both re-verify every "yes".
 
     No ``class_invariants`` screen: the candidates of one signature search
     share a labelled underlying graph and A^2 = r I, so their invariants
@@ -411,7 +414,8 @@ def _outcome(problem: SignatureSearchProblem, classes: dict[int, int],
     ``classes`` maps each canonical mask to its class's number of raw
     solutions.  Every other mask of a class is a tail switching of the
     canonical one, and switching preserves A^2 = r I, so one certificate
-    decides the class.
+    decides the class.  The certified representatives are deduped with
+    ``switching_match``, not the VF2 ``switching_isomorphic``.
     """
     r = problem.degree
     valid, raw_count = [], 0
@@ -425,7 +429,7 @@ def _outcome(problem: SignatureSearchProblem, classes: dict[int, int],
             # only the degenerate degree-0 graph may fail: its lone
             # signature has the one-eigenvalue spectrum {0}
             raise RuntimeError("search produced a non-solution")
-    solutions = dedupe_switching_classes(valid, switching_isomorphic)
+    solutions = dedupe_switching_classes(valid, switching_match)
     return SearchOutcome(solutions=solutions, nodes=nodes, exhausted=exhausted,
                          raw_count=raw_count, problem=problem, **details)
 

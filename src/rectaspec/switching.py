@@ -1,12 +1,17 @@
-"""Switching, the star normal form for signed rectagraphs, and the
-switching-isomorphism decision procedure.
+"""Switching, the star normal form for signed rectagraphs, and two
+switching-isomorphism decision procedures.
 
 Two signed graphs are switching isomorphic when a signed permutation matrix
-conjugates one adjacency matrix onto the other.  The decision procedure
-enumerates isomorphisms of the underlying graphs (VF2) and, for each
-candidate, propagates signs along a spanning tree: on a connected graph a
-candidate permutation admits at most one switching, so the check per
-candidate is linear in the edge count.
+conjugates one adjacency matrix onto the other.  ``switching_isomorphic``
+enumerates isomorphisms of the underlying graphs (VF2, the only use of it
+here) and, for each candidate, propagates signs along a spanning tree: on a
+connected graph a candidate permutation admits at most one switching, so
+the check per candidate is linear in the edge count.  ``switching_match``
+decides the same question without VF2, by the sign-propagating matcher
+``_sign_match``: a backtracking search over the support bitmasks that fixes
+each vertex's switching sign as it places it.  The signature search dedupes
+with ``switching_match``, and ``weighing.equivalent`` calls ``_sign_match``
+with its row/column side split.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .core import SignedGraph, StructureError, quadrangles, structure_report
+from .core import SignedGraph, StructureError, _bits, quadrangles, structure_report
 from .exactlinalg import charpoly
 
 class SchemeError(StructureError):
@@ -216,23 +221,149 @@ def switching_isomorphic(g: SignedGraph, h: SignedGraph):
     re-verified by direct application.  Raises TypeError unless both
     arguments are ``SignedGraph``.
     """
-    for arg in (g, h):
-        if not isinstance(arg, SignedGraph):
-            raise TypeError("switching_isomorphic takes two SignedGraph, "
-                            f"not {type(arg).__name__}")
+    _require_signed("switching_isomorphic", g, h)
     if g.n != h.n:
         return False, None
     for perm in underlying_isomorphisms(g, h):
         eps = solve_switch_for_perm(g, h, perm)
         if eps is not None:
-            perm_tuple = tuple(perm[v] for v in range(g.n))
-            switch_set = frozenset(perm[v] for v in range(g.n) if eps[v] == -1)
-            witness = SwitchingWitness(perm=perm_tuple, switch_set=switch_set)
-            check = apply_signed_permutation(g, witness.perm, witness.switch_set)
-            if check != h:
-                raise RuntimeError("witness failed re-verification")
-            return True, witness
+            return True, _verified_witness(g, h, perm, eps)
     return False, None
+
+
+def _require_signed(name: str, g, h) -> None:
+    for arg in (g, h):
+        if not isinstance(arg, SignedGraph):
+            raise TypeError(f"{name} takes two SignedGraph, not {type(arg).__name__}")
+
+
+def _verified_witness(g: SignedGraph, h: SignedGraph, perm, eps) -> SwitchingWitness:
+    """Witness of the switching isomorphism g -> h that sends vertex v to
+    perm[v] with sign eps[v]; RuntimeError unless it re-applies to h."""
+    witness = SwitchingWitness(perm=tuple(perm[v] for v in range(g.n)),
+                               switch_set=frozenset(perm[v] for v in range(g.n)
+                                                    if eps[v] == -1))
+    if apply_signed_permutation(g, witness.perm, witness.switch_set) != h:
+        raise RuntimeError("witness failed re-verification")
+    return witness
+
+
+def _sign_bits(g: SignedGraph) -> tuple[list[int], list[int]]:
+    """Per vertex, the bitmasks of its positive and of its negative
+    neighbours."""
+    pos, neg = [0] * g.n, [0] * g.n
+    for a, b, sign in g.edges():
+        side = pos if sign > 0 else neg
+        side[a] |= 1 << b
+        side[b] |= 1 << a
+    return pos, neg
+
+
+def _match_order(pos, neg) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """The matcher's vertex order, each vertex with its (earlier neighbour,
+    edge sign) pairs in order of placement; the first is its anchor.  Next
+    comes the vertex with the most neighbours already placed, ties to the
+    lowest index, so a vertex with none starts a new component."""
+    size = len(pos)
+    placed, count, order = 0, [0] * size, []
+    where = [0] * size
+    for k in range(size):
+        v = max((u for u in range(size) if not placed >> u & 1),
+                key=lambda u: (count[u], -u))
+        earlier = sorted(_bits((pos[v] | neg[v]) & placed), key=where.__getitem__)
+        order.append((v, tuple((u, 1 if pos[v] >> u & 1 else -1) for u in earlier)))
+        placed |= 1 << v
+        where[v] = k
+        for u in _bits(pos[v] | neg[v]):
+            count[u] += 1
+    return order
+
+
+def _sign_match(g: SignedGraph, h: SignedGraph, split: int = 0):
+    """A switching isomorphism of ``g`` onto ``h`` as (perm, eps): vertex v
+    goes to perm[v] with sign eps[v]; None if there is none.  With
+    ``split``, the vertices below it and the rest are two sides that each
+    stay on their own (the columns and rows of a weighing matrix's support
+    graph); the default 0 puts every vertex on one side.  Unequal orders or
+    degree multisets give None before any search.
+
+    Backtracking over the order ``_match_order`` fixes in advance.  A vertex
+    with an earlier neighbour may go only to an unused neighbour of its
+    anchor's image, and the images of its earlier neighbours, split by the
+    sign each edge must carry after switching, must be exactly the used
+    positive and the used negative neighbours of its own image: that checks
+    every edge, non-edge and sign back to the vertices already placed and
+    fixes the vertex's sign.  A vertex with no earlier neighbour starts a
+    component; it takes sign +1 (switching a whole component changes
+    nothing) and any unused vertex of its side and degree.  The search is
+    one loop over explicit per-depth state, so it leaves no reference cycle.
+    """
+    size = g.n
+    if size != h.n or sorted(g.degrees) != sorted(h.degrees):
+        return None
+    gpos, gneg = _sign_bits(g)
+    hpos, hneg = _sign_bits(h)
+    hbits = h.row_bits
+    order = _match_order(gpos, gneg)
+    starts: dict[tuple[bool, int], int] = {}  # (below split, degree) -> h's vertices
+    for w, bits in enumerate(hbits):
+        key = (w < split, bits.bit_count())
+        starts[key] = starts.get(key, 0) | 1 << w
+    degree = g.degrees
+    perm, eps = [0] * size, [0] * size
+    untried = [0] * size  # images left to try at each depth
+    wanted = [(0, 0)] * size  # (positive, negative) neighbour images at each depth
+    used, k = 0, 0
+    untried[0] = starts.get((order[0][0] < split, degree[order[0][0]]), 0)
+    while True:
+        cands = untried[k]
+        if not cands:
+            k -= 1
+            if k < 0:
+                return None
+            used ^= 1 << perm[order[k][0]]
+            continue
+        low = cands & -cands
+        untried[k] = cands ^ low
+        w = low.bit_length() - 1
+        have = (hpos[w] & used, hneg[w] & used)
+        p, q = wanted[k]
+        if have == (p, q):
+            sign = 1
+        elif have == (q, p):
+            sign = -1
+        else:
+            continue
+        v = order[k][0]
+        perm[v], eps[v] = w, sign
+        used |= low
+        k += 1
+        if k == size:
+            return perm, eps
+        v, earlier = order[k]
+        p = q = 0
+        for u, edge in earlier:
+            if eps[u] * edge > 0:
+                p |= 1 << perm[u]
+            else:
+                q |= 1 << perm[u]
+        wanted[k] = (p, q)
+        if earlier:
+            untried[k] = hbits[perm[earlier[0][0]]] & ~used
+        else:
+            untried[k] = starts.get((v < split, degree[v]), 0) & ~used
+
+
+def switching_match(g: SignedGraph, h: SignedGraph):
+    """Decide switching isomorphism by ``_sign_match``, without VF2;
+    returns (bool, witness-or-None) like ``switching_isomorphic``, and a
+    returned witness has been re-verified by direct application.  Raises
+    TypeError unless both arguments are ``SignedGraph``."""
+    _require_signed("switching_match", g, h)
+    found = _sign_match(g, h)
+    if found is None:
+        return False, None
+    return True, _verified_witness(g, h, *found)
 
 
 def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:

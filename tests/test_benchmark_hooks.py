@@ -65,6 +65,46 @@ def test_weighing_dedupe_span_is_live():
     assert equiv and all(span[3] == dedupe for span in equiv)
 
 
+def test_signature_dedupe_reaches_no_vf2():
+    """A traced Clebsch search dedupes its two pure-switching classes in
+    one ``search.dedupe`` span, with no ``switching.iso`` span or VF2
+    candidate under it."""
+    from rectaspec.constructions import clebsch_graph
+    from rectaspec.search import search_signatures
+
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outcome = search_signatures(clebsch_graph())
+    finally:
+        tracer.uninstall()
+    assert (outcome.nodes, len(outcome.solutions)) == (2, 1)
+    names = [span[0] for span in tracer.spans]
+    assert names.count("search.dedupe") == 1
+    assert "switching.iso" not in names
+    assert tracer.counts["switching.iso_candidates"] == 0
+
+
+def test_tracer_installs_and_uninstalls():
+    """``install`` wraps every traced name and ``uninstall`` puts each
+    original back."""
+    tracing = _tracing_module()
+    hooks = {(module, attr) for module, attr, _ in tracing.SPANS + tracing.COUNTED}
+    originals = {hook: getattr(importlib.import_module(hook[0]), hook[1])
+                 for hook in hooks}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [hook for hook in hooks
+                   if getattr(importlib.import_module(hook[0]), hook[1]) is not originals[hook]]
+    finally:
+        tracer.uninstall()
+    assert set(wrapped) == hooks
+    assert all(getattr(importlib.import_module(module), attr) is original
+               for (module, attr), original in originals.items())
+
+
 def _rectaspec_imports():
     """(file, module, name) for every ``from rectaspec... import name`` in
     perfbench/*.py, at module level or inside a function, and (file,

@@ -9,13 +9,15 @@ import numpy as np
 import pytest
 
 import rectaspec as rs
+from rectaspec.cli import main
 from rectaspec.core import quadrangles
+from rectaspec.formats import write_graph6
 from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
                               proof_log, run_weighing_search, search_signatures,
                               search_weighing, verify_nonexistence)
 from rectaspec.search import _SupportSearch
-from rectaspec.switching import SchemeError, solve_switch_for_perm
+from rectaspec.switching import SchemeError, relabel, solve_switch_for_perm
 from rectaspec.weighing import equivalent, scheme_two_prefix
 from reference_oracles import (naive_signature_classes, search_signatures_dfs,
                                sign_by_sign_weighing_search, uncut_support_search)
@@ -140,6 +142,87 @@ class TestSignatureSearch:
         k1 = rs.UnderlyingGraph(np.zeros((1, 1), dtype=np.int8))
         assert not search_signatures(k1).solutions
         assert naive_signature_classes(k1) == 0
+
+
+# ``rectaspec search`` on each graph in its own labelling and in two seeded
+# relabellings: the class count and the sha256 of stdout plus stderr (the
+# kept representatives and the proof log), recorded before the signature
+# search's dedupe left VF2
+PINNED_SEARCHES = {
+    ("Q4", None): (1, "80d06024d62f0eed3cee7e1787d51c0ca46ebfa1955d3027e085af16fa6dec44"),
+    ("Q4", 1): (1, "d336e2fd188407391e34aa5a69d2ff01a492bf6966db36ff48d95c9bece8ff46"),
+    ("Q4", 2): (1, "dbab9b71666af40065b9e4cc8e4f2f24a1d6c1ad3de5daa86509b7a805a69991"),
+    ("Q5", None): (1, "61a6f8cdf9215712610d957e1cfe8890019d7b70b2e033ff611f5fdb066587e4"),
+    ("Q5", 1): (1, "e8d7ba8c2a0a50455eba86de47bda726d448736291250723e2ba745b7d1e91a8"),
+    ("Q5", 2): (1, "82e2839f3dd409f5a4c775ba5520bc13d78691f1ca1fa9406681bc237b2301c1"),
+    ("CLEBSCH", None): (1, "cae45d190091a7d01c0a9bbb771b3e73ca54cdd93a032cd10fe45e8192bf30e7"),
+    ("CLEBSCH", 1): (1, "e2258386a04f2e717319a4577af2157e4c5b762db687678a3dc4400a36ad4662"),
+    ("CLEBSCH", 2): (1, "58c8974eba1a8a080a212ea84a0f638bd7716b4598f4262bfffb334f2492df75"),
+    ("BIPLANE", None): (1, "2815a285edc5d605623d9671cfc99622b658ffc774798054e61b8abe5615f0de"),
+    ("BIPLANE", 1): (1, "45235ddafc89f40249a036dd520585c544121b1c16719bf4765084d521633243"),
+    ("BIPLANE", 2): (1, "77d934bfb10f6906d3153f5143ac33a6ccf62bad74172208f2370cdd7bd3c653"),
+    ("R4.1", None): (1, "706fd12542a2aab4d7fd2d73a9568e4b7ef761a9bfacf1457bc29f011b4491d2"),
+    ("R4.1", 1): (1, "6283ec9ddd2b0fcfc4802a2b2d89b49ccff152d4291dd4fabad3927ffb27b2e9"),
+    ("R4.1", 2): (1, "d63bff0fd0c9196850a0902ce9f73eb7f5056aa4ff84054bedcbc35a28e89656"),
+    ("R6.7", None): (1, "0a81311c00a77e5863e6e92eecb549be5ce7e7f93776a1c5f1a20dab82ae2025"),
+    ("R6.7", 1): (1, "ec68c4c4cc7da8cc2a3f490504cfde6587ce9e939b069f29814f71e3546f59d5"),
+    ("R6.7", 2): (1, "de66bfa14d5495b318c762d431a74ed1c1a9581b70beaac655a67672a8378e63"),
+}
+
+PINNED_GRAPHS = {
+    "Q4": lambda: rs.hypercube(4), "Q5": lambda: rs.hypercube(5),
+    "CLEBSCH": rs.clebsch_graph, "BIPLANE": lambda: rs.catalog("BIPLANE"),
+    "R4.1": lambda: rs.underlying(rs.catalog("R4.1")),
+    "R6.7": lambda: rs.underlying(rs.catalog("R6.7")),
+}
+
+
+@pytest.mark.parametrize("name, seed", list(PINNED_SEARCHES))
+def test_pinned_search_output(tmp_path, capsys, name, seed):
+    g = PINNED_GRAPHS[name]()
+    if seed is not None:
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        g = relabel(g, perm)
+    path = tmp_path / "graph.g6"
+    path.write_bytes(write_graph6(g))
+    assert main(["search", "--graph6-file", str(path)]) == 0
+    out, err = capsys.readouterr()
+    classes, digest = PINNED_SEARCHES[name, seed]
+    assert out.splitlines()[-1].split()[:2] == ["classes", str(classes)]
+    assert hashlib.sha256((out + err).encode()).hexdigest() == digest
+
+
+class TestNoSearchReachesVf2:
+    """With the VF2 isomorphism enumeration made to fail, every search still
+    answers: neither dedupe calls ``switching_isomorphic``."""
+
+    @pytest.fixture(autouse=True)
+    def no_vf2(self, monkeypatch):
+        import rectaspec.switching as switching
+
+        def refuse(*args):
+            raise AssertionError("VF2 reached")
+
+        monkeypatch.setattr(switching, "underlying_isomorphisms", refuse)
+
+    def test_the_patch_bites(self):
+        g = rs.catalog("R3.1")
+        with pytest.raises(AssertionError, match="VF2"):
+            rs.switching_isomorphic(g, g)
+
+    @pytest.mark.parametrize("maker", [rs.clebsch_graph,
+                                       lambda: rs.underlying(rs.catalog("R6.7"))],
+                             ids=["clebsch", "R6.7-underlying"])
+    def test_signature_search(self, maker):
+        out = search_signatures(maker())
+        # two pure-switching classes, so the dedupe decides one pair
+        assert out.nodes == 2 and out.exhausted and len(out.solutions) == 1
+
+    @pytest.mark.parametrize("n, r", [(12, 5), (14, 5)])
+    def test_weighing_search(self, n, r):
+        out = search_weighing(n, r)
+        assert out.exhausted and len(out.matrices) == 1
 
 
 def _gf2_consistent(problem):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import rectaspec as rs
+import rectaspec.switching as switching
+from rectaspec.core import disjoint_union
 from rectaspec.switching import (SchemeError, apply_signed_permutation,
                                  quadrangle_balance_counts, relabel, scheme_prefix,
-                                 switch, underlying_isomorphisms)
+                                 switch, switching_match, underlying_isomorphisms)
 
 
 def all_positive_c4():
@@ -141,6 +143,110 @@ class TestSwitchingIsomorphic:
         assert apply_signed_permutation(big, witness.perm, witness.switch_set) == big
 
 
+# catalog signed graphs on which a VF2 "no" stays short: on R5.4 (Clebsch)
+# it walks 1,920 automorphisms in about 2 s, on R6.7 it would take 17 s
+MATCHER_KEYS = ["R2.1", "R3.1", "R4.1", "R4.2", "R5.4"]
+
+
+def relabelled_switched(g, seed):
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return apply_signed_permutation(g, perm, {v for v in range(g.n) if rng.random() < 0.5})
+
+
+def one_edge_flipped(g, seed):
+    a, b, _ = random.Random(seed).choice(g.edges())
+    adj = np.array(g.adj)
+    adj[a, b] = adj[b, a] = -adj[a, b]
+    return rs.SignedGraph(adj)
+
+
+def edge_removed(g):
+    a, b, _ = g.edges()[0]
+    adj = np.array(g.adj)
+    adj[a, b] = adj[b, a] = 0
+    return rs.SignedGraph(adj)
+
+
+def both_answers(g, h) -> list[bool]:
+    """The answers of ``switching_isomorphic`` (VF2) and ``switching_match``
+    (the sign-propagating matcher), each "yes" witness re-applied."""
+    answers = []
+    for decide in (rs.switching_isomorphic, switching_match):
+        ok, witness = decide(g, h)
+        assert (witness is not None) == ok
+        if ok:
+            assert apply_signed_permutation(g, witness.perm, witness.switch_set) == h
+        answers.append(ok)
+    return answers
+
+
+class TestMatcherAgainstVf2:
+    @pytest.mark.parametrize("key", MATCHER_KEYS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_relabelled_switched_copies(self, key, seed):
+        g = rs.catalog(key)
+        assert both_answers(g, relabelled_switched(g, seed)) == [True, True]
+
+    @pytest.mark.parametrize("key", MATCHER_KEYS)
+    def test_one_edge_flips(self, key):
+        g = rs.catalog(key)
+        h = one_edge_flipped(relabelled_switched(g, 3), 4)
+        assert both_answers(g, h) == [False, False]
+
+    # equal and unequal component sizes, and components of unequal degree
+    @pytest.mark.parametrize("first, second", [
+        ("R2.1", "R2.1"), ("R4.2", "R5.4"), ("R2.1", "R3.1"), ("R3.1", "R4.1"),
+        ("R2.1", "R5.4")])
+    def test_disjoint_unions_in_both_orders(self, first, second):
+        a, b = rs.catalog(first), rs.catalog(second)
+        g = disjoint_union(a, b)
+        a2, b2 = relabelled_switched(a, 5), relabelled_switched(b, 6)
+        for h in (disjoint_union(a2, b2), disjoint_union(b2, a2)):
+            assert both_answers(g, h) == [True, True]
+            assert both_answers(h, g) == [True, True]
+
+    @pytest.mark.parametrize("first, second", [("R2.1", "R2.1"), ("R2.1", "R3.1")])
+    def test_disjoint_unions_with_a_flipped_component(self, first, second):
+        a, b = rs.catalog(first), rs.catalog(second)
+        g = disjoint_union(a, b)
+        a2, b2 = relabelled_switched(a, 7), one_edge_flipped(relabelled_switched(b, 8), 9)
+        for h in (disjoint_union(a2, b2), disjoint_union(b2, a2)):
+            assert both_answers(g, h) == [False, False]
+
+    def test_components_of_other_sizes(self):
+        # two signed 4-cycles against one 8-cycle: same order and degrees
+        two_squares = disjoint_union(rs.catalog("R2.1"), rs.catalog("R2.1"))
+        octagon = rs.UnderlyingGraph.from_edges(
+            8, [(v, (v + 1) % 8) for v in range(8)]).all_positive()
+        for h in (octagon, switch(octagon, {0})):
+            assert both_answers(two_squares, h) == [False, False]
+
+    @pytest.mark.parametrize("g, h", [
+        (lambda: rs.catalog("R3.1"), lambda: rs.catalog("R4.2")),
+        (lambda: rs.catalog("R2.1"), lambda: rs.catalog("R5.4")),
+        (lambda: rs.catalog("R4.2"), lambda: rs.catalog("R5.4")),
+        (lambda: rs.catalog("R4.1"), lambda: edge_removed(rs.catalog("R4.1"))),
+    ], ids=["orders-8-16", "orders-4-16", "degrees-4-5", "one-edge-less"])
+    def test_unequal_orders_or_degrees_answer_before_any_search(self, monkeypatch, g, h):
+        g, h = g(), h()
+        assert both_answers(g, h) == [False, False]
+
+        def no_search(*args):
+            raise AssertionError("the matcher searched")
+
+        monkeypatch.setattr(switching, "_match_order", no_search)
+        assert switching_match(g, h) == (False, None)
+        assert switching_match(h, g) == (False, None)
+
+    def test_failed_reverification_raises(self, monkeypatch):
+        monkeypatch.setattr(switching, "apply_signed_permutation",
+                            lambda *args: all_positive_c4())
+        with pytest.raises(RuntimeError, match="re-verification"):
+            switching_match(rs.signed_cube(2), rs.signed_cube(2))
+
+
 class TestClassInvariants:
     def test_invariance_under_switch_and_relabel(self):
         rng = random.Random(9)
@@ -169,6 +275,13 @@ class TestClassInvariants:
 def test_switching_isomorphic_refuses_other_types(g, h):
     with pytest.raises(TypeError, match="SignedGraph"):
         rs.switching_isomorphic(g(), h())
+
+
+def test_switching_match_refuses_other_types():
+    g = rs.catalog("R3.1")
+    for args in ((rs.underlying(g), g), (g, rs.underlying(g)), (g.adj, g)):
+        with pytest.raises(TypeError, match="switching_match takes two SignedGraph"):
+            switching_match(*args)
 
 
 def test_underlying_isomorphisms_count_automorphisms():
