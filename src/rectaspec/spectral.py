@@ -116,16 +116,14 @@ def certify_four_sym(g: SignedGraph, moments=None):
         return Refusal(f"order {n} cannot carry the four-eigenvalue shape")
     m = (n - 2) // 2
     _, sq, t2, t4 = moments or _moments(g)
-    if t2 % 2 or t4 % 2:
-        return Refusal("trace parity rules out the shape")
+    # tr A^2 = 2|E| and tr A^4 = sum deg^2 + an even part, so both are even
     s, t = t2 // 2, t4 // 2
     # m*lam^2 + mu^2 = s and m*lam^4 + mu^4 = t give a quadratic for lam^2.
     aa = m * m + m
     bb = -2 * s * m
     cc = s * s - t
+    # disc = m*(n*tr A^4 - (tr A^2)^2) >= 0 by Cauchy-Schwarz on the eigenvalues
     disc = bb * bb - 4 * aa * cc
-    if disc < 0:
-        return Refusal("no real eigenvalue pair fits the trace moments")
     root = isqrt(disc)
     if root * root != disc:
         return Refusal("no integer eigenvalue pair fits the trace moments")

@@ -159,9 +159,7 @@ def from_bipartite_sr2se(g: SignedGraph) -> WeighingMatrix:
     parts = bipartition(g)
     if parts is None:
         raise StructureError("graph is not bipartite")
-    cols, rows = parts
-    if len(cols) != len(rows):
-        raise StructureError("bipartition sides differ in size")
+    cols, rows = parts  # equal sides: the certificate forced regularity
     b = g.adj[np.ix_(rows, cols)]
     w = WeighingMatrix(b)
     if not (intersection_numbers(w) <= {0, 2} and is_proper(w)):

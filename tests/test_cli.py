@@ -190,6 +190,19 @@ def test_extend_pipeline(capsys, tmp_path):
     assert restored.n == 8 and rs.certify_two_sym(restored).lambda_sq == 3
 
 
+def test_extend_zero_pair_pipeline(capsys, tmp_path):
+    g = rs.delete_vertices(rs.signed_cube(4), {0, 3})  # non-adjacent pair
+    path = tmp_path / "g.sg1"
+    path.write_text(write_signed(g))
+    code, out, err = run(capsys, "extend", "--signed-file", str(path))
+    assert code == 0
+    assert "# input: ThreeSym lambda^2=4 m=6 d=2" in err
+    assert "# after pair-step: ThreeSym lambda^2=4 m=7 d=1" in err
+    assert "# result: TwoSym lambda^2=4 m=8" in err
+    restored = parse_signed(out)
+    assert restored.n == 16 and rs.certify_two_sym(restored).lambda_sq == 4
+
+
 def test_extend_refusal(capsys, tmp_path):
     path = tmp_path / "bad.sg1"
     star = rs.SignedGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
@@ -230,6 +243,18 @@ def test_convert_from_sg1_to_graph6_and_wm(capsys, tmp_path):
     assert (w.n, w.r) == (4, 3)
 
 
+def test_convert_from_wm_to_graph6(capsys, tmp_path):
+    from rectaspec.formats import parse_graph6
+    from rectaspec.weighing import from_bipartite_sr2se, write_weighing_text
+
+    w = from_bipartite_sr2se(rs.signed_cube(3))
+    src = tmp_path / "w.txt"
+    src.write_text(write_weighing_text(w))
+    code, out, _ = run(capsys, "convert", "--from", "wm", "--to", "graph6",
+                       "--in", str(src))
+    assert code == 0 and parse_graph6(out) == rs.underlying(rs.to_bipartite_sr2se(w))
+
+
 def test_convert_closes_its_input(capsys, tmp_path):
     src = tmp_path / "q3.g6"
     src.write_bytes(write_graph6(rs.hypercube(3)) + b"\n")
@@ -246,7 +271,11 @@ def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0
     assert "R5.4: order 16 degree 5 non-bipartite" in out
-    assert "needs weighing file" in out
+    assert "R5.3: order 32 degree 5 bipartite\n" in out
+    marked = {line.split(":")[0] for line in out.splitlines()
+              if line.endswith(" (needs weighing file)")}
+    assert marked == {"R5.1", "R5.2", "R6.1", "R6.2", "R6.3", "R6.4", "R6.5",
+                      "R7.1", "R7.2", "R7.3", "R7.4", "R7.5"}
 
 
 def test_catalog_entry(capsys):

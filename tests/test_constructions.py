@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -5,10 +6,51 @@ import pytest
 
 import rectaspec as rs
 from rectaspec.constructions import (CatalogError, CatalogIngestError,
-                                     biplane_7_4_2, fano_plane, k2)
+                                     biplane_7_4_2, catalog_certificate,
+                                     fano_plane, ingest_required, k2)
 from rectaspec.core import components, is_rectagraph, quadrangles
 from rectaspec.exactlinalg import poly_mul
+from rectaspec.search import search_signatures, search_weighing
 from rectaspec.switching import underlying_isomorphisms
+from rectaspec.weighing import WeighingMatrix, write_weighing_text
+
+# a proper W(12, 5) with a row pair sharing four support positions
+PROPER_W125_WITH_FOUR = """12 5
++++++0000000
++0-+-00000-0
++00-0000--0-
+0+-00-0+00+0
+00+0-00+-+00
++-0000+000++
+00000++++00-
+0+00-+0-00+0
+0+0-00+000-+
+00000+-+0-0+
+00+0--00+-00
++00-00-0++00
+"""
+C6 = ["0+++++", "+0+--+", "++0+--", "+-+0+-", "+--+0+", "++--+0"]  # conference
+C6_PLUS_C6 = "\n".join(["12 5"] + [row + "000000" for row in C6]
+                       + ["000000" + row for row in C6])
+
+# sha256 of catalog(key).adj bytes.  The benchmark builds its inputs through
+# catalog, the ingest rows from the searched W(12, 5) (R5.1) and W(14, 5).
+CATALOG_DIGESTS = {
+    "R1.1": "d5e2d2ac07b741be58f6b9e50ede5fdcf16f3e8053ecef9350e7744b0d8bd90c",
+    "R2.1": "5384950b3499b37cec9e588c1f435e0a057d8df70509979b9cad1505744cd056",
+    "R3.1": "1f6483c85274145fc2a0888b2b07722d223c191779ec5c27a878d4187851bd9a",
+    "R4.1": "dc66ac6ff42abd2d89177d6f8c099420736881a777b10dffb29a43f1e966bd36",
+    "R4.2": "3a757584355681ec0cfc8a687f811241d3901c93c9eaf01b6b718bc86fa727f4",
+    "R5.1": "3ed6bd3a49d96a1a6ed2411dbef6fb70598b03f7cafce9d99f2f768e7deb5202",
+    "R5.2": "2525154c14438c554c940a30146afab5b2d2ceed61cfde329fa8cc7cc96bb114",
+    "R5.4": "36c4ed5f7a0aad6e7c140b2e5eeaa9913a94db8ab6e2eeb30cd912d7cde0c8c0",
+    "R6.5": "41ab3a4f2f675b84ba84dc429233b4aa03a12d9ae440abfd6f025450bee428fd",
+    "R6.6": "642e2c9d6fe2533afbde37d73d2ee65bb45950949d5d8ebf6669ad5c1dd89582",
+    "R6.7": "bc705e6d71beb17e38d937f71362511d2db67b832fdae6f9a977e9de473f8ce3",
+    "R7.5": "1b4807e7b17d54b268ace486721fb1f91ba2f7a41511c5ecdfa5d9d020143a85",
+    "R7.6": "0b2149a70568d9d73f7de8aa45b5de879eb34d1dbee920296d9f39fd25d6e9e5",
+    "R7.7": "33b87f48189f4176488d1ab26ef3bcd64d2da588ad894c9192f2ad14966b077f",
+}
 
 
 def random_signed_graph(rng, max_n=12):
@@ -154,6 +196,19 @@ class TestBibdIncidence:
 
 
 class TestCatalog:
+    def test_graphs_are_pinned(self):
+        # the W(12, 5) text is made the way perfbench/inputs.py makes it, and
+        # the benchmark passes it to every row, ingest or not
+        w125 = np.asarray(search_weighing(12, 5).matrices[0].entries, dtype=np.int64)
+        w125 = write_weighing_text(WeighingMatrix(w125.astype(np.int8)))
+        w145 = write_weighing_text(search_weighing(14, 5).matrices[0])
+        ingest = {"R5.1": w125, "R5.2": w145, "R6.5": w145, "R7.5": w145}
+        for key, digest in CATALOG_DIGESTS.items():
+            sources = [ingest[key]] if key in ingest else [None, w125]
+            for source in sources:
+                g = rs.catalog(key, weighing_source=source)
+                assert hashlib.sha256(g.adj.tobytes()).hexdigest() == digest, key
+
     def test_table_certificates(self):
         for key in ["R1.1", "R2.1", "R3.1", "R4.1", "R4.2", "R5.4",
                     "R6.6", "R6.7", "R7.6", "R7.7"]:
@@ -178,22 +233,53 @@ class TestCatalog:
                 rs.catalog(key)
 
     def test_ingest_rows_demand_a_source(self):
-        for key in ["R5.1", "R5.2", "R5.3", "R6.1", "R6.5", "R7.5"]:
+        for key in ["R5.1", "R5.2", "R6.1", "R6.5", "R7.5"]:
             with pytest.raises(CatalogIngestError):
                 rs.catalog(key)
 
-    def test_ingest_from_searched_matrix(self):
-        from rectaspec.search import search_weighing
-        from rectaspec.weighing import write_weighing_text
+    def test_padded_ids(self):
+        assert rs.catalog(" R3.1 ") == rs.signed_cube(3)
+        assert catalog_certificate(" R3.1 ") == (8, 3, True)
+        assert ingest_required(" R5.1 ") and not ingest_required(" R5.3\n")
+        with pytest.raises(CatalogError, match="unknown catalog id 'R9.9'"):
+            catalog_certificate(" R9.9 ")
 
+    def test_r53_is_the_signed_5_cube(self):
+        # Mulder: a (0,2)-graph of degree 5 on 32 vertices is Q5, and the
+        # searched W(16, 5) has one class, the signed 5-cube's biadjacency
+        g = rs.catalog("R5.3")
+        assert g == rs.signed_cube(5) and not ingest_required("R5.3")
+        (w,) = search_weighing(16, 5).matrices
+        ok, _ = rs.equivalent(rs.from_bipartite_sr2se(g), w)
+        assert ok
+
+    def test_ingest_layers_run(self):
+        source = write_weighing_text(search_weighing(14, 5).matrices[0])
+        base = rs.catalog("R5.2", weighing_source=source)
+        assert rs.catalog("R6.5", weighing_source=source) == rs.ltimes_k2(base)
+        assert rs.catalog("R7.5", weighing_source=source) == \
+            rs.ltimes_k2(rs.ltimes_k2(base))
+
+    @pytest.mark.parametrize("source, message", [
+        (None, r"needs a \(12, 5\) weighing matrix, got \(14, 5\)"),
+        (PROPER_W125_WITH_FOUR, r"R5.1: intersection numbers \[0, 2, 4\]"),
+        # every improper (12, 5) matrix has an intersection number past 2:
+        # a zero-two block of weight 5 needs order at least C(5, 2) + 1
+        (C6_PLUS_C6, r"R5.1: intersection numbers \[0, 4\]"),
+    ], ids=["wrong-order", "intersection-four", "improper"])
+    def test_ingest_refuses_a_matrix_that_does_not_fit(self, source, message):
+        if source is None:
+            source = write_weighing_text(search_weighing(14, 5).matrices[0])
+        with pytest.raises(CatalogIngestError, match=message):
+            rs.catalog("R5.1", weighing_source=source)
+
+    def test_ingest_from_searched_matrix(self):
         w = search_weighing(12, 5).matrices[0]
         g = rs.catalog("R5.1", weighing_source=write_weighing_text(w))
         cert = rs.certify_two_sym(g)
         assert g.n == 24 and cert.lambda_sq == 5
 
     def test_recorded_signatures_match_fresh_searches(self):
-        from rectaspec.search import search_signatures
-
         for key, base in [("R4.1", rs.bibd_incidence(biplane_7_4_2())),
                           ("R5.4", rs.clebsch_graph())]:
             outcome = search_signatures(base)

@@ -44,6 +44,16 @@ class TestGraph6:
         with pytest.raises(Graph6LengthError):
             parse_graph6(full[:-1])
 
+    @pytest.mark.parametrize("data, message", [
+        (b"~??", "truncated 3-byte size field"),
+        (b"~~????", "truncated 6-byte size field"),
+        (b"~??DA_", "long size field used for a small order"),  # order 5
+        (b"~~?????DA_", "very long size field used for a small order"),
+    ])
+    def test_size_field_errors(self, data, message):
+        with pytest.raises(Graph6LengthError, match=message):
+            parse_graph6(data)
+
     def test_trailing_bits(self):
         # K2 with a nonzero padding bit: 'A' + byte with low bits set
         with pytest.raises(Graph6PaddingError):

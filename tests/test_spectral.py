@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
 import rectaspec as rs
+from rectaspec.constructions import catalog_certificate, catalog_ids
 from rectaspec.core import StructureError
-from rectaspec.spectral import strongest_certificate
+from rectaspec.spectral import _moments, strongest_certificate
 from rectaspec.switching import switch
 from reference_oracles import float_spectrum_matches
 
@@ -65,6 +68,21 @@ class TestFourSym:
         u, v = next((u, v) for u, v, _ in g.edges())
         cert = rs.certify_four_sym(rs.delete_vertices(g, {u, v}))
         assert cert and cert.lambda_sq == 4 and cert.mu_sq == 1
+
+    def test_trace_moments_fit_the_quadratic(self):
+        # certify_four_sym halves tr A^2 and tr A^4 and takes the square root
+        # of disc = m*(n*tr A^4 - (tr A^2)^2) without checking either: both
+        # traces are even and disc >= 0 for every signed graph
+        rng = random.Random(4)
+        for _ in range(2000):
+            n = rng.randrange(4, 15, 2)
+            edges = [(u, v, rng.choice((-1, 1))) for u in range(n)
+                     for v in range(u + 1, n) if rng.random() < rng.random()]
+            g = rs.SignedGraph.from_edges(n, edges)
+            _, _, t2, t4 = _moments(g)
+            assert t2 % 2 == 0 and t4 % 2 == 0
+            assert (n - 2) // 2 * (n * t4 - t2 * t2) >= 0
+            rs.certify_four_sym(g)
 
     def test_cube_minus_nonadjacent_pair(self):
         g = rs.signed_cube(4)
@@ -184,9 +202,8 @@ class TestFilter:
         assert rs.filter_sr2se(n, r, bipartite=bipartite).failures == failures
 
     def test_passes_every_catalog_parameter_pair(self):
-        from rectaspec.constructions import _CATALOG_CERTS
-
-        for key, (n, r, bip) in _CATALOG_CERTS.items():
+        for key in [k for k in catalog_ids() if k.startswith("R")]:
+            n, r, bip = catalog_certificate(key)
             verdict = rs.filter_sr2se(n, r, bipartite=bip)
             assert verdict.passed, (key, verdict)
 

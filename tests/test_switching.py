@@ -8,7 +8,8 @@ import rectaspec as rs
 import rectaspec.switching as switching
 from rectaspec.core import disjoint_union
 from rectaspec.switching import (SchemeError, apply_signed_permutation,
-                                 quadrangle_balance_counts, relabel, scheme_prefix,
+                                 quadrangle_balance_counts, relabel, scheme_layout,
+                                 scheme_prefix,
                                  switch, switching_match, underlying_isomorphisms)
 
 
@@ -54,6 +55,24 @@ class TestSchemeNormalForm:
         cls = rs.schem_normal_form(rs.catalog("R5.4"))
         assert cls.tail_size == 0  # attains the order bound
         assert np.array_equal(cls.representative.adj[:6], scheme_prefix(5, 16))
+
+    @pytest.mark.parametrize("name", ["Q4", "CLEBSCH", "BIPLANE", "FC5", "GEWIRTZ"])
+    def test_layout_prefix_at_every_base(self, name):
+        # scheme_layout places one common neighbour per neighbour pair
+        # without checking that it exists, is new and is unique
+        g = rs.catalog(name)
+        bits = g.row_bits
+        for base in range(g.n):
+            layout = scheme_layout(g, base)
+            r = layout.degree
+            order = sorted(range(g.n), key=layout.perm.__getitem__)
+            assert sorted(layout.perm) == list(range(g.n))
+            nbrs = order[1:r + 1]
+            assert order[0] == base and nbrs == np.flatnonzero(g.adj[base]).tolist()
+            pairs = [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:]]
+            assert [bits[a] & bits[b] for a, b in pairs] == \
+                [(1 << base) | (1 << c) for c in order[r + 1:r + 1 + len(pairs)]]
+            assert layout.tail_size == g.n - 1 - r - len(pairs)
 
     def test_structural_precondition_named(self):
         p3 = rs.UnderlyingGraph.from_edges(3, [(0, 1), (1, 2)]).all_positive()
