@@ -254,9 +254,11 @@ def _triangle_free(g, codegrees: np.ndarray) -> bool:
 
 
 def _zero_two(codegrees: np.ndarray) -> bool:
-    # the lower triangle and the diagonal become 0, an allowed value
-    c = np.triu(codegrees, 1)
-    return bool(np.all((c == 0) | (c == 2)))
+    # the matrix is symmetric, so every off-diagonal entry is checked; the
+    # diagonal holds the degrees
+    bad = (codegrees != 0) & (codegrees != 2)
+    np.fill_diagonal(bad, False)
+    return not bad.any()
 
 
 def common_neighbour_profile(g) -> list[int]:
@@ -311,8 +313,17 @@ def quadrangles(g) -> np.ndarray:
     as the rows of a (k, 4) int64 array.
 
     Reported once each, with a the smallest vertex and b < d, in
-    lexicographic order of (a, c) and then of (b, d).
+    lexicographic order of (a, c) and then of (b, d).  When no vertex pair
+    shares more than two neighbours, as in every rectagraph, each pair is
+    the diagonal of at most one quadrangle, read off by
+    ``_zero_two_quadrangles``; otherwise every pair's common neighbours are
+    listed and combined two at a time.
     """
+    support = g.adj != 0
+    codegrees = _path_counts(support, support)
+    np.fill_diagonal(codegrees, 0)
+    if g.n < _EXACT_LABELS and codegrees.max() <= 2:
+        return _zero_two_quadrangles(support, codegrees)
     rows, cols, counts, first, mids = _diagonals(g)
     sizes = counts * (counts - 1) // 2
     start = np.cumsum(sizes) - sizes  # each pair's first quadrangle
@@ -328,6 +339,35 @@ def quadrangles(g) -> np.ndarray:
         quads[at, 2] = cols[sel, None]
         quads[at, 3] = mids[first[sel, None] + j]
     return quads
+
+
+# Below this order the label-weighted products of ``_zero_two_quadrangles``
+# are exact in float32: every partial sum is at most 2(n - 1)^2 < 2^24.
+_EXACT_LABELS = 2896
+
+
+def _zero_two_quadrangles(support: np.ndarray, codegrees: np.ndarray) -> np.ndarray:
+    """``quadrangles`` of a graph whose vertex pairs share at most two
+    neighbours; ``codegrees`` is its codegree matrix with a zero diagonal.
+
+    Each pair a < c with two common neighbours b < d is the diagonal of the
+    one quadrangle (a, b, c, d), kept when a is its smallest vertex, that is
+    when b > a.  Two support products weighted by the labels give b + d and
+    b^2 + d^2, hence d - b = sqrt(2(b^2 + d^2) - (b + d)^2).
+    """
+    n = len(support)
+    pairs = np.flatnonzero(codegrees == 2)
+    pairs = pairs[pairs // n < pairs % n]  # a < c, in lexicographic order
+    rows, cols = np.divmod(pairs, n)
+    s = support.astype(np.float32)
+    labels = np.arange(n, dtype=np.float32)
+    sums = ((s * labels) @ s).take(pairs).astype(np.int64)
+    squares = ((s * labels * labels) @ s).take(pairs).astype(np.int64)
+    gaps = np.rint(np.sqrt(2 * squares - sums * sums)).astype(np.int64)
+    b = (sums - gaps) >> 1
+    d = (sums + gaps) >> 1
+    keep = b > rows
+    return np.stack((rows[keep], b[keep], cols[keep], d[keep]), axis=1)
 
 
 def structure_report(g) -> StructureReport:

@@ -8,12 +8,15 @@ Two searches live here:
   matrix are fully forced (see ``switching.scheme_prefix``); only edges
   between vertices outside that prefix remain free, and A^2 = r I is then
   equivalent to every quadrangle having sign product -1: one parity equation
-  over GF(2) per quadrangle.  The system is eliminated once.  If it is
+  over GF(2) per quadrangle (``core.quadrangles`` reads each one off a
+  diagonal pair: in a rectagraph every pair at distance two is the diagonal
+  of exactly one).  The system is eliminated once.  If it is
   inconsistent, the quadrangles whose equations sum to 0 = 1 are the
   nonexistence certificate, re-checked against the graph before it is
   returned.  Otherwise the solutions are a particular solution plus the null
   space, which contains the star of every tail vertex (distance >= 3 from the
-  base): those are the only switchings the prefix allows.  So the
+  base): those are the only switchings the prefix allows, and only class
+  enumeration builds them, so a refutation never does.  So the
   pure-switching classes are the 2^(dim - tail) cosets of the tail stars,
   one canonical mask each; each is materialised and certified, and the
   representatives are then deduped pairwise by switching isomorphism,
@@ -45,7 +48,7 @@ import hashlib
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -85,8 +88,25 @@ class SignatureSearchProblem:
     constraint_quadrangles: np.ndarray  # (k, 4) rows (a, b, c, d)
     labelling: tuple[int, ...]  # original vertex -> search label
     tail_size: int
-    # per tail vertex, BFS order: (free-edge bit to its parent, star bitmask)
-    tail_stars: tuple[tuple[int, int], ...]
+    # read-only (n, n): the id of free edge vw at both [v, w] and [w, v],
+    # len(free_edges) at every other entry
+    edge_ids: np.ndarray = field(repr=False)
+
+    @cached_property
+    def tail_stars(self) -> tuple[tuple[int, int], ...]:
+        """Per tail vertex, in BFS order: (free-edge bit to its parent, star
+        bitmask).  Built on first use: only class enumeration reads it, so
+        a refutation never builds it or the relabelled graph's forest."""
+        # every edge at a tail vertex is free: switching it flips just its star
+        n_free, size = len(self.free_edges), self.tail_size
+        tail = self.graph.n - size
+        ids = self.edge_ids
+        on_star = np.zeros((size, n_free + 1), dtype=bool)
+        on_star[np.arange(size)[:, None], ids[tail:]] = True
+        stars = [int.from_bytes(row.tobytes(), "little") for row in
+                 np.packbits(on_star[:, :n_free], axis=1, bitorder="little")]
+        return tuple((1 << int(ids[x, parent]), stars[x - tail])
+                     for x, parent in self.graph.spanning_forest if x >= tail)
 
 
 @dataclass
@@ -113,7 +133,7 @@ def build_signature_problem(g) -> SignatureSearchProblem:
     # row-by-row DFS completes them: elimination then meets a contradiction
     # near the prefix early (Gewirtz x K2: at row 57 of 1,485 instead of
     # 496).  a is a quadrangle's smallest vertex and b < d, so its largest
-    # is c or d.
+    # is c or d, and the order is that of (max(c, d), a, c, b, d).
     # Listed before the edge maps below exist, so that the listing's
     # transient arrays do not add to them.
     quads = quadrangles(relabelled)
@@ -151,24 +171,15 @@ def build_signature_problem(g) -> SignatureSearchProblem:
     constraint_edges = edges[sel]
     constraint_targets = (~parity[sel]).astype(np.uint8)
     constraint_quadrangles = quads[sel]
-    for arr in (constraint_edges, constraint_targets, constraint_quadrangles):
+    for arr in (constraint_edges, constraint_targets, constraint_quadrangles, ids):
         arr.setflags(write=False)
-
-    # every edge at a tail vertex is free: switching it flips just its star
-    tail = n - layout.tail_size
-    on_star = np.zeros((layout.tail_size, n_free + 1), dtype=bool)
-    on_star[np.arange(layout.tail_size)[:, None], ids[tail:]] = True
-    stars = [int.from_bytes(row.tobytes(), "little") for row in
-             np.packbits(on_star[:, :n_free], axis=1, bitorder="little")]
-    tail_stars = tuple((1 << int(ids[x, parent]), stars[x - tail])
-                       for x, parent in relabelled.spanning_forest if x >= tail)
 
     return SignatureSearchProblem(
         graph=relabelled, degree=r, prefix_signs=prefix,
         free_edges=tuple(zip(v.tolist(), w.tolist())),
         constraint_edges=constraint_edges, constraint_targets=constraint_targets,
         constraint_quadrangles=constraint_quadrangles,
-        labelling=layout.perm, tail_size=layout.tail_size, tail_stars=tail_stars)
+        labelling=layout.perm, tail_size=layout.tail_size, edge_ids=ids)
 
 
 def kernel_arguments(problem: SignatureSearchProblem, order=None,
@@ -772,17 +783,25 @@ def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
 
 
 def run_weighing_search(n: int, r: int, node_budget: int):
-    """(candidates, nodes, exhausted, supports): every certified sign class
-    over the kept supports, in the order found (the raw matrices that
-    ``search_weighing`` dedupes), the support rows placed, whether the
-    search ran to its end rather than its budget, and the kept complete
-    supports with a consistent parity system."""
+    """(found, nodes, exhausted): the support search alone.  ``found`` holds,
+    as (row masks, parity pivots), every kept complete support with a
+    consistent parity system, in the order found; ``nodes`` counts the
+    support rows placed, and ``exhausted`` says whether the search ran to
+    its end rather than its budget.  ``_sign_supports`` signs what it
+    finds."""
     n, r = operator.index(n), operator.index(r)
-    prefix = scheme_two_prefix(r, n)
-    tree = _SupportSearch(n, r, prefix, node_budget)
+    tree = _SupportSearch(n, r, scheme_two_prefix(r, n), node_budget)
     exhausted = tree.run()
+    return tree.found, tree.nodes, exhausted
+
+
+def _sign_supports(n: int, r: int, found) -> list[WeighingMatrix]:
+    """Every certified sign class over the supports ``found`` by
+    ``run_weighing_search``, in order: the raw matrices that
+    ``search_weighing`` dedupes."""
+    prefix = scheme_two_prefix(r, n)
     candidates = []
-    for rows, pivots in tree.found:
+    for rows, pivots in found:
         columns = 0
         for i in range(r, n):
             columns |= rows[i] << ((i - r) * n)
@@ -792,7 +811,7 @@ def run_weighing_search(n: int, r: int, node_budget: int):
                                     partial(_switch_key, stars), len(stars))
         candidates += [_check_weighing(_weighing_candidate(prefix, rows, mask), r)
                        for mask in _gray_code(start, basis, 1 << len(basis))]
-    return candidates, tree.nodes, exhausted, len(tree.found)
+    return candidates
 
 
 def search_weighing(n: int, r: int,
@@ -835,6 +854,7 @@ def search_weighing(n: int, r: int,
     if n < width:
         return WeighingSearchOutcome([], 0, True, 0)
 
-    candidates, nodes, exhausted, supports = run_weighing_search(n, r, node_budget or 0)
+    found, nodes, exhausted = run_weighing_search(n, r, node_budget or 0)
+    candidates = _sign_supports(n, r, found)
     matrices = dedupe_switching_classes(candidates, equivalent)
-    return WeighingSearchOutcome(matrices, nodes, exhausted, len(candidates), supports)
+    return WeighingSearchOutcome(matrices, nodes, exhausted, len(candidates), len(found))

@@ -319,8 +319,9 @@ class UncutSupportSearch(search._SupportSearch):
 
 @contextmanager
 def uncut_support_search():
-    """Within the block, ``search.run_weighing_search`` and
-    ``search.search_weighing`` run on ``UncutSupportSearch``."""
+    """Within the block, the support search of ``search.run_weighing_search``
+    and ``search.search_weighing`` runs on ``UncutSupportSearch``; its
+    supports are signed by ``search._sign_supports`` as usual."""
     cut, search._SupportSearch = search._SupportSearch, UncutSupportSearch
     try:
         yield

@@ -140,3 +140,55 @@ def test_benchmark_imports_resolve():
             "build_signature_problem", "search_weighing"} <= names
     missing = [entry for entry in imports if not _resolves(*entry[1:])]
     assert missing == []
+
+
+def test_signature_build_spans_are_live():
+    """Each ``search_signatures`` call lists its quadrangles and lays out
+    its normal form once each, inside its ``search.build`` span, where the
+    tracer's ``core.quadrangles`` and ``switching.layout`` spans time them."""
+    from rectaspec.constructions import clebsch_graph, folded_cube, gewirtz_graph
+    from rectaspec.search import search_signatures
+
+    graphs = [clebsch_graph(), folded_cube(5), gewirtz_graph()]
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outcomes = [search_signatures(g) for g in graphs]
+    finally:
+        tracer.uninstall()
+    assert [bool(out.refutation) for out in outcomes] == [False, True, True]
+    names = [span[0] for span in tracer.spans]
+    builds = [i for i, name in enumerate(names) if name == "search.build"]
+    assert len(builds) == len(graphs)
+    for span in ("core.quadrangles", "switching.layout"):
+        parents = [parent for name, _, _, parent, _ in tracer.spans if name == span]
+        assert parents == builds, span
+
+
+def test_weighing_kernel_span_times_the_search_alone(monkeypatch):
+    """Signing and re-verification run after the ``kernel.wm`` span ends:
+    it times the support search alone."""
+    from time import perf_counter
+
+    from rectaspec import search
+
+    checked = []
+    check = search._check_weighing
+
+    def timed_check(arr, r):
+        checked.append(perf_counter())
+        return check(arr, r)
+
+    monkeypatch.setattr(search, "_check_weighing", timed_check)
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        outcome = search.search_weighing(12, 5)
+    finally:
+        tracer.uninstall()
+    (span,) = [span for span in tracer.spans if span[0] == "kernel.wm"]
+    assert len(checked) == outcome.raw_count > 0
+    assert span[2] < min(checked)
+    assert tracer.counts["kernel.wm_nodes"] == outcome.nodes

@@ -252,3 +252,94 @@ def test_structure_matches_matrix_and_networkx_oracle():
     for flag in range(1, 5):
         assert {key[flag] for key in seen if key[0]} == {False, True}
     assert wide_codegrees  # pairs with more than two common neighbours
+
+
+def brute_force_quadrangles(g) -> list[tuple[int, int, int, int]]:
+    """Every 4-cycle, found as the closed walks v0 v1 v2 v3 v0 on four
+    distinct vertices, written from its smallest vertex a with b < d and
+    sorted by (a, c, b, d): the order ``quadrangles`` documents."""
+    adj = np.abs(np.asarray(g.adj, dtype=np.int64))
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]
+    cycles = set()
+    for v0 in range(len(adj)):
+        for v1 in nbrs[v0]:
+            for v2 in nbrs[v1]:
+                for v3 in nbrs[v2]:
+                    if len({v0, v1, v2, v3}) == 4 and adj[v3, v0]:
+                        cycle = [v0, v1, v2, v3]
+                        k = cycle.index(min(cycle))
+                        a, b, c, d = cycle[k:] + cycle[:k]
+                        cycles.add((a, min(b, d), c, max(b, d)))
+    return sorted(cycles, key=lambda q: (q[0], q[2], q[1], q[3]))
+
+
+class _PathSpy:
+    """Counts the calls of the generic path's ``core._diagonals``."""
+
+    def __init__(self, monkeypatch):
+        from rectaspec import core
+
+        self.calls = 0
+        original = core._diagonals
+
+        def spy(g):
+            self.calls += 1
+            return original(g)
+
+        monkeypatch.setattr(core, "_diagonals", spy)
+
+
+def _listed(g) -> list[tuple[int, int, int, int]]:
+    quads = quadrangles(g)
+    assert quads.dtype == np.int64 and quads.shape[1:] == (4,)
+    return list(map(tuple, quads.tolist()))
+
+
+class TestQuadrangleListing:
+    """``quadrangles`` against a brute-force 4-cycle lister, order included,
+    on the zero-two path and on the generic one."""
+
+    RECTAGRAPHS = ["R2.1", "R3.1", "R4.1", "R4.2", "R5.3", "R5.4", "R6.6", "R6.7",
+                   "R7.6", "R7.7", "CLEBSCH", "BIPLANE", "GEWIRTZ", "FC5", "FC6"]
+
+    @pytest.mark.parametrize("key", RECTAGRAPHS)
+    def test_rectagraphs_take_the_zero_two_path(self, key, monkeypatch):
+        from rectaspec.switching import relabel
+
+        g = rs.catalog(key)
+        rng = np.random.default_rng(len(key) * g.n)
+        for perm in ([*range(g.n)], rng.permutation(g.n).tolist(),
+                     rng.permutation(g.n).tolist()):
+            h = relabel(g, perm)
+            assert is_rectagraph(h)
+            spy = _PathSpy(monkeypatch)
+            got = _listed(h)
+            assert spy.calls == 0
+            assert got == brute_force_quadrangles(h)
+            # the generic path lists the same quadrangles in the same order
+            monkeypatch.setattr(rs.core, "_EXACT_LABELS", 0)
+            assert _listed(h) == got and spy.calls == 1
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name, edges, generic", [
+        ("K33", [(a, b) for a in range(3) for b in range(3, 6)], True),
+        ("K24", [(a, b) for a in range(2) for b in range(2, 6)], True),
+        # antipodal vertices 0 and 7 joined: 0 and 3 now share 1, 2 and 7
+        ("Q3+diagonal", rs.hypercube(3).edges() + [(0, 7)], True),
+        # every pair shares exactly the other two vertices, so K4, though
+        # full of triangles, takes the zero-two path
+        ("K4", [(a, b) for a in range(4) for b in range(a + 1, 4)], False),
+    ])
+    def test_pairs_sharing_three_take_the_generic_path(self, name, edges, generic,
+                                                       monkeypatch):
+        from rectaspec.switching import relabel
+
+        g = rs.UnderlyingGraph.from_edges(max(map(max, edges)) + 1, edges)
+        rng = np.random.default_rng(7)
+        for perm in ([*range(g.n)], rng.permutation(g.n).tolist()):
+            h = relabel(g, perm)
+            spy = _PathSpy(monkeypatch)
+            assert _listed(h) == brute_force_quadrangles(h)
+            assert spy.calls == generic
+            assert len(_listed(h)) == quadrangle_count(h)
+            monkeypatch.undo()

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -16,8 +16,9 @@ from rectaspec.search import (_solution_graph, build_signature_problem,
                               canonical_switch_key, check_refutation,
                               proof_log, run_weighing_search, search_signatures,
                               search_weighing, verify_nonexistence)
-from rectaspec.search import _SupportSearch
-from rectaspec.switching import SchemeError, relabel, solve_switch_for_perm
+from rectaspec.search import _SupportSearch, _sign_supports
+from rectaspec.switching import (SchemeError, relabel, scheme_layout,
+                                 solve_switch_for_perm)
 from rectaspec.weighing import equivalent, scheme_two_prefix
 from reference_oracles import (naive_signature_classes, search_signatures_dfs,
                                sign_by_sign_weighing_search, uncut_support_search)
@@ -294,6 +295,144 @@ class TestArrayBuild:
         for arr in (problem.constraint_edges, problem.constraint_targets,
                     problem.constraint_quadrangles):
             assert not arr.flags.writeable
+
+
+# the underlying graphs of the benchmark's signature searches: search-classes
+# (Q5, R6.7, Clebsch, Q4, biplane, R4.1) and search-refute (FC5 x K2, FC5,
+# Gewirtz x K2, Gewirtz), a product's factor relabelled before the product
+BENCHMARK_GRAPHS = {
+    "Q5": lambda: rs.hypercube(5),
+    "R6.7": lambda: rs.underlying(rs.catalog("R6.7")),
+    "Clebsch": rs.clebsch_graph,
+    "Q4": lambda: rs.hypercube(4),
+    "biplane": lambda: rs.bibd_incidence(rs.constructions.biplane_7_4_2()),
+    "R4.1": lambda: rs.underlying(rs.catalog("R4.1")),
+    "FC5xK2": lambda: rs.folded_cube(5),
+    "FC5": lambda: rs.folded_cube(5),
+    "GewirtzxK2": rs.gewirtz_graph,
+    "Gewirtz": rs.gewirtz_graph,
+}
+
+
+def _benchmark_graph(name: str, seed: int):
+    g = BENCHMARK_GRAPHS[name]()
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    g = relabel(g, perm)
+    if name.endswith("xK2"):
+        return rs.underlying(rs.constructions.cartesian_k2(g.all_positive()))
+    return g
+
+
+class TestLeanBuild:
+    @pytest.mark.parametrize("name", BENCHMARK_GRAPHS)
+    def test_arrays_match_the_generic_lister(self, name, monkeypatch):
+        """The constraint arrays equal those built from the generic
+        quadrangle lister, sorted stably by each quadrangle's largest
+        vertex (the order before the zero-two path)."""
+        from rectaspec import core
+
+        for seed in (0, 1, 2):
+            g = _benchmark_graph(name, seed)
+            problem = build_signature_problem(g)
+            with monkeypatch.context() as m:
+                m.setattr(core, "_EXACT_LABELS", 0)
+                quads = quadrangles(problem.graph)
+            order = np.argsort(quads.max(axis=1), kind="stable")
+            n_free = len(problem.free_edges)
+            edge_id = {}
+            for i, (v, w) in enumerate(problem.free_edges):
+                edge_id[v, w] = edge_id[w, v] = i
+            open_quads = [quad for quad in quads[order].tolist()
+                          if any((v, w) in edge_id for v, w in zip(quad, quad[1:] + quad[:1]))]
+            assert problem.constraint_quadrangles.tolist() == open_quads
+            assert problem.constraint_edges.tolist() == [
+                [edge_id.get((v, w), n_free) for v, w in zip(quad, quad[1:] + quad[:1])]
+                for quad in open_quads]
+            with monkeypatch.context() as m:
+                m.setattr(core, "_EXACT_LABELS", 0)
+                reference = build_signature_problem(g)
+            for field in ("constraint_edges", "constraint_targets",
+                          "constraint_quadrangles", "prefix_signs", "edge_ids"):
+                got, want = getattr(problem, field), getattr(reference, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), field
+            assert problem.free_edges == reference.free_edges
+            assert problem.labelling == reference.labelling
+
+    @pytest.mark.parametrize("name", ["FC5xK2", "FC5", "GewirtzxK2", "Gewirtz"])
+    def test_refutation_builds_no_tail_stars(self, name):
+        outcome = search_signatures(_benchmark_graph(name, 1))
+        assert outcome.refutation and not outcome.solutions
+        # every vertex of Gewirtz lies within distance 2 of the base
+        assert (outcome.problem.tail_size > 0) == (name != "Gewirtz")
+        assert "tail_stars" not in vars(outcome.problem)
+
+    def test_consistent_search_keeps_its_tail_stars(self):
+        outcome = search_signatures(rs.hypercube(4))
+        problem = outcome.problem
+        assert "tail_stars" in vars(problem)
+        # the stars built before they were made on demand
+        assert problem.tail_stars == ((1, 4165), (2, 8466), (8, 17448), (128, 35456),
+                                      (4096, 61440))
+        # and from the free edges alone: per tail vertex, in BFS order, the
+        # bit of the edge to its parent and the bits of all its edges
+        edge_id = {}
+        for i, (v, w) in enumerate(problem.free_edges):
+            edge_id[v, w] = edge_id[w, v] = i
+        tail = problem.graph.n - problem.tail_size
+        want = tuple((1 << edge_id[x, parent],
+                      sum(1 << i for i, e in enumerate(problem.free_edges) if x in e))
+                     for x, parent in problem.graph.spanning_forest if x >= tail)
+        assert problem.tail_stars == want
+        assert problem.tail_stars is problem.tail_stars  # built once
+
+
+def petersen_graph() -> rs.UnderlyingGraph:
+    """The Kneser graph K(5, 2): regular, triangle-free, and not zero-two
+    (two non-adjacent vertices share one neighbour)."""
+    pairs = [frozenset(p) for p in combinations(range(5), 2)]
+    return rs.UnderlyingGraph.from_edges(10, [(i, j) for i, a in enumerate(pairs)
+                                              for j, b in enumerate(pairs)
+                                              if i < j and not a & b])
+
+
+class TestSchemeErrorOrder:
+    """``build_signature_problem`` names the first failing predicate in the
+    order connected, regular, triangle-free, zero-two."""
+
+    def test_petersen_is_not_zero_two(self):
+        g = petersen_graph()
+        rep = rs.structure_report(g)
+        assert (rep.connected, rep.regular, rep.triangle_free, rep.zero_two) == (
+            True, True, True, False)
+        with pytest.raises(SchemeError, match="needs a zero-two graph"):
+            scheme_layout(g)
+        with pytest.raises(SchemeError, match="needs a zero-two graph"):
+            search_signatures(g)
+
+    @pytest.mark.parametrize("edges, n, message", [
+        # a triangle and a path on two edges: not regular, not triangle-free
+        ([(0, 1), (1, 2), (0, 2), (2, 3)], 4, "regular"),
+        # K5: regular, with triangles, every pair sharing three neighbours
+        ([(a, b) for a in range(5) for b in range(a + 1, 5)], 5, "triangle-free"),
+        # C5: regular and triangle-free; adjacent vertices share none, the
+        # others one
+        ([(a, (a + 1) % 5) for a in range(5)], 5, "zero-two"),
+    ])
+    def test_first_failing_predicate_named(self, edges, n, message):
+        g = rs.UnderlyingGraph.from_edges(n, edges)
+        for call in (scheme_layout, search_signatures):
+            with pytest.raises(SchemeError, match=f"needs a {message} graph"):
+                call(g)
+
+    def test_disconnected_before_the_rest(self):
+        # a path on three vertices and a lone vertex: disconnected, not
+        # regular
+        g = rs.UnderlyingGraph.from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(SchemeError, match="needs a connected graph"):
+            search_signatures(g)
+        with pytest.raises(SchemeError, match="needs a regular graph"):
+            scheme_layout(g)
 
 
 def test_records_with_array_fields_compare_by_identity():
@@ -752,7 +891,7 @@ class TestOrbitCut:
         out = search_weighing(n, r)
         with uncut_support_search():
             uncut = search_weighing(n, r)
-            raw = run_weighing_search(n, r, 0)[0]
+            raw = _sign_supports(n, r, run_weighing_search(n, r, 0)[0])
         assert out.exhausted and uncut.exhausted
         assert len(out.matrices) == len(uncut.matrices)
         assert out.nodes <= uncut.nodes and out.supports <= uncut.supports

@@ -280,11 +280,12 @@ def raw_candidates(n, r):
     """Every certified sign class over every labelled support: the uncut
     reference, since the orbit cut keeps 1 of (12, 5)'s 6 and 2 of
     (14, 5)'s 30."""
-    from rectaspec.search import run_weighing_search
+    from rectaspec.search import _sign_supports, run_weighing_search
     from reference_oracles import uncut_support_search
 
     with uncut_support_search():
-        return run_weighing_search(n, r, 0)[0]
+        found = run_weighing_search(n, r, 0)[0]
+    return _sign_supports(n, r, found)
 
 
 def agrees_with_vf2(m, n) -> bool:
