@@ -3,10 +3,13 @@
 A signed graph is stored as a symmetric n x n matrix with entries in
 {-1, 0, +1} and zero diagonal: the entry carries the edge sign, zero means
 non-edge.  The underlying (unsigned) graph is the entrywise absolute value.
-Both graph types share one base class.  Every structural predicate reads
-only the per-row bitmasks of the support (``row_bits``) and the one
-breadth-first spanning forest built from them (``spanning_forest``), so it
-accepts either type and never builds an underlying graph first.
+Both graph types share one base class.  Connectivity, the components and
+bipartiteness read the per-row bitmasks of the support (``row_bits``) and
+the one breadth-first spanning forest built from them (``spanning_forest``);
+triangle-freeness, the zero-two property, the common-neighbour profile and
+the quadrangles read the codegree product of the support.  Every predicate
+reads only the support, so it accepts either type and never builds an
+underlying graph first.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class _Graph:
             raise ValueError("diagonal entries must be zero")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency matrix must be symmetric")
-        if np.any(np.abs(adj) > 1):
+        # not abs: the int8 abs of -128 is -128
+        if adj.min() < -1 or adj.max() > 1:
             raise ValueError("entries must lie in {-1, 0, +1}")
 
     @property
@@ -158,12 +162,7 @@ class UnderlyingGraph(_Graph):
 
     @staticmethod
     def from_edges(n: int, edges) -> "UnderlyingGraph":
-        adj = np.zeros((n, n), dtype=np.int8)
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
-            adj[u, v] = adj[v, u] = 1
-        return UnderlyingGraph(adj)
+        return underlying(SignedGraph.from_edges(n, ((u, v, 1) for u, v in edges)))
 
 
 @dataclass(frozen=True)
@@ -285,82 +284,38 @@ def _quadrangle_count(codegrees: np.ndarray) -> int:
     return int(c.sum()) // 4
 
 
-def _diagonals(g) -> tuple[np.ndarray, ...]:
-    """Every pair a < c with two or more common neighbours above a, in
-    lexicographic order, and those neighbours: arrays (a, c, count, first,
-    mids), where pair i's common neighbours are, ascending,
-    ``mids[first[i]:first[i] + count[i]]``."""
-    support = g.adj != 0
-    upper = np.triu(support, 1)  # row a: the neighbours of a above a
-    above = _path_counts(upper, support)
-    # (flatnonzero plus divmod: 2-d nonzero is several times slower)
-    rows, cols = np.divmod(np.flatnonzero(np.triu(above >= 2, 1)), g.n)
-    counts = above[rows, cols].astype(np.int64)
-    # the rows intersected eight vertices to a byte, and only the nonzero
-    # bytes unpacked: a pair-by-vertex table would be the largest
-    # allocation of a search
-    common = np.packbits(upper, axis=1)[rows]
-    common &= np.packbits(support, axis=1)[cols]
-    nonzero = np.flatnonzero(common)
-    # eight bits per nonzero byte, its lowest vertex first
-    hits = np.flatnonzero(np.unpackbits(common.ravel()[nonzero]))
-    mids = nonzero[hits >> 3] % common.shape[1] * 8 + (hits & 7)
-    return rows, cols, counts, np.cumsum(counts) - counts, mids
+# Below this order the label-weighted products of ``quadrangles`` are exact
+# in float32: every partial sum is at most 2(n - 1)^2 < 2^24.  From it on
+# they run in float64, exact while 2(n - 1)^2 < 2^53.
+_EXACT_LABELS = 2896
 
 
 def quadrangles(g) -> np.ndarray:
     """All 4-cycles (a, b, c, d) of the underlying graph, edges ab, bc, cd, da,
-    as the rows of a (k, 4) int64 array.
+    as the rows of a (k, 4) int64 array; StructureError when some vertex
+    pair shares three or more neighbours.
 
     Reported once each, with a the smallest vertex and b < d, in
-    lexicographic order of (a, c) and then of (b, d).  When no vertex pair
-    shares more than two neighbours, as in every rectagraph, each pair is
-    the diagonal of at most one quadrangle, read off by
-    ``_zero_two_quadrangles``; otherwise every pair's common neighbours are
-    listed and combined two at a time.
-    """
-    support = g.adj != 0
-    codegrees = _path_counts(support, support)
-    np.fill_diagonal(codegrees, 0)
-    if g.n < _EXACT_LABELS and codegrees.max() <= 2:
-        return _zero_two_quadrangles(support, codegrees)
-    rows, cols, counts, first, mids = _diagonals(g)
-    sizes = counts * (counts - 1) // 2
-    start = np.cumsum(sizes) - sizes  # each pair's first quadrangle
-    quads = np.empty((int(sizes.sum()), 4), dtype=np.int64)
-    for k in np.flatnonzero(np.bincount(counts)).tolist():
-        # the k common neighbours of a pair give C(k, 2) quadrangles, taken
-        # in the order of combinations(range(k), 2)
-        i, j = np.triu_indices(k, 1)
-        sel = np.flatnonzero(counts == k)
-        at = start[sel, None] + np.arange(len(i))
-        quads[at, 0] = rows[sel, None]
-        quads[at, 1] = mids[first[sel, None] + i]
-        quads[at, 2] = cols[sel, None]
-        quads[at, 3] = mids[first[sel, None] + j]
-    return quads
-
-
-# Below this order the label-weighted products of ``_zero_two_quadrangles``
-# are exact in float32: every partial sum is at most 2(n - 1)^2 < 2^24.
-_EXACT_LABELS = 2896
-
-
-def _zero_two_quadrangles(support: np.ndarray, codegrees: np.ndarray) -> np.ndarray:
-    """``quadrangles`` of a graph whose vertex pairs share at most two
-    neighbours; ``codegrees`` is its codegree matrix with a zero diagonal.
-
-    Each pair a < c with two common neighbours b < d is the diagonal of the
-    one quadrangle (a, b, c, d), kept when a is its smallest vertex, that is
+    lexicographic order of (a, c) and then of (b, d).  When no pair shares
+    more than two neighbours (true of every rectagraph, and of K4), each
+    pair a < c with two common neighbours b < d is the diagonal of the one
+    quadrangle (a, b, c, d), kept when a is its smallest vertex, that is
     when b > a.  Two support products weighted by the labels give b + d and
     b^2 + d^2, hence d - b = sqrt(2(b^2 + d^2) - (b + d)^2).
     """
-    n = len(support)
+    n = g.n
+    support = g.adj != 0
+    codegrees = _path_counts(support, support)
+    np.fill_diagonal(codegrees, 0)
+    if codegrees.max() > 2:
+        raise StructureError("quadrangles are not listed when a vertex pair "
+                             "shares three or more neighbours")
     pairs = np.flatnonzero(codegrees == 2)
     pairs = pairs[pairs // n < pairs % n]  # a < c, in lexicographic order
     rows, cols = np.divmod(pairs, n)
-    s = support.astype(np.float32)
-    labels = np.arange(n, dtype=np.float32)
+    exact = np.float32 if n < _EXACT_LABELS else np.float64
+    s = support.astype(exact)
+    labels = np.arange(n, dtype=exact)
     sums = ((s * labels) @ s).take(pairs).astype(np.int64)
     squares = ((s * labels * labels) @ s).take(pairs).astype(np.int64)
     gaps = np.rint(np.sqrt(2 * squares - sums * sums)).astype(np.int64)

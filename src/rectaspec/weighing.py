@@ -40,7 +40,8 @@ class WeighingMatrix:
         object.__setattr__(self, "entries", arr)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("weighing matrix must be square")
-        if np.any(np.abs(arr) > 1):
+        # not abs: the int8 abs of -128 is -128
+        if arr.min(initial=0) < -1 or arr.max(initial=0) > 1:
             raise ValueError("entries must lie in {-1, 0, +1}")
         refusal = _gram_refusal(arr)
         if refusal is not None:

@@ -7,6 +7,9 @@
   signatures, for tiny graphs.
 * ``float_spectrum_matches``: numpy's eigenvalues against an exact
   certificate.
+* ``brute_force_quadrangles``: every 4-cycle from the closed 4-walks,
+  checked against ``core.quadrangles`` and the balance counts of
+  ``switching.quadrangle_balance_counts``.
 * ``sign_by_sign_weighing_search``: the old weighing search, which branches
   over every sign, checked against the support search of
   ``search.search_weighing``.
@@ -126,6 +129,25 @@ def float_spectrum_matches(g, cert) -> bool:
     claimed = np.sort([-lam] * cert.m + middle + [lam] * cert.m)
     eig = np.linalg.eigvalsh(np.asarray(g.adj, dtype=np.float64))  # ascending
     return eig.shape == claimed.shape and bool(np.max(np.abs(eig - claimed)) < 1e-9)
+
+
+def brute_force_quadrangles(g) -> list[tuple[int, int, int, int]]:
+    """Every 4-cycle, found as the closed walks v0 v1 v2 v3 v0 on four
+    distinct vertices, written from its smallest vertex a with b < d and
+    sorted by (a, c, b, d): the order ``quadrangles`` documents."""
+    adj = np.abs(np.asarray(g.adj, dtype=np.int64))
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]
+    cycles = set()
+    for v0 in range(len(adj)):
+        for v1 in nbrs[v0]:
+            for v2 in nbrs[v1]:
+                for v3 in nbrs[v2]:
+                    if len({v0, v1, v2, v3}) == 4 and adj[v3, v0]:
+                        cycle = [v0, v1, v2, v3]
+                        k = cycle.index(min(cycle))
+                        a, b, c, d = cycle[k:] + cycle[:k]
+                        cycles.add((a, min(b, d), c, max(b, d)))
+    return sorted(cycles, key=lambda q: (q[0], q[2], q[1], q[3]))
 
 
 def sign_by_sign_weighing_search(n, r, prefix_rows, node_budget=0):

@@ -166,6 +166,24 @@ def test_signature_build_spans_are_live():
         assert parents == builds, span
 
 
+def test_class_invariants_list_no_quadrangles():
+    """``class_invariants`` counts signed quadrangles from two products: a
+    traced call opens its ``exactlinalg.charpoly`` span and no
+    ``core.quadrangles`` span."""
+    from rectaspec.constructions import catalog
+    from rectaspec.switching import class_invariants
+
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        class_invariants(catalog("R4.1"))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names == ["exactlinalg.charpoly"]
+
+
 def test_weighing_kernel_span_times_the_search_alone(monkeypatch):
     """Signing and re-verification run after the ``kernel.wm`` span ends:
     it times the support search alone."""

@@ -20,8 +20,9 @@ from rectaspec.search import _SupportSearch, _sign_supports
 from rectaspec.switching import (SchemeError, relabel, scheme_layout,
                                  solve_switch_for_perm)
 from rectaspec.weighing import equivalent, scheme_two_prefix
-from reference_oracles import (naive_signature_classes, search_signatures_dfs,
-                               sign_by_sign_weighing_search, uncut_support_search)
+from reference_oracles import (brute_force_quadrangles, naive_signature_classes,
+                               search_signatures_dfs, sign_by_sign_weighing_search,
+                               uncut_support_search)
 
 
 class TestSignatureSearch:
@@ -327,17 +328,16 @@ def _benchmark_graph(name: str, seed: int):
 class TestLeanBuild:
     @pytest.mark.parametrize("name", BENCHMARK_GRAPHS)
     def test_arrays_match_the_generic_lister(self, name, monkeypatch):
-        """The constraint arrays equal those built from the generic
-        quadrangle lister, sorted stably by each quadrangle's largest
-        vertex (the order before the zero-two path)."""
+        """The constraint arrays equal those built from a generic 4-cycle
+        lister, the brute-force one, sorted stably by each quadrangle's
+        largest vertex; the label products in float64, as ``quadrangles``
+        takes them from order 2896 on, build the same arrays."""
         from rectaspec import core
 
         for seed in (0, 1, 2):
             g = _benchmark_graph(name, seed)
             problem = build_signature_problem(g)
-            with monkeypatch.context() as m:
-                m.setattr(core, "_EXACT_LABELS", 0)
-                quads = quadrangles(problem.graph)
+            quads = np.array(brute_force_quadrangles(problem.graph))
             order = np.argsort(quads.max(axis=1), kind="stable")
             n_free = len(problem.free_edges)
             edge_id = {}

@@ -11,6 +11,7 @@ from rectaspec.switching import (SchemeError, apply_signed_permutation,
                                  quadrangle_balance_counts, relabel, scheme_layout,
                                  scheme_prefix,
                                  switch, switching_match, underlying_isomorphisms)
+from reference_oracles import brute_force_quadrangles
 
 
 def all_positive_c4():
@@ -284,6 +285,62 @@ class TestClassInvariants:
         # every quadrangle of the signed cube is negative
         counts = quadrangle_balance_counts(rs.signed_cube(3))
         assert all(neg == 3 and pos == 0 for neg, pos in counts)
+
+    @staticmethod
+    def _listed_balance_counts(g):
+        """``quadrangle_balance_counts`` by listing every 4-cycle."""
+        neg, pos = [0] * g.n, [0] * g.n
+        for a, b, c, d in brute_force_quadrangles(g):
+            sign = int(g.adj[a, b]) * int(g.adj[b, c]) * int(g.adj[c, d]) * int(g.adj[d, a])
+            for v in (a, b, c, d):
+                (neg if sign < 0 else pos)[v] += 1
+        return sorted(zip(neg, pos))
+
+    def test_balance_counts_match_listed_quadrangles_on_random_graphs(self):
+        rng = np.random.default_rng(24)
+        wide = 0
+        for _ in range(240):
+            n = int(rng.integers(1, 16))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+            signed = upper * np.where(rng.random((n, n)) < 0.5, -1, 1)
+            g = rs.SignedGraph(signed + signed.T)
+            assert quadrangle_balance_counts(g) == self._listed_balance_counts(g)
+            support = np.abs(g.adj).astype(np.int64)
+            codegrees = support @ support
+            np.fill_diagonal(codegrees, 0)
+            wide += int(codegrees.max()) >= 3
+        assert wide >= 100  # pairs sharing three or more neighbours
+
+    @pytest.mark.parametrize("key", ["T", "G1", "G2", "G3", "G4", "G5", "G6", "R1.1",
+                                     "R2.1", "R3.1", "R4.1", "R4.2", "R5.3", "R5.4",
+                                     "R6.6", "R6.7", "R7.6", "R7.7"])
+    def test_balance_counts_match_listed_quadrangles_on_the_catalog(self, key):
+        g = rs.catalog(key)
+        assert quadrangle_balance_counts(g) == self._listed_balance_counts(g)
+
+    # recorded when the balance counts were still taken from a quadrangle list
+    PINNED = {
+        "R3.1": (8, (3,) * 8, (1, 0, -12, 0, 54, 0, -108, 0, 81), ((3, 0),) * 8,
+                 "e4dfd7b460148a3915f7aca370896702"),
+        "R4.1": (14, (4,) * 14, (1, 0, -28, 0, 336, 0, -2240, 0, 8960, 0, -21504, 0,
+                                 28672, 0, -16384), ((6, 0),) * 14,
+                 "45390192540c9abd4bb0e359d128b3e9"),
+        "R5.4": (16, (5,) * 16, (1, 0, -40, 0, 700, 0, -7000, 0, 43750, 0, -175000, 0,
+                                 437500, 0, -625000, 0, 390625), ((10, 0),) * 16,
+                 "e1b17b0b25ed03946552f4cbc15a5736"),
+        "T": (4, (3,) * 4, (1, 0, -6, 0, 5), ((2, 1),) * 4,
+              "a2043a0aeda89ba73868287fa0954611"),
+        "negative C4": (4, (2,) * 4, (1, 0, -4, 0, 4), ((1, 0),) * 4,
+                        "e3229942c75e3b9a40c56973fd2c659c"),
+        "positive C4": (4, (2,) * 4, (1, 0, -4, 0, 0), ((0, 1),) * 4,
+                        "e3229942c75e3b9a40c56973fd2c659c"),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_invariants(self, key):
+        g = {"negative C4": rs.signed_cube(2),
+             "positive C4": all_positive_c4()}.get(key) or rs.catalog(key)
+        assert rs.class_invariants(g) == self.PINNED[key]
 
 
 @pytest.mark.parametrize("g, h", [
