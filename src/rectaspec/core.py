@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .exactlinalg import exact_matmul
+
 
 class StructureError(ValueError):
     """A structural precondition (regular / triangle-free / ...) failed."""
@@ -229,22 +231,11 @@ def bipartition(g) -> tuple[list[int], list[int]] | None:
     return _bits(sides[0]), _bits(sides[1])
 
 
-def _path_counts(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Entry (u, w): the number of v with left[u, v] and right[v, w], for
-    boolean matrices; one BLAS product."""
-    # float32 is exact here: every partial sum is an integer <= n < 2**24,
-    # and a graph with 2**24 vertices would need 256 TiB for its int8
-    # matrix.  float64 is as exact and doubles the transient matrices.  An
-    # integer matmul gives the same matrix but skips BLAS: 12 s against
-    # 0.03 s at n = 1024, one BLAS thread on a 2-CPU x86-64 machine.
-    return left.astype(np.float32) @ right.astype(np.float32)
-
-
 def _codegrees(g) -> np.ndarray:
     """Common-neighbour count of every ordered vertex pair (the degrees on
-    the diagonal)."""
+    the diagonal), int64."""
     support = g.adj != 0
-    return _path_counts(support, support)
+    return exact_matmul(support, support)
 
 
 def _triangle_free(g, codegrees: np.ndarray) -> bool:
@@ -265,7 +256,7 @@ def common_neighbour_profile(g) -> list[int]:
     if g.n < 2:
         raise ValueError("profile needs at least two vertices")
     c = _codegrees(g)[np.triu_indices(g.n, 1)]
-    return np.sort(c).astype(np.int64).tolist()
+    return np.sort(c).tolist()
 
 
 def quadrangle_count(g) -> int:
@@ -279,15 +270,9 @@ def quadrangle_count(g) -> int:
 
 def _quadrangle_count(codegrees: np.ndarray) -> int:
     # pairs below the diagonal and on it add 0 * (0 - 1)
-    c = np.triu(codegrees, 1).astype(np.int64)
+    c = np.triu(codegrees, 1)
     c *= c - 1
     return int(c.sum()) // 4
-
-
-# Below this order the label-weighted products of ``quadrangles`` are exact
-# in float32: every partial sum is at most 2(n - 1)^2 < 2^24.  From it on
-# they run in float64, exact while 2(n - 1)^2 < 2^53.
-_EXACT_LABELS = 2896
 
 
 def quadrangles(g) -> np.ndarray:
@@ -300,12 +285,13 @@ def quadrangles(g) -> np.ndarray:
     more than two neighbours (true of every rectagraph, and of K4), each
     pair a < c with two common neighbours b < d is the diagonal of the one
     quadrangle (a, b, c, d), kept when a is its smallest vertex, that is
-    when b > a.  Two support products weighted by the labels give b + d and
-    b^2 + d^2, hence d - b = sqrt(2(b^2 + d^2) - (b + d)^2).
+    when b > a.  The support with its columns weighted by the labels, and
+    by their squares, times the support gives b + d and b^2 + d^2, hence
+    d - b = sqrt(2(b^2 + d^2) - (b + d)^2).
     """
     n = g.n
     support = g.adj != 0
-    codegrees = _path_counts(support, support)
+    codegrees = _codegrees(g)
     np.fill_diagonal(codegrees, 0)
     if codegrees.max() > 2:
         raise StructureError("quadrangles are not listed when a vertex pair "
@@ -313,11 +299,13 @@ def quadrangles(g) -> np.ndarray:
     pairs = np.flatnonzero(codegrees == 2)
     pairs = pairs[pairs // n < pairs % n]  # a < c, in lexicographic order
     rows, cols = np.divmod(pairs, n)
-    exact = np.float32 if n < _EXACT_LABELS else np.float64
-    s = support.astype(exact)
-    labels = np.arange(n, dtype=exact)
-    sums = ((s * labels) @ s).take(pairs).astype(np.int64)
-    squares = ((s * labels * labels) @ s).take(pairs).astype(np.int64)
+    # two n x n products, not one product of the support stacked under its
+    # two weighted copies: on Gewirtz x K2 (n = 112, glibc malloc) the
+    # stacked 3n^2 int64 result took 115 fresh page faults per call, these
+    # none
+    labels = np.arange(n, dtype=np.min_scalar_type((n - 1) ** 2))
+    sums = exact_matmul(support * labels, support).take(pairs)
+    squares = exact_matmul(support * (labels * labels), support).take(pairs)
     gaps = np.rint(np.sqrt(2 * squares - sums * sums)).astype(np.int64)
     b = (sums - gaps) >> 1
     d = (sums + gaps) >> 1

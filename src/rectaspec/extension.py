@@ -56,8 +56,7 @@ def gram_residual(g: SignedGraph, lambda_sq: int) -> GramResidual:
     rank-2 classification applies, its case label."""
     if lambda_sq < 1:
         raise ValueError("lambda_sq must be >= 1")
-    a = np.asarray(g.adj, dtype=np.int64)
-    m = lambda_sq * np.eye(g.n, dtype=np.int64) - exact_matmul(a, a)
+    m = lambda_sq * np.eye(g.n, dtype=np.int64) - exact_matmul(g.adj, g.adj)
     return analyse_residual(m, lambda_sq)
 
 
@@ -279,6 +278,8 @@ def _resolve_lambda(g: SignedGraph, lambda_sq, certify, want: str,
         if not check(cert):
             raise ExtensionError(f"certificate {cert} does not match {want}")
         return cert.lambda_sq
+    if lambda_sq < 1:
+        raise ValueError("lambda_sq must be >= 1")
     return int(lambda_sq)
 
 

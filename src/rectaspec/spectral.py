@@ -13,7 +13,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .core import SignedGraph, StructureError
+from .core import SignedGraph, StructureError, _codegrees
 from .exactlinalg import charpoly, exact_matmul
 
 
@@ -232,9 +232,8 @@ def trace_identities(g: SignedGraph) -> tuple[int, int, int]:
     if len(set(g.degrees)) != 1:
         raise StructureError("trace identities need a regular graph")
     r = g.degrees[0]
-    a = np.abs(np.asarray(g.adj, dtype=np.int64))
-    sq = exact_matmul(a, a)
-    # tr(S B) is the entrywise sum of S * B when S is symmetric
-    t3 = int((sq * a).sum())
+    sq = _codegrees(g)
+    # tr(A^2 A) sums the symmetric A^2 over the edges of A
+    t3 = int(sq[g.adj != 0].sum())
     t4 = int((sq * sq).sum())
     return t3, t4, g.n * r * (3 * r - 2)

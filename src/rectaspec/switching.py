@@ -109,7 +109,9 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
 
     SchemeError names the first of regular, triangle-free and zero-two that
     fails, all three read off one codegree product; connectivity is left
-    to the caller."""
+    to the caller.  ValueError when ``base`` is not a vertex."""
+    if base not in range(g.n):
+        raise ValueError(f"base vertex {base} outside range({g.n})")
     codegrees = _codegrees(g)
     degree = int(codegrees[0, 0])
     if np.any(np.diagonal(codegrees) != degree):
@@ -376,8 +378,7 @@ def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:
     path signs sum to s = (A^2)_vc, so (k^2 - s^2) / 4 of the C(k, 2)
     quadrangles with diagonal vc are negative.
     """
-    support = np.abs(g.adj)
-    common = exact_matmul(support, support)
+    common = _codegrees(g)
     signed = exact_matmul(g.adj, g.adj)
     np.fill_diagonal(common, 0)
     np.fill_diagonal(signed, 0)

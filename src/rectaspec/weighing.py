@@ -17,13 +17,12 @@ isomorphism of support graphs into the witness (P, Q) for both.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _exact_copy, _path_counts,
-                   bipartition, is_connected, structure_report)
+from .core import (SignedGraph, StructureError, _exact_copy, bipartition,
+                   is_connected, structure_report)
 from .exactlinalg import exact_matmul
 from .spectral import Refusal, _first_violation, certify_two_sym
 from .switching import _sign_match, schem_normal_form, scheme_prefix
@@ -103,8 +102,8 @@ def verify_weighing(matrix):
 def intersection_numbers(w: WeighingMatrix) -> set[int]:
     """Counts of shared support positions over all row pairs."""
     support = w.entries != 0
-    overlap = _path_counts(support, support.T)
-    return set(overlap[np.triu_indices(w.n, 1)].astype(np.int64).tolist())
+    overlap = exact_matmul(support, support.T)
+    return set(overlap[np.triu_indices(w.n, 1)].tolist())
 
 
 def is_proper(w: WeighingMatrix) -> bool:
@@ -297,7 +296,8 @@ def parse_weighing_text(text: str) -> WeighingMatrix:
     if not lines:
         raise WeighingFormatError("empty input")
     head = lines[0].split()
-    if len(head) != 2 or not all(re.fullmatch("-?[0-9]+", p) for p in head):
+    # ASCII digits only, as in the sg1 header: no sign, no "²"
+    if len(head) != 2 or not all(p.isascii() and p.isdigit() for p in head):
         raise WeighingFormatError(f"header must be 'n r', got {lines[0]!r}")
     n, r = int(head[0]), int(head[1])
     if len(lines) - 1 != n:

@@ -203,6 +203,16 @@ def test_extend_zero_pair_pipeline(capsys, tmp_path):
     assert restored.n == 16 and rs.certify_two_sym(restored).lambda_sq == 4
 
 
+def test_extend_refuses_lambda_below_one(capsys, tmp_path):
+    path = tmp_path / "g.sg1"
+    path.write_text(write_signed(rs.delete_vertices(rs.catalog("R3.1"), {0})))
+    code, out, err = run(capsys, "extend", "--signed-file", str(path),
+                         "--lambda-sq", "0")
+    assert code == 1 and out == ""
+    assert "error: lambda_sq must be >= 1" in err
+    assert "degree condition" not in err
+
+
 def test_extend_refusal(capsys, tmp_path):
     path = tmp_path / "bad.sg1"
     star = rs.SignedGraph.from_edges(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])

@@ -301,8 +301,9 @@ class TestQuadrangleListing:
             assert is_rectagraph(h)
             got = _listed(h)
             assert got == brute_force_quadrangles(h)
-            # the label products in float64, as from order 2896 on
-            monkeypatch.setattr(rs.core, "_EXACT_LABELS", 0)
+            # every product in float64, as the label products from order 257 on
+            monkeypatch.setattr(rs.exactlinalg, "_FLOAT_RULES",
+                                ((np.float64, 1 << 53),))
             assert _listed(h) == got
             monkeypatch.undo()
 

@@ -34,6 +34,29 @@ def test_exact_matmul_past_int64():
     assert np.array_equal(exact_matmul(c, d), c.astype(object) @ d.astype(object))
 
 
+def test_exact_matmul_float32_boundary():
+    # 4095^2 = 16,769,025 is below 2**24 and takes float32; 4097^2 is past
+    # it, where float32 rounds the product to 16,785,408
+    assert exact_matmul(np.array([[4095]]), np.array([[4095]])).tolist() == [[16_769_025]]
+    assert int(np.float32(4097) * np.float32(4097)) != 16_785_409
+    prod = exact_matmul(np.array([[4097]]), np.array([[4097]]))
+    assert prod.dtype == np.int64 and prod.tolist() == [[16_785_409]]
+
+
+def test_exact_matmul_operand_dtypes_agree():
+    rng = np.random.default_rng(5)
+    support = rng.integers(0, 2, size=(9, 9)).astype(bool)
+    signs = rng.choice([-1, 1], size=(9, 9)) * support
+    want = support.astype(object) @ signs.astype(object)
+    for left in (support, support.astype(np.int8), support.astype(np.int64)):
+        for right in (signs.astype(np.int8), signs.astype(np.int64)):
+            prod = exact_matmul(left, right)
+            assert prod.dtype == np.int64 and np.array_equal(prod, want)
+    square = exact_matmul(support, support)
+    assert square.dtype == np.int64
+    assert np.array_equal(square, exact_matmul(support.astype(np.int8), support.astype(np.int64)))
+
+
 def test_charpoly_known_values():
     assert charpoly(np.array([[0, 1], [1, 0]])) == [1, 0, -1]  # x^2 - 1
     assert charpoly(np.zeros((3, 3), dtype=int)) == [1, 0, 0, 0]

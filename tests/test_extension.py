@@ -126,6 +126,17 @@ class TestClassifyGram:
             classify_gram(gram_residual(rs.signed_cube(3), 3))
 
 
+@pytest.mark.parametrize("extend, g", [
+    (extend_one_vertex, rs.delete_vertices(rs.signed_cube(3), {0})),
+    (extend_four_to_three, rs.delete_vertices(rs.signed_cube(3), {0, 1})),
+    (extend_zero_pair, rs.delete_vertices(rs.signed_cube(4), {0, 3})),
+])
+@pytest.mark.parametrize("lambda_sq", [0, -4])
+def test_extensions_refuse_lambda_below_one(extend, g, lambda_sq):
+    with pytest.raises(ValueError, match=r"lambda_sq must be >= 1"):
+        extend(g, lambda_sq=lambda_sq)
+
+
 class TestExtendOneVertex:
     def test_restores_the_cube(self):
         g = rs.signed_cube(4)

@@ -330,9 +330,9 @@ class TestLeanBuild:
     def test_arrays_match_the_generic_lister(self, name, monkeypatch):
         """The constraint arrays equal those built from a generic 4-cycle
         lister, the brute-force one, sorted stably by each quadrangle's
-        largest vertex; the label products in float64, as ``quadrangles``
-        takes them from order 2896 on, build the same arrays."""
-        from rectaspec import core
+        largest vertex; every product in float64, as ``quadrangles`` takes
+        its label products from order 257 on, builds the same arrays."""
+        from rectaspec import exactlinalg
 
         for seed in (0, 1, 2):
             g = _benchmark_graph(name, seed)
@@ -350,7 +350,7 @@ class TestLeanBuild:
                 [edge_id.get((v, w), n_free) for v, w in zip(quad, quad[1:] + quad[:1])]
                 for quad in open_quads]
             with monkeypatch.context() as m:
-                m.setattr(core, "_EXACT_LABELS", 0)
+                m.setattr(exactlinalg, "_FLOAT_RULES", ((np.float64, 1 << 53),))
                 reference = build_signature_problem(g)
             for field in ("constraint_edges", "constraint_targets",
                           "constraint_quadrangles", "prefix_signs", "edge_ids"):

@@ -60,3 +60,13 @@ def test_silenced_imports_are_tracer_hooks():
     stale = [f"{place} {name}" for place, module, name in silenced
              if (module, name) not in hooks]
     assert stale == []
+
+
+def test_float_types_named_only_in_exactlinalg():
+    """``exactlinalg.exact_matmul`` alone chooses the arithmetic of an
+    integer product, so no other module names a float type."""
+    found = [f"{path.relative_to(PACKAGE)}:{i}"
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "exactlinalg.py"
+             for i, line in enumerate(path.read_text().splitlines(), start=1)
+             if re.search(r"float(32|64)", line)]
+    assert found == []

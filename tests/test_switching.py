@@ -83,6 +83,14 @@ class TestSchemeNormalForm:
         with pytest.raises(SchemeError, match="triangle-free"):
             rs.schem_normal_form(k3)
 
+    @pytest.mark.parametrize("base", [-1, 8])
+    def test_base_outside_the_vertices_refused(self, base):
+        g = rs.signed_cube(3)
+        with pytest.raises(ValueError, match=r"outside range\(8\)"):
+            scheme_layout(g, base)
+        with pytest.raises(ValueError, match=r"outside range\(8\)"):
+            rs.schem_normal_form(g, base=base)
+
     def test_positive_quadrangle_signature_rejected(self):
         with pytest.raises(SchemeError, match="quadrangle"):
             rs.schem_normal_form(all_positive_c4())

@@ -437,6 +437,10 @@ class TestTextFormat:
             rs.parse_weighing_text("2 1\n+0\nx+\n")
         with pytest.raises(WeighingFormatError, match="rows"):
             rs.parse_weighing_text("3 1\n+00\n0+0\n")
+        # the header takes ASCII digits only, so no signed number
+        for text in ("-3 2", "2 -2\n+0\n0+\n"):
+            with pytest.raises(WeighingFormatError, match="header must be 'n r'"):
+                rs.parse_weighing_text(text)
         with pytest.raises(WeighingFormatError, match="weight"):
             rs.parse_weighing_text("2 2\n+0\n0+\n")
         # headers that pass a digit test but not int()
