@@ -30,7 +30,7 @@ def _magnitude(m: np.ndarray) -> int:
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two integer or boolean matrices.
+    """Exact product of two integer or boolean matrices or vectors.
 
     With bound = inner dimension * max|a| * max|b|, which bounds every entry
     and partial sum, the product runs in the first float type of
@@ -40,7 +40,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    bound = a.shape[1] * _magnitude(a) * _magnitude(b)
+    bound = a.shape[-1] * _magnitude(a) * _magnitude(b)
     for exact, limit in _FLOAT_RULES:
         if bound < limit:
             return (a.astype(exact) @ b.astype(exact)).astype(np.int64)

@@ -246,8 +246,8 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
     # one of each pair +-x, and not x = 0: the first nonzero coefficient is 1
     coeffs = (np.indices((3,) * len(classes)).reshape(len(classes), -1).T + 1) % 3 - 1
     lead = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)]
-    xs = basis @ coeffs[lead > 0].T
-    fixed = np.all(m @ xs == lam * xs, axis=0)
+    xs = exact_matmul(basis, coeffs[lead > 0].T)
+    fixed = np.all(exact_matmul(m, xs) == lam * xs, axis=0)
     candidates = tuple(map(tuple, xs.T[fixed].tolist()))
     return ClassifiedGram(case=gr.case_label, witness=witness,
                           canonical=canonical, eigen_candidates=candidates)
@@ -375,17 +375,16 @@ def _extend_pair(g: SignedGraph, lam_sq: int, eigenvalue: int, excluded,
     if classified.case in excluded:
         raise ExtensionError(
             f"residual lands in {kind} case ({classified.case})")
-    a = np.asarray(g.adj, dtype=np.int64)
     v2 = [i for i in range(g.n) if g.degrees[i] == lam_sq - 2]
     vectors = {vec for cand in classified.eigen_candidates
                for vec in (cand, tuple(-c for c in cand))}
     for vec in sorted(vectors):
         x = np.asarray(vec, dtype=np.int64)
-        if int(x @ x) != eigenvalue or any(x[i] == 0 for i in v2):
+        if int(exact_matmul(x, x)) != eigenvalue or any(x[i] == 0 for i in v2):
             continue
         if transport:
-            ax = a @ x
-            if np.any(np.abs(ax) > 1) or int(x @ ax) != 0:
+            ax = exact_matmul(g.adj, x)
+            if np.any(np.abs(ax) > 1) or int(exact_matmul(x, ax)) != 0:
                 continue
         out = _border(g, x)
         if not all(d in (lam_sq, lam_sq - 1) for d in out.degrees):

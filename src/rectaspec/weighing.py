@@ -195,8 +195,8 @@ class EquivalenceWitness:
         return sp_matrix(self.q_perm, self.q_signs)
 
     def verify(self, m: WeighingMatrix, n: WeighingMatrix) -> bool:
-        prod = self.p_matrix() @ np.asarray(n.entries, dtype=np.int64) @ self.q_matrix()
-        return np.array_equal(prod, np.asarray(m.entries, dtype=np.int64))
+        prod = exact_matmul(exact_matmul(self.p_matrix(), n.entries), self.q_matrix())
+        return np.array_equal(prod, m.entries)
 
 
 def _witness_from_transform(n: int, perm, eps) -> EquivalenceWitness:

@@ -70,3 +70,16 @@ def test_float_types_named_only_in_exactlinalg():
              for i, line in enumerate(path.read_text().splitlines(), start=1)
              if re.search(r"float(32|64)", line)]
     assert found == []
+
+
+def test_products_taken_only_in_exactlinalg():
+    """Every matrix product outside ``exactlinalg`` goes through
+    ``exact_matmul``: no other module writes ``@`` or calls a NumPy
+    product function."""
+    products = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py")) if path.name != "exactlinalg.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(getattr(node, "op", None), ast.MatMult)
+             or isinstance(node, ast.Attribute) and node.attr in products]
+    assert found == []
