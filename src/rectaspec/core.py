@@ -299,7 +299,7 @@ def quadrangles(g) -> np.ndarray:
     pairs = np.flatnonzero(codegrees == 2)
     pairs = pairs[pairs // n < pairs % n]  # a < c, in lexicographic order
     rows, cols = np.divmod(pairs, n)
-    del codegrees  # n^2 int64 entries the label products need not share memory with
+    del codegrees  # free its n^2 int64 entries before the two label products
     # two n x n products, not one product of the support stacked under its
     # two weighted copies: on Gewirtz x K2 (n = 112, glibc malloc) the
     # stacked 3n^2 int64 result took 115 fresh page faults per call, these
