@@ -9,7 +9,9 @@ the one breadth-first spanning forest built from them (``spanning_forest``);
 triangle-freeness, the zero-two property, the common-neighbour profile and
 the quadrangles read the codegree product of the support.  Every predicate
 reads only the support, so it accepts either type and never builds an
-underlying graph first.
+underlying graph first.  The package builds every row bitmask with
+``_row_masks``, and applies every switching, equivalence or Gram witness
+with ``_signed_permute``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,33 @@ def _exact_copy(values, dtype) -> np.ndarray:
         if not np.array_equal(out, src):
             raise ValueError(f"matrix entries must be integers within the {out.dtype} range")
     out.setflags(write=False)
+    return out
+
+
+def _row_masks(matrix: np.ndarray) -> list[int]:
+    """Each row of the 2-D boolean ``matrix`` as a Python int: bit j set iff
+    entry j is."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _permutation(perm, size: int) -> np.ndarray:
+    """``perm`` as an index array; ValueError unless it is a permutation of
+    range(size)."""
+    if sorted(perm) != list(range(size)):
+        raise ValueError(f"perm is not a permutation of range({size})")
+    return np.asarray(perm, dtype=np.intp)
+
+
+def _signed_permute(m: np.ndarray, rows, row_signs, cols, col_signs) -> np.ndarray:
+    """The matrix with row_signs[i] * col_signs[j] * m[i, j] at
+    (rows[i], cols[j]); ValueError unless ``rows`` and ``cols`` are
+    permutations of m's row and column indices."""
+    rows = _permutation(rows, m.shape[0])
+    cols = _permutation(cols, m.shape[1])
+    values = np.asarray(row_signs)[:, None] * m * np.asarray(col_signs)
+    out = np.empty_like(values)
+    out[np.ix_(rows, cols)] = values
     return out
 
 
@@ -100,8 +129,7 @@ class _Graph:
     @cached_property
     def row_bits(self) -> tuple[int, ...]:
         """Support of each row as a Python int: bit j set iff j is a neighbour."""
-        packed = np.packbits(self.adj != 0, axis=1, bitorder="little")
-        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+        return tuple(_row_masks(self.adj != 0))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

@@ -15,7 +15,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .core import SignedGraph, StructureError, _exact_copy, structure_report
+from .core import (SignedGraph, StructureError, _exact_copy, _signed_permute,
+                   structure_report)
 from .exactlinalg import exact_matmul, rank
 from .spectral import (certify_four_sym, certify_three_sym, certify_two_sym)
 
@@ -33,10 +34,8 @@ class GramWitness:
     signs: tuple[int, ...]
 
     def apply(self, m: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(m)
-        signs = np.asarray(self.signs)
-        out[np.ix_(self.perm, self.perm)] = np.outer(signs, signs) * m
-        return out
+        """ValueError unless ``perm`` is a permutation of m's indices."""
+        return _signed_permute(m, self.perm, self.signs, self.perm, self.signs)
 
 
 @dataclass(frozen=True, eq=False)  # arrays: equality and hash by identity
@@ -62,6 +61,8 @@ def gram_residual(g: SignedGraph, lambda_sq: int) -> GramResidual:
 
 def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
     m = _exact_copy(m, np.int64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("residual must be a square matrix")
     diag = np.diagonal(m)
     counts = None
     if np.all((diag >= 0) & (diag <= 2)):

@@ -56,7 +56,7 @@ import numpy as np
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from ._kernel import run_search  # noqa: F401
 from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _bits,
-                   is_connected, quadrangles)
+                   _row_masks, is_connected, quadrangles)
 from .formats import write_graph6
 from .spectral import certify_two_sym
 from .switching import (SchemeError, relabel, scheme_layout, scheme_prefix,
@@ -103,8 +103,7 @@ class SignatureSearchProblem:
         ids = self.edge_ids
         on_star = np.zeros((size, n_free + 1), dtype=bool)
         on_star[np.arange(size)[:, None], ids[tail:]] = True
-        stars = [int.from_bytes(row.tobytes(), "little") for row in
-                 np.packbits(on_star[:, :n_free], axis=1, bitorder="little")]
+        stars = _row_masks(on_star[:, :n_free])
         return tuple((1 << int(ids[x, parent]), stars[x - tail])
                      for x, parent in self.graph.spanning_forest if x >= tail)
 
@@ -562,10 +561,8 @@ class _SupportSearch:
     def __init__(self, n: int, r: int, prefix: np.ndarray, node_budget: int):
         self.n, self.r, self.node_budget = n, r, node_budget
         self.quota = r * (r - 1) // 2  # rows each row meets, see search_weighing
-        self.rows = [sum(1 << j for j in np.flatnonzero(row).tolist())
-                     for row in prefix]
-        self.neg = [sum(1 << j for j in np.flatnonzero(row < 0).tolist())
-                    for row in prefix]
+        self.rows = _row_masks(prefix != 0)
+        self.neg = _row_masks(prefix < 0)
         self.col_weight = [int(w) for w in np.count_nonzero(prefix, axis=0)]
         # single[a]: the columns that share exactly one placed row with a.
         # No column pair reaches three rows, so placing or undoing a row

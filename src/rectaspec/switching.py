@@ -8,10 +8,13 @@ here) and, for each candidate, propagates signs along a spanning tree: on a
 connected graph a candidate permutation admits at most one switching, so
 the check per candidate is linear in the edge count.  ``switching_match``
 decides the same question without VF2, by the sign-propagating matcher
-``_sign_match``: a backtracking search over the support bitmasks that fixes
-each vertex's switching sign as it places it.  The signature search dedupes
-with ``switching_match``, and ``weighing.equivalent`` calls ``_sign_match``
-with its row/column side split.
+``_sign_match``: a backtracking search over the positive and negative
+neighbour bitmasks (``core._row_masks``) that fixes each vertex's switching
+sign as it places it.  The signature search dedupes with
+``switching_match``, and ``weighing.equivalent`` calls ``_sign_match`` with
+its row/column side split.  Both deciders re-check every witness before
+returning it, by applying it to the adjacency matrix with
+``core._signed_permute`` and comparing the result with the target's.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from math import comb
 
 import numpy as np
 
-from .core import SignedGraph, StructureError, _bits, _codegrees, _triangle_free, _zero_two
+from .core import (SignedGraph, StructureError, _bits, _codegrees, _permutation, _row_masks,
+                   _signed_permute, _triangle_free, _zero_two)
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .core import quadrangles, structure_report  # noqa: F401
 from .exactlinalg import charpoly, exact_matmul
@@ -42,11 +46,7 @@ def switch(g: SignedGraph, vertices) -> SignedGraph:
 
 def relabel(g, perm):
     """Relabel with ``perm[old] = new``; a graph of ``g``'s own type."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError(f"perm is not a permutation of range({g.n})")
-    inv = [0] * g.n
-    for old, new in enumerate(perm):
-        inv[new] = old
+    inv = np.argsort(_permutation(perm, g.n))
     return type(g)(g.adj[np.ix_(inv, inv)])
 
 
@@ -78,8 +78,12 @@ def scheme_prefix(r: int, n: int) -> np.ndarray:
 
     Row 0 is a positive star on vertices 1..r; for every pair (a, b) with
     1 <= a < b <= r there is one column holding +1 in row a and -1 in row b;
-    trailing columns (vertices far from the base) are zero.
+    trailing columns (vertices far from the base) are zero.  ValueError
+    when n is below the 1 + r + r(r-1)/2 columns the prefix fills.
     """
+    width = 1 + r + comb(r, 2)
+    if n < width:
+        raise ValueError(f"the degree-{r} prefix needs order at least {width}, got {n}")
     rows = np.zeros((r + 1, n), dtype=np.int8)
     for j in range(1, r + 1):
         rows[0, j] = rows[j, 0] = 1
@@ -246,20 +250,10 @@ def _verified_witness(g: SignedGraph, h: SignedGraph, perm, eps) -> SwitchingWit
     witness = SwitchingWitness(perm=tuple(perm[v] for v in range(g.n)),
                                switch_set=frozenset(perm[v] for v in range(g.n)
                                                     if eps[v] == -1))
-    if apply_signed_permutation(g, witness.perm, witness.switch_set) != h:
+    if not np.array_equal(_signed_permute(g.adj, witness.perm, eps, witness.perm, eps),
+                          h.adj):
         raise RuntimeError("witness failed re-verification")
     return witness
-
-
-def _sign_bits(g: SignedGraph) -> tuple[list[int], list[int]]:
-    """Per vertex, the bitmasks of its positive and of its negative
-    neighbours."""
-    pos, neg = [0] * g.n, [0] * g.n
-    for a, b, sign in g.edges():
-        side = pos if sign > 0 else neg
-        side[a] |= 1 << b
-        side[b] |= 1 << a
-    return pos, neg
 
 
 def _match_order(pos, neg) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -304,8 +298,8 @@ def _sign_match(g: SignedGraph, h: SignedGraph, split: int = 0):
     size = g.n
     if size != h.n or sorted(g.degrees) != sorted(h.degrees):
         return None
-    gpos, gneg = _sign_bits(g)
-    hpos, hneg = _sign_bits(h)
+    gpos, gneg = _row_masks(g.adj > 0), _row_masks(g.adj < 0)
+    hpos, hneg = _row_masks(h.adj > 0), _row_masks(h.adj < 0)
     hbits = h.row_bits
     order = _match_order(gpos, gneg)
     starts: dict[tuple[bool, int], int] = {}  # (below split, degree) -> h's vertices

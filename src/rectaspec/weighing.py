@@ -12,7 +12,9 @@ propagating the switching signs from vertex to vertex as it places them, so
 that every partial map is checked on edges, non-edges and signs at once.
 The row normal form is read off the same graph (the biadjacency block of its
 star normal form at a column vertex), and one translation turns a switching
-isomorphism of support graphs into the witness (P, Q) for both.
+isomorphism of support graphs into the witness (P, Q) for both.  Every
+witness is re-checked before it is returned, by applying P and Q to rows and
+columns as index maps (``core._signed_permute``), without a matrix product.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _exact_copy, bipartition,
-                   is_connected, structure_report)
+from .core import (SignedGraph, StructureError, _exact_copy, _permutation,
+                   _signed_permute, bipartition, is_connected, structure_report)
 from .exactlinalg import exact_matmul
 from .spectral import Refusal, _first_violation, certify_two_sym
 from .switching import _sign_match, schem_normal_form, scheme_prefix
@@ -170,14 +172,6 @@ def from_bipartite_sr2se(g: SignedGraph) -> WeighingMatrix:
 # -- equivalence --------------------------------------------------------------
 
 
-def sp_matrix(perm, signs) -> np.ndarray:
-    n = len(perm)
-    p = np.zeros((n, n), dtype=np.int64)
-    for i, (j, s) in enumerate(zip(perm, signs)):
-        p[i, j] = s
-    return p
-
-
 @dataclass(frozen=True)
 class EquivalenceWitness:
     """M = P N Q; both factors stored as (perm, signs) with
@@ -188,15 +182,16 @@ class EquivalenceWitness:
     q_perm: tuple[int, ...]
     q_signs: tuple[int, ...]
 
-    def p_matrix(self) -> np.ndarray:
-        return sp_matrix(self.p_perm, self.p_signs)
-
-    def q_matrix(self) -> np.ndarray:
-        return sp_matrix(self.q_perm, self.q_signs)
-
     def verify(self, m: WeighingMatrix, n: WeighingMatrix) -> bool:
-        prod = exact_matmul(exact_matmul(self.p_matrix(), n.entries), self.q_matrix())
-        return np.array_equal(prod, m.entries)
+        """True iff M = P N Q, checked by indexing, not by products: M's
+        entry (i, q_perm[j]) must be p_signs[i] * q_signs[j] times N's entry
+        (p_perm[i], j).  ValueError unless both perms are permutations of
+        range(n)."""
+        q_inv = np.argsort(_permutation(self.q_perm, n.n))
+        q_signs = np.asarray(self.q_signs)[q_inv]
+        return np.array_equal(
+            _signed_permute(m.entries, self.p_perm, self.p_signs, q_inv, q_signs),
+            n.entries)
 
 
 def _witness_from_transform(n: int, perm, eps) -> EquivalenceWitness:
@@ -216,8 +211,9 @@ def equivalent(m: WeighingMatrix, n: WeighingMatrix):
     Reduces to a side-preserving switching isomorphism of the signed
     bipartite support graphs, which the switching matcher ``_sign_match``
     decides by backtracking with sign propagation, given the split between
-    the column vertices 0..n-1 and the row vertices n..2n-1.  Returns (bool, witness-or-None); a
-    returned witness re-verifies by multiplication.  Raises TypeError unless
+    the column vertices 0..n-1 and the row vertices n..2n-1.  Returns
+    (bool, witness-or-None); a returned witness has been re-verified by
+    ``EquivalenceWitness.verify``.  Raises TypeError unless
     both arguments are ``WeighingMatrix``.
     """
     for arg in (m, n):
@@ -244,8 +240,11 @@ def scheme_two_prefix(r: int, n: int) -> np.ndarray:
     sign), and rows a < b (a >= 1) meet in column 0 and one block column
     holding +1 in row a and -1 in row b.  That is ``scheme_prefix`` taken
     at a column vertex: its rows 1..r against the base and the r(r-1)/2
-    pair columns, padded with zero columns to n."""
+    pair columns, padded with zero columns to n.  ValueError when n is
+    below those 1 + r(r-1)/2 columns."""
     width = r * (r - 1) // 2 + 1
+    if n < width:
+        raise ValueError(f"the weight-{r} prefix needs order at least {width}, got {n}")
     star = scheme_prefix(r, r + width)
     rows = np.zeros((r, n), dtype=np.int8)
     rows[:, :width] = star[1:, [0, *range(r + 1, r + width)]]
@@ -300,6 +299,8 @@ def parse_weighing_text(text: str) -> WeighingMatrix:
     if len(head) != 2 or not all(p.isascii() and p.isdigit() for p in head):
         raise WeighingFormatError(f"header must be 'n r', got {lines[0]!r}")
     n, r = int(head[0]), int(head[1])
+    if n == 0:
+        raise WeighingFormatError("order must be positive")
     if len(lines) - 1 != n:
         raise WeighingFormatError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []

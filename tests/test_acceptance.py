@@ -20,7 +20,7 @@ from rectaspec.extension import (classify_small_spectrum_02graph,
                                  extend_four_to_three, extend_one_vertex,
                                  extend_zero_pair)
 from rectaspec.search import search_signatures, search_weighing
-from rectaspec.switching import underlying_isomorphisms
+from rectaspec.switching import switching_match, underlying_isomorphisms
 from reference_oracles import naive_signature_classes
 
 
@@ -127,11 +127,49 @@ def test_criterion_06_weighing_correspondence():
               f"in {elapsed:.2f}s")
 
 
-def _assert_restored(restored, original, r):
+def _assert_restored(restored, original, r, decide=rs.switching_isomorphic):
     cert = rs.certify_two_sym(restored)
     assert cert and cert.lambda_sq == r
-    ok, _ = rs.switching_isomorphic(restored, original)
+    ok, _ = decide(restored, original)
     assert ok
+
+
+def _round_trips(g, r, vertices, pairs, decide=rs.switching_isomorphic) -> int:
+    """Delete each vertex of ``vertices`` and each pair of ``pairs`` from the
+    two-eigenvalue graph ``g`` (A^2 = r I), check the certificate the
+    deletion leaves, extend back and check with ``decide`` that the result
+    is switching isomorphic to ``g``; the number of trips."""
+    m = g.n // 2
+    for v in vertices:
+        h = rs.delete_vertices(g, {v})
+        if m - 1 >= 1:
+            cert = rs.certify_three_sym(h)
+            assert cert and cert.lambda_sq == r and cert.d == 1 \
+                and cert.m == m - 1
+        else:
+            assert rs.char_poly(h) == [1, 0]  # bare spectrum {0}
+        _assert_restored(extend_one_vertex(h, lambda_sq=r), g, r, decide)
+    for u, v in pairs:
+        h = rs.delete_vertices(g, {u, v})
+        if g.adj[u, v]:
+            if m - 2 >= 1:
+                cert = rs.certify_four_sym(h)
+                assert cert and cert.lambda_sq == r and cert.mu_sq == 1
+            else:
+                assert rs.char_poly(h) == [1, 0, -1]  # spectrum {-1, 1}
+            mid = extend_four_to_three(h, lambda_sq=r)
+        else:
+            if m - 2 >= 1:
+                cert = rs.certify_three_sym(h)
+                assert cert and cert.lambda_sq == r and cert.d == 2
+            else:
+                assert rs.char_poly(h) == [1, 0, 0]  # spectrum {0, 0}
+            mid = extend_zero_pair(h, lambda_sq=r)
+        cert = rs.certify_three_sym(mid)
+        assert cert and cert.lambda_sq == r and cert.d == 1
+        assert all(d in (r, r - 1) for d in mid.degrees)
+        _assert_restored(extend_one_vertex(mid, lambda_sq=r), g, r, decide)
+    return len(vertices) + len(pairs)
 
 
 def test_criterion_07_deletion_extension_round_trips():
@@ -139,45 +177,40 @@ def test_criterion_07_deletion_extension_round_trips():
     cases = 0
     for key in ["R1.1", "R2.1", "R3.1", "R4.1", "R4.2"]:
         g = rs.catalog(key)
-        r = catalog_certificate(key)[1]
-        m = g.n // 2
-        for v in range(g.n):
-            h = rs.delete_vertices(g, {v})
-            if m - 1 >= 1:
-                cert = rs.certify_three_sym(h)
-                assert cert and cert.lambda_sq == r and cert.d == 1 \
-                    and cert.m == m - 1
-            else:
-                assert rs.char_poly(h) == [1, 0]  # bare spectrum {0}
-            _assert_restored(extend_one_vertex(h, lambda_sq=r), g, r)
-            cases += 1
-        if g.n < 3:
-            continue
-        for u, v in combinations(range(g.n), 2):
-            h = rs.delete_vertices(g, {u, v})
-            if g.adj[u, v]:
-                if m - 2 >= 1:
-                    cert = rs.certify_four_sym(h)
-                    assert cert and cert.lambda_sq == r and cert.mu_sq == 1
-                else:
-                    assert rs.char_poly(h) == [1, 0, -1]  # spectrum {-1, 1}
-                mid = extend_four_to_three(h, lambda_sq=r)
-            else:
-                if m - 2 >= 1:
-                    cert = rs.certify_three_sym(h)
-                    assert cert and cert.lambda_sq == r and cert.d == 2
-                else:
-                    assert rs.char_poly(h) == [1, 0, 0]  # spectrum {0, 0}
-                mid = extend_zero_pair(h, lambda_sq=r)
-            cert = rs.certify_three_sym(mid)
-            assert cert and cert.lambda_sq == r and cert.d == 1
-            assert all(d in (r, r - 1) for d in mid.degrees)
-            _assert_restored(extend_one_vertex(mid, lambda_sq=r), g, r)
-            cases += 1
+        pairs = list(combinations(range(g.n), 2)) if g.n >= 3 else []
+        cases += _round_trips(g, catalog_certificate(key)[1], range(g.n), pairs)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     report(7, f"{cases} deletion/extension round trips restored their "
               f"originals in {elapsed:.2f}s")
+
+
+# every pair of R5.3, R5.4 and R6.7; of R6.6 and R7.7 (64 vertices each),
+# the 63 pairs through vertex 0 rather than all 2,016, which would take R7.7
+# to a large share of the 120 s bound: r adjacent pairs and 63 - r
+# non-adjacent ones, at distance 2 and beyond
+PAIRS_THROUGH_VERTEX_0 = ("R6.6", "R7.7")
+
+
+@pytest.mark.parametrize("key", ["R5.3", "R5.4", "R6.6", "R6.7", "R7.7"])
+def test_criterion_07_degree_five_to_seven(key):
+    """The paper's second result on the degree 5..7 rows that build without
+    a weighing file: every one-vertex deletion and the pairs above, each
+    restored graph checked by the switching matcher."""
+    start = time.perf_counter()
+    g = rs.catalog(key)
+    r = catalog_certificate(key)[1]
+    if key in PAIRS_THROUGH_VERTEX_0:
+        pairs = [(0, v) for v in range(1, g.n)]
+    else:
+        pairs = list(combinations(range(g.n), 2))
+    adjacent = sum(1 for u, v in pairs if g.adj[u, v])
+    assert 0 < adjacent < len(pairs)
+    cases = _round_trips(g, r, range(g.n), pairs, decide=switching_match)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 120.0
+    report(7, f"{key}: {cases} round trips ({g.n} vertices, {adjacent} adjacent "
+              f"and {len(pairs) - adjacent} non-adjacent pairs) in {elapsed:.2f}s")
 
 
 def _connected_regular_graphs(n, r):

@@ -42,6 +42,12 @@ class TestGramResidual:
         gr = gram_residual(h, 4)
         assert int(np.trace(gr.matrix)) == gr.d1 + 2 * gr.d2
 
+    @pytest.mark.parametrize("m", [np.ones((2, 3), dtype=int), np.ones(3, dtype=int),
+                                   np.ones((2, 2, 2), dtype=int)], ids=["2x3", "1-D", "3-D"])
+    def test_non_square_residual_refused(self, m):
+        with pytest.raises(ValueError, match="residual must be a square matrix"):
+            analyse_residual(m, 1)
+
 
 class TestClassifyGram:
     def test_case_a_direct(self):
@@ -94,6 +100,11 @@ class TestClassifyGram:
             cls = classify_gram(analyse_residual(scrambled, 0))
             assert cls.case == case, (case, cls.diagnostic)
             assert np.array_equal(cls.witness.apply(scrambled), cls.canonical)
+
+    @pytest.mark.parametrize("perm", [(0, 0), (1, 2), (0,), (0, 1, 2)])
+    def test_non_permutation_witness_raises(self, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            GramWitness(perm, (1,) * len(perm)).apply(np.eye(2, dtype=np.int64))
 
     def test_eigen_candidates_match_brute_force(self):
         # up to sign, the candidates are every x in {0, +-1}^n with M x = q x

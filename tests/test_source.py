@@ -83,3 +83,36 @@ def test_products_taken_only_in_exactlinalg():
              if isinstance(getattr(node, "op", None), ast.MatMult)
              or isinstance(node, ast.Attribute) and node.attr in products]
     assert found == []
+
+
+def _outside_core():
+    """(place, node) for every ast node of every module but ``core``."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "core.py":
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                yield f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}", node
+
+
+def test_row_masks_built_only_in_core():
+    """``core._row_masks`` alone turns matrix rows into Python-int bitmasks:
+    no other module calls ``int.from_bytes`` or a little-endian ``packbits``
+    (graph6 packs its six-bit groups big-endian)."""
+    found = [place for place, node in _outside_core()
+             if isinstance(node, ast.Attribute) and node.attr == "from_bytes"
+             or isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) == "packbits"
+             and any(kw.arg == "bitorder" and getattr(kw.value, "value", None) == "little"
+                     for kw in node.keywords)]
+    assert found == []
+
+
+def test_signed_relabellings_scattered_only_in_core():
+    """``core._signed_permute`` alone writes a matrix through ``np.ix_``;
+    other modules may read through it, not assign to it."""
+    found = [place for place, node in _outside_core()
+             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+             for target in getattr(node, "targets", [getattr(node, "target", None)])
+             if isinstance(target, ast.Subscript)
+             and any(getattr(sub, "attr", getattr(sub, "id", None)) == "ix_"
+                     for sub in ast.walk(target.slice))]
+    assert found == []

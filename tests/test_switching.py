@@ -95,6 +95,13 @@ class TestSchemeNormalForm:
         with pytest.raises(SchemeError, match="quadrangle"):
             rs.schem_normal_form(all_positive_c4())
 
+    @pytest.mark.parametrize("r, n", [(3, 4), (3, 6), (5, 15), (1, 1)])
+    def test_prefix_wider_than_the_order(self, r, n):
+        width = 1 + r + r * (r - 1) // 2
+        with pytest.raises(ValueError, match=f"order at least {width}, got {n}"):
+            scheme_prefix(r, n)
+        assert scheme_prefix(r, width).shape == (r + 1, width)
+
 
 class TestSwitchingIsomorphic:
     def test_switch_class_membership(self):
@@ -118,10 +125,9 @@ class TestSwitchingIsomorphic:
         assert apply_signed_permutation(g, witness.perm, witness.switch_set) == h
 
     def test_failed_reverification_raises(self, monkeypatch):
-        import rectaspec.switching as switching
-
-        monkeypatch.setattr(switching, "apply_signed_permutation",
-                            lambda *args: all_positive_c4())
+        # the candidate's signs switch vertex 1 alone, which negates two edges
+        monkeypatch.setattr(switching, "solve_switch_for_perm",
+                            lambda g, h, perm: [1, -1, 1, 1])
         with pytest.raises(RuntimeError, match="re-verification"):
             rs.switching_isomorphic(rs.signed_cube(2), rs.signed_cube(2))
 
@@ -269,10 +275,12 @@ class TestMatcherAgainstVf2:
         assert switching_match(h, g) == (False, None)
 
     def test_failed_reverification_raises(self, monkeypatch):
-        monkeypatch.setattr(switching, "apply_signed_permutation",
-                            lambda *args: all_positive_c4())
-        with pytest.raises(RuntimeError, match="re-verification"):
-            switching_match(rs.signed_cube(2), rs.signed_cube(2))
+        # one vertex switched alone, and the non-adjacent vertices 0 and 3
+        # swapped: each keeps the support and negates two edges
+        for found in (([0, 1, 2, 3], [1, -1, 1, 1]), ([3, 1, 2, 0], [1, 1, 1, 1])):
+            monkeypatch.setattr(switching, "_sign_match", lambda g, h, split=0: found)
+            with pytest.raises(RuntimeError, match="re-verification"):
+                switching_match(rs.signed_cube(2), rs.signed_cube(2))
 
 
 class TestClassInvariants:

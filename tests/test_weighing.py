@@ -1,20 +1,28 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rectaspec as rs
 from rectaspec.core import StructureError
-from rectaspec.weighing import (WeighingFormatError, scheme_two_prefix,
-                                sp_matrix)
+from rectaspec.weighing import (EquivalenceWitness, WeighingFormatError,
+                                scheme_two_prefix)
 from vf2_oracle import vf2_equivalent
 
 H4 = np.array([[1, 1, 1, 1],
                [1, -1, 1, -1],
                [1, 1, -1, -1],
                [1, -1, -1, 1]], dtype=np.int8)
+
+
+def sp_matrix(perm, signs) -> np.ndarray:
+    """The signed permutation matrix with entry signs[i] at (i, perm[i])."""
+    p = np.zeros((len(perm), len(perm)), dtype=np.int64)
+    p[np.arange(len(perm)), perm] = signs
+    return p
 
 
 def searched_12_5():
@@ -176,6 +184,12 @@ class TestNormalFormOfScrambles:
                 assert np.prod(prefix[a, shared] * prefix[b, shared]) == -1
         assert not prefix[:, width:].any()
 
+    @pytest.mark.parametrize("r, n", [(5, 3), (4, 6), (3, 1)])
+    def test_prefix_wider_than_the_order(self, r, n):
+        width = 1 + r * (r - 1) // 2
+        with pytest.raises(ValueError, match=f"order at least {width}, got {n}"):
+            scheme_two_prefix(r, n)
+
 
 class TestBipartiteCorrespondence:
     def test_searched_matrix_gives_24_vertex_graph(self):
@@ -256,6 +270,62 @@ class TestEquivalence:
                 other = scrambled(direct_sum(*blocks), rng)
                 ok, witness = rs.equivalent(m, other)
                 assert ok and witness.verify(m, other)
+
+
+class TestWitnessVerify:
+    """``EquivalenceWitness.verify``, which indexes, against the product
+    definition M = P N Q."""
+
+    @staticmethod
+    def product(witness, n):
+        return (sp_matrix(witness.p_perm, witness.p_signs) @ n.entries.astype(np.int64)
+                @ sp_matrix(witness.q_perm, witness.q_signs))
+
+    @staticmethod
+    def random_witness(size, rng):
+        return EquivalenceWitness(
+            p_perm=tuple(rng.permutation(size).tolist()),
+            p_signs=tuple(rng.choice([-1, 1], size).tolist()),
+            q_perm=tuple(rng.permutation(size).tolist()),
+            q_signs=tuple(rng.choice([-1, 1], size).tolist()))
+
+    @staticmethod
+    def wrong_witnesses(witness, rng):
+        """One sign flipped and two images swapped, on each factor."""
+        size = len(witness.p_perm)
+        i, j = rng.choice(size, 2, replace=False).tolist()
+        out = []
+        for perm, signs in (("p_perm", "p_signs"), ("q_perm", "q_signs")):
+            flipped = list(getattr(witness, signs))
+            flipped[i] = -flipped[i]
+            swapped = list(getattr(witness, perm))
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            out.append(replace(witness, **{signs: tuple(flipped)}))
+            out.append(replace(witness, **{perm: tuple(swapped)}))
+        return out
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_the_product(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (rs.verify_weighing(H4), searched_12_5(), sylvester(3),
+                  rs.verify_weighing(np.eye(5, dtype=int))):
+            for _ in range(10):
+                witness = self.random_witness(n.n, rng)
+                m = rs.WeighingMatrix(self.product(witness, n))
+                assert witness.verify(m, n)
+                for wrong in self.wrong_witnesses(witness, rng):
+                    expect = np.array_equal(self.product(wrong, n), m.entries)
+                    assert wrong.verify(m, n) == expect
+
+    def test_non_permutation_raises(self):
+        h4 = rs.verify_weighing(H4)
+        identity = tuple(range(4))
+        ones = (1, 1, 1, 1)
+        for p_perm, q_perm in (((0, 0, 1, 2), identity), (identity, (0, 0, 1, 2)),
+                               ((0, 1, 2), identity), (identity, (1, 2, 3, 4))):
+            witness = EquivalenceWitness(p_perm, ones, q_perm, ones)
+            with pytest.raises(ValueError, match="not a permutation"):
+                witness.verify(h4, h4)
 
 
 def direct_sum(*blocks) -> rs.WeighingMatrix:
@@ -443,6 +513,8 @@ class TestTextFormat:
                 rs.parse_weighing_text(text)
         with pytest.raises(WeighingFormatError, match="weight"):
             rs.parse_weighing_text("2 2\n+0\n0+\n")
+        with pytest.raises(WeighingFormatError, match="order must be positive"):
+            rs.parse_weighing_text("0 5\n")
         # headers that pass a digit test but not int()
         for head in ("--2 1", "\u00b2 1"):
             with pytest.raises(WeighingFormatError, match="header"):
