@@ -13,15 +13,12 @@ from __future__ import annotations
 
 
 def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
-               edge_rows, row_free_counts, order, node_budget=0,
-               progress=None, progress_every=0):
+               edge_rows, row_free_counts, order, node_budget=0):
     """DFS over the free-edge signs.
 
     Returns (solutions, nodes, row counts, exhausted); solutions are
     bitmasks over free-edge ids with bit 1 meaning a negative edge, and
     row counts[v] is the number of consistent completions of vertex v's row.
-    ``progress`` is called as progress(nodes, depth) every ``progress_every``
-    nodes; it never affects the traversal.
     """
     n_constraints = len(constraint_edges)
     assign = [-1] * n_free
@@ -106,8 +103,6 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
             exhausted = False
             break
         nodes += 1
-        if progress_every and progress is not None and nodes % progress_every == 0:
-            progress(nodes, len(frames))
         completed: list[int] = []
         if not try_assign(e, sign, completed):
             continue

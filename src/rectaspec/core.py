@@ -10,8 +10,9 @@ triangle-freeness, the zero-two property, the common-neighbour profile and
 the quadrangles read the codegree product of the support.  Every predicate
 reads only the support, so it accepts either type and never builds an
 underlying graph first.  The package builds every row bitmask with
-``_row_masks``, and applies every switching, equivalence or Gram witness
-with ``_signed_permute``.
+``_row_masks``, reads a bitmask back into an array with ``_mask_bits``,
+and applies every switching, equivalence or Gram witness with
+``_signed_permute``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ def _row_masks(matrix: np.ndarray) -> list[int]:
     entry j is."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _mask_bits(masks, size: int) -> np.ndarray:
+    """Bits 0..size-1 of each Python int in ``masks`` as the rows of a
+    boolean matrix: the inverse of ``_row_masks``.  ValueError when a mask
+    is negative or has a bit at ``size`` or above."""
+    if any(mask >> size for mask in masks):  # -1 for a negative mask
+        raise ValueError(f"mask has a bit outside range({size})")
+    width = (size + 7) // 8
+    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks),
+                        dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(raw, axis=1, count=size, bitorder="little").view(bool)
 
 
 def _permutation(perm, size: int) -> np.ndarray:

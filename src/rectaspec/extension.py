@@ -10,6 +10,7 @@ classification in ``classify_gram`` (cases (a)-(e) below).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -279,9 +280,10 @@ def _resolve_lambda(g: SignedGraph, lambda_sq, certify, want: str,
         if not check(cert):
             raise ExtensionError(f"certificate {cert} does not match {want}")
         return cert.lambda_sq
+    lambda_sq = operator.index(lambda_sq)  # a float raises, not truncates
     if lambda_sq < 1:
         raise ValueError("lambda_sq must be >= 1")
-    return int(lambda_sq)
+    return lambda_sq
 
 
 def extend_one_vertex(g: SignedGraph, lambda_sq: int | None = None) -> SignedGraph:
@@ -422,6 +424,8 @@ def classify_constant_diag_gram(m) -> ConstantDiagVerdict:
     all-twos blocks of size n/2, q = n); anything else is rejected with the
     violated hypothesis or conclusion named."""
     m = _exact_copy(m, np.int64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
     n = m.shape[0]
     if n < 3:
         raise StructureError("need order at least 3")

@@ -35,6 +35,11 @@ Two searches live here:
   the classes are then deduped pairwise by weighing equivalence, which the
   sign-propagating matcher of ``weighing.equivalent`` decides.
 
+Both searches describe a signed support by its fixed signs, its support and
+a variable-id matrix: the id of the sign variable on each edge, and a
+sentinel where the sign is fixed or there is no edge.  ``_stars`` reads the
+switchings off it, ``_signs`` the signed matrix of a sign mask.
+
 Both searches are deterministic; the signature search also writes a
 replayable proof log (the text format below).  The paper's row-by-row DFS
 over the same parity equations (``_kernel.run_search``, fed by
@@ -56,7 +61,7 @@ import numpy as np
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from ._kernel import run_search  # noqa: F401
 from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _bits,
-                   _row_masks, is_connected, quadrangles)
+                   _mask_bits, _row_masks, is_connected, quadrangles)
 from .formats import write_graph6
 from .spectral import certify_two_sym
 from .switching import (SchemeError, relabel, scheme_layout, scheme_prefix,
@@ -94,18 +99,11 @@ class SignatureSearchProblem:
 
     @cached_property
     def tail_stars(self) -> tuple[tuple[int, int], ...]:
-        """Per tail vertex, in BFS order: (free-edge bit to its parent, star
-        bitmask).  Built on first use: only class enumeration reads it, so
-        a refutation never builds it or the relabelled graph's forest."""
-        # every edge at a tail vertex is free: switching it flips just its star
-        n_free, size = len(self.free_edges), self.tail_size
-        tail = self.graph.n - size
-        ids = self.edge_ids
-        on_star = np.zeros((size, n_free + 1), dtype=bool)
-        on_star[np.arange(size)[:, None], ids[tail:]] = True
-        stars = _row_masks(on_star[:, :n_free])
-        return tuple((1 << int(ids[x, parent]), stars[x - tail])
-                     for x, parent in self.graph.spanning_forest if x >= tail)
+        """``_stars`` of the relabelled graph: every tail vertex, in BFS
+        order.  Built on first use: only class enumeration reads it, so a
+        refutation never builds it or the relabelled graph's forest."""
+        return _stars(self.edge_ids, len(self.free_edges), self.graph.row_bits,
+                      self.graph.spanning_forest)
 
 
 @dataclass
@@ -185,6 +183,7 @@ def kernel_arguments(problem: SignatureSearchProblem, order=None,
                      node_budget: int = 0) -> tuple:
     """Argument tuple for the signature DFS kernel ``run_search``, which
     only the benchmark and the tests' reference search call."""
+    (node_budget,) = _check_counts(node_budget=node_budget)
     n_free = len(problem.free_edges)
     constraint_edges = [tuple(e for e in row if e != n_free)
                         for row in problem.constraint_edges.tolist()]
@@ -349,11 +348,29 @@ def _edge_order(problem: SignatureSearchProblem, order_seed) -> list[int]:
     return order
 
 
-def _solution_graph(problem: SignatureSearchProblem, mask: int) -> SignedGraph:
-    signs = np.array(problem.prefix_signs)  # every edge is fixed or free
-    for i, (v, w) in enumerate(problem.free_edges):
-        signs[v, w] = signs[w, v] = -1 if (mask >> i) & 1 else 1
-    return SignedGraph(signs)
+def _stars(ids: np.ndarray, size: int, support, forest) -> tuple[tuple[int, int], ...]:
+    """(parent bit, star) of every switchable vertex, in ``forest`` order.
+
+    ``ids`` holds each edge's sign variable at both orientations and
+    ``size`` at a fixed sign or non-edge, ``support`` the neighbour bitmasks
+    and ``forest`` their BFS forest.  A vertex is switchable when every sign
+    at it is a variable (its star has a bit per neighbour) and it has a
+    parent: in both searches a component with a fixed sign has a fixed
+    root, and in one without, the root's star is the sum of the others'.
+    """
+    on_star = np.zeros((len(ids), size + 1), dtype=bool)
+    on_star[np.arange(len(ids))[:, None], ids] = True
+    stars = _row_masks(on_star[:, :size])
+    return tuple((1 << int(ids[v, parent]), stars[v]) for v, parent in forest
+                 if parent >= 0 and stars[v].bit_count() == support[v].bit_count())
+
+
+def _signs(fixed: np.ndarray, ids: np.ndarray, size: int, mask: int) -> np.ndarray:
+    """``fixed`` with every variable entry of ``ids`` (those below ``size``)
+    set from its bit of ``mask``: -1 where the bit is set, +1 where not."""
+    values = np.ones(size + 1, dtype=np.int8)
+    values[:size][_mask_bits([mask], size)[0]] = -1
+    return np.where(ids < size, values[ids], fixed)
 
 
 def canonical_switch_key(problem: SignatureSearchProblem, mask: int) -> int:
@@ -427,10 +444,10 @@ def _outcome(problem: SignatureSearchProblem, classes: dict[int, int],
     decides the class.  The certified representatives are deduped with
     ``switching_match``, not the VF2 ``switching_isomorphic``.
     """
-    r = problem.degree
+    r, n_free = problem.degree, len(problem.free_edges)
     valid, raw_count = [], 0
     for mask, size in classes.items():
-        sol = _solution_graph(problem, mask)
+        sol = SignedGraph(_signs(problem.prefix_signs, problem.edge_ids, n_free, mask))
         cert = certify_two_sym(sol)
         if cert and cert.lambda_sq == r:
             valid.append(sol)
@@ -444,11 +461,23 @@ def _outcome(problem: SignatureSearchProblem, classes: dict[int, int],
                          raw_count=raw_count, problem=problem, **details)
 
 
-def _check_counts(**counts) -> None:
-    """ValueError naming the first count that is negative (None is allowed)."""
+def _check_counts(**counts) -> tuple:
+    """Each count as an int (``operator.index``), None staying None;
+    TypeError naming the first that is a bool or not an integer, ValueError
+    the first that is negative."""
+    out = []
     for name, value in counts.items():
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must not be negative, got {value}")
+        if value is not None:
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not a bool")
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
+        out.append(value)
+    return tuple(out)
 
 
 def search_signatures(g, node_budget: int | None = None,
@@ -465,7 +494,8 @@ def search_signatures(g, node_budget: int | None = None,
     ``progress(nodes, dim)`` is called every ``progress_every`` of them,
     ``dim`` being the dimension of the class space.
     """
-    _check_counts(node_budget=node_budget, progress_every=progress_every)
+    node_budget, progress_every = _check_counts(node_budget=node_budget,
+                                                progress_every=progress_every)
     problem = build_signature_problem(g)
     solution = solve_parity_system(problem, _edge_order(problem, order_seed))
     if solution.particular is None:
@@ -727,47 +757,6 @@ class _SupportSearch:
         return True
 
 
-def _support_stars(n: int, r: int, rows) -> list[tuple[int, int]]:
-    """(parent bit, star) of every switchable vertex of a support, in BFS
-    order per component.
-
-    The vertices are the rows 0..n-1 and the columns n..2n-1.  Tail rows and
-    the columns outside the prefix support carry only variable signs, so
-    switching one flips exactly its star; the prefix vertices are fixed.  A
-    component without row 0 holds no fixed vertex, and switching all of it
-    changes nothing, so its root is left out.
-    """
-    width = r * (r - 1) // 2 + 1
-    col_rows = [0] * n
-    for i, mask in enumerate(rows):
-        for c in _bits(mask):
-            col_rows[c] |= 1 << i
-    stars = []
-    for v, parent in _bfs_forest([mask << n for mask in rows] + col_rows):
-        if parent < 0:
-            continue
-        if r <= v < n:  # tail row v, reached from column parent - n
-            shift = (v - r) * n
-            stars.append((1 << (shift + parent - n), rows[v] << shift))
-        elif v >= n + width:  # column c, reached from row parent
-            c = v - n
-            stars.append((1 << ((parent - r) * n + c),
-                          sum(1 << ((k - r) * n + c) for k in _bits(col_rows[c]))))
-    return stars
-
-
-def _weighing_candidate(prefix: np.ndarray, rows, mask: int) -> np.ndarray:
-    """The matrix of one sign mask on one support."""
-    n, r = len(rows), prefix.shape[0]
-    arr = np.zeros((n, n), dtype=np.int8)
-    arr[:r] = prefix
-    for i in range(r, n):
-        signs = mask >> ((i - r) * n)
-        for c in _bits(rows[i]):
-            arr[i, c] = -1 if signs >> c & 1 else 1
-    return arr
-
-
 def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
     """Re-verify a candidate from its entries alone: W^T W = r I and every
     pair of rows meeting in 0 or 2 columns."""
@@ -779,15 +768,16 @@ def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
     return w
 
 
-def run_weighing_search(n: int, r: int, node_budget: int):
+def run_weighing_search(n: int, r: int, node_budget: int | None):
     """(found, nodes, exhausted): the support search alone.  ``found`` holds,
     as (row masks, parity pivots), every kept complete support with a
     consistent parity system, in the order found; ``nodes`` counts the
     support rows placed, and ``exhausted`` says whether the search ran to
-    its end rather than its budget.  ``_sign_supports`` signs what it
-    finds."""
+    its end rather than its budget (None or 0: no budget).
+    ``_sign_supports`` signs what it finds."""
     n, r = operator.index(n), operator.index(r)
-    tree = _SupportSearch(n, r, scheme_two_prefix(r, n), node_budget)
+    (node_budget,) = _check_counts(node_budget=node_budget)
+    tree = _SupportSearch(n, r, scheme_two_prefix(r, n), node_budget or 0)
     exhausted = tree.run()
     return tree.found, tree.nodes, exhausted
 
@@ -796,17 +786,26 @@ def _sign_supports(n: int, r: int, found) -> list[WeighingMatrix]:
     """Every certified sign class over the supports ``found`` by
     ``run_weighing_search``, in order: the raw matrices that
     ``search_weighing`` dedupes."""
-    prefix = scheme_two_prefix(r, n)
+    size = (n - r) * n
+    fixed = np.zeros((n, n), dtype=np.int8)
+    fixed[:r] = scheme_two_prefix(r, n)
     candidates = []
     for rows, pivots in found:
-        columns = 0
-        for i in range(r, n):
-            columns |= rows[i] << ((i - r) * n)
-        particular, null_basis = _back_substitute(pivots, columns)
-        stars = _support_stars(n, r, rows)
+        # rows 0..n-1, columns n..2n-1; variable (i - r) * n + c is the
+        # flat index of the tail block
+        support = _mask_bits(rows, n)
+        tail = support[r:]
+        ids = np.full((2 * n, 2 * n), size, dtype=np.intp)
+        block = ids[:n, n:]
+        block[r:][tail] = np.flatnonzero(tail)
+        ids[n:, :n] = block.T
+        bits = [mask << n for mask in rows] + _row_masks(support.T)
+        stars = _stars(ids, size, bits, _bfs_forest(bits))
+        particular, null_basis = _back_substitute(
+            pivots, _row_masks(tail.reshape(1, -1))[0])
         start, basis = _class_space(particular, null_basis,
                                     partial(_switch_key, stars), len(stars))
-        candidates += [_check_weighing(_weighing_candidate(prefix, rows, mask), r)
+        candidates += [_check_weighing(_signs(fixed, block, size, mask), r)
                        for mask in _gray_code(start, basis, 1 << len(basis))]
     return candidates
 
@@ -839,19 +838,19 @@ def search_weighing(n: int, r: int,
     it is placed, so a partial support whose equations are inconsistent is
     cut.  A complete support is signed by the particular solution plus the
     null space, up to the switchings the normal form leaves free (see
-    ``_support_stars``); every class is materialised, re-verified and
+    ``_stars``); every class is materialised, re-verified and
     deduped with ``equivalent``.  ``node_budget`` caps the support rows
     placed (``nodes``); ``exhausted`` is False when it cut the search.
     """
     n, r = operator.index(n), operator.index(r)
     if n < r or r < 1:
         raise ValueError("need n >= r >= 1")
-    _check_counts(node_budget=node_budget)
+    (node_budget,) = _check_counts(node_budget=node_budget)
     width = r * (r - 1) // 2 + 1
     if n < width:
         return WeighingSearchOutcome([], 0, True, 0)
 
-    found, nodes, exhausted = run_weighing_search(n, r, node_budget or 0)
+    found, nodes, exhausted = run_weighing_search(n, r, node_budget)
     candidates = _sign_supports(n, r, found)
     matrices = dedupe_switching_classes(candidates, equivalent)
     return WeighingSearchOutcome(matrices, nodes, exhausted, len(candidates), len(found))

@@ -8,6 +8,7 @@ tests compare the certificates with numpy's eigenvalues on their own.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb, isqrt
 
@@ -189,8 +190,10 @@ def filter_sr2se(n: int, r: int, bipartite: bool = False) -> FilterVerdict:
     valency r has at most 2^r vertices, with equality only for the r-cube
     (Mulder, (0,lambda)-graphs and n-cubes, Discrete Math. 1979).  Violated
     condition names are collected rather than short-circuited, so a verdict
-    lists everything wrong with the parameter pair.
+    lists everything wrong with the parameter pair.  ``n`` and ``r`` are
+    read with ``operator.index``, so a float raises TypeError.
     """
+    n, r = operator.index(n), operator.index(r)
     if n < 2 or r < 1:
         raise ValueError("need n >= 2 and r >= 1")
     failures = []

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import rectaspec as rs
-from rectaspec.core import (StructureError, StructureReport, bipartition, components,
+from rectaspec.core import (StructureError, StructureReport, _mask_bits, _row_masks,
+                            bipartition, components,
                             disjoint_union, is_rectagraph, quadrangle_count,
                             quadrangles)
 from rectaspec.switching import relabel, switch
@@ -327,3 +328,20 @@ class TestQuadrangleListing:
             else:
                 assert _listed(h) == brute_force_quadrangles(h)
                 assert len(_listed(h)) == quadrangle_count(h)
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 130])
+def test_mask_bits_inverts_row_masks(width):
+    rng = np.random.default_rng(width)
+    rows = rng.random((6, width)) < 0.5
+    rows[0] = False
+    rows[1] = True
+    masks = _row_masks(rows)
+    assert masks[0] == 0 and masks[1] == (1 << width) - 1
+    bits = _mask_bits(masks, width)
+    assert bits.dtype == bool and np.array_equal(bits, rows)
+    assert _row_masks(_mask_bits([masks[3]], width)) == [masks[3]]
+    assert _mask_bits([], width).shape == (0, width)
+    for outside in (1 << width, -1):
+        with pytest.raises(ValueError, match="outside"):
+            _mask_bits([0, outside], width)

@@ -148,6 +148,20 @@ def test_extensions_refuse_lambda_below_one(extend, g, lambda_sq):
         extend(g, lambda_sq=lambda_sq)
 
 
+@pytest.mark.parametrize("extend, g, lambda_sq", [
+    (extend_one_vertex, rs.delete_vertices(rs.signed_cube(3), {0}), 3),
+    (extend_four_to_three, rs.delete_vertices(rs.signed_cube(3), {0, 1}), 3),
+    (extend_zero_pair, rs.delete_vertices(rs.signed_cube(4), {0, 3}), 4),
+])
+def test_extensions_read_lambda_as_an_integer(extend, g, lambda_sq):
+    # 4.5 used to be truncated to 4 and extended for lambda^2 = 4
+    with pytest.raises(TypeError):
+        extend(g, lambda_sq=lambda_sq + 0.5)
+    with pytest.raises(TypeError):
+        extend(g, lambda_sq=float(lambda_sq))
+    assert extend(g, lambda_sq=np.int64(lambda_sq)) == extend(g, lambda_sq=lambda_sq)
+
+
 class TestExtendOneVertex:
     def test_restores_the_cube(self):
         g = rs.signed_cube(4)
@@ -286,6 +300,12 @@ class TestConstantDiagClassifier:
         np.fill_diagonal(m, 4)
         verdict = classify_constant_diag_gram(m)
         assert not verdict.confirmed
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), (3, 4), ()])
+    def test_non_square_input_refused(self, shape):
+        # a 1-D or 3-D input used to fail inside NumPy
+        with pytest.raises(ValueError, match="matrix must be square"):
+            classify_constant_diag_gram(2 * np.ones(shape, dtype=np.int64))
 
     def test_fractional_entry_rejected(self):
         m = np.zeros((4, 4))

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import rectaspec as rs
+from rectaspec import search
 from rectaspec.cli import main
-from rectaspec.core import quadrangles
+from rectaspec.core import _bfs_forest, _bits, quadrangles
 from rectaspec.formats import write_graph6
-from rectaspec.search import (_solution_graph, build_signature_problem,
-                              canonical_switch_key, check_refutation,
+from rectaspec.search import (_signs, build_signature_problem,
+                              canonical_switch_key, check_refutation, kernel_arguments,
                               proof_log, run_weighing_search, search_signatures,
                               search_weighing, verify_nonexistence)
 from rectaspec.search import _SupportSearch, _sign_supports
@@ -75,7 +76,8 @@ class TestSignatureSearch:
         rng = random.Random(3)
         masks = [rng.getrandbits(len(problem.free_edges)) for _ in range(20)]
         masks += [m ^ star for m in masks[:6] for _bit, star in problem.tail_stars]
-        graphs = [_solution_graph(problem, m) for m in masks]
+        graphs = [rs.SignedGraph(_signs(problem.prefix_signs, problem.edge_ids,
+                                        len(problem.free_edges), m)) for m in masks]
         keys = [canonical_switch_key(problem, m) for m in masks]
         identity = list(range(problem.graph.n))
         for ma, ga, ka in zip(masks, graphs, keys):
@@ -108,6 +110,26 @@ class TestSignatureSearch:
             search_signatures(g, node_budget=-1)
         with pytest.raises(ValueError, match="progress_every"):
             search_signatures(g, progress_every=-1)
+
+    def test_non_integer_counts_refused(self):
+        # node_budget=True used to come back as nodes=True
+        g = rs.clebsch_graph()
+        for counts in ({"node_budget": True}, {"node_budget": 2.5},
+                       {"progress_every": 1.5}, {"progress_every": False}):
+            name = next(iter(counts))
+            with pytest.raises(TypeError, match=name):
+                search_signatures(g, **counts)
+        # the reference DFS ran 3 nodes on a budget of 2.5
+        with pytest.raises(TypeError, match="node_budget"):
+            kernel_arguments(build_signature_problem(g), node_budget=2.5)
+
+    def test_numpy_integer_counts_read_as_ints(self):
+        calls = []
+        out = search_signatures(rs.underlying(rs.catalog("R6.7")),
+                                node_budget=np.int64(1), progress_every=np.uint8(1),
+                                progress=lambda *a: calls.append(a))
+        assert type(out.nodes) is int and out.nodes == 1 and not out.exhausted
+        assert calls == [(1, 1)]
 
     def test_progress_counts_class_masks(self):
         calls = []
@@ -374,8 +396,17 @@ class TestLeanBuild:
         # the stars built before they were made on demand
         assert problem.tail_stars == ((1, 4165), (2, 8466), (8, 17448), (128, 35456),
                                       (4096, 61440))
-        # and from the free edges alone: per tail vertex, in BFS order, the
-        # bit of the edge to its parent and the bits of all its edges
+        assert problem.tail_stars is problem.tail_stars  # built once
+
+    @pytest.mark.parametrize("maker", [lambda: rs.hypercube(4), lambda: rs.hypercube(5),
+                                       lambda: rs.catalog("R6.7")],
+                             ids=["Q4", "Q5", "R6.7"])
+    def test_tail_stars_follow_the_tail_rule(self, maker):
+        # the layout rule the switchability rule replaced: per tail vertex
+        # (distance >= 3 from the base, the last tail_size labels), in BFS
+        # order, the bit of the edge to its parent and the bits of all its
+        # edges
+        problem = build_signature_problem(maker())
         edge_id = {}
         for i, (v, w) in enumerate(problem.free_edges):
             edge_id[v, w] = edge_id[w, v] = i
@@ -383,8 +414,51 @@ class TestLeanBuild:
         want = tuple((1 << edge_id[x, parent],
                       sum(1 << i for i, e in enumerate(problem.free_edges) if x in e))
                      for x, parent in problem.graph.spanning_forest if x >= tail)
+        assert len(want) == problem.tail_size > 0
         assert problem.tail_stars == want
-        assert problem.tail_stars is problem.tail_stars  # built once
+
+
+def _row_column_bits(n, rows):
+    """Neighbour bitmasks of a support's row/column graph: rows 0..n-1,
+    columns n..2n-1."""
+    return [mask << n for mask in rows] + [
+        sum(1 << i for i, mask in enumerate(rows) if mask >> c & 1) for c in range(n)]
+
+
+def _layout_rule_stars(n, r, rows):
+    """The weighing search's stars by the layout rule the switchability rule
+    replaced: tail rows and the columns past the prefix support are
+    switchable, except the root of a component without row 0."""
+    width = r * (r - 1) // 2 + 1
+    bits = _row_column_bits(n, rows)
+    stars = []
+    for v, parent in _bfs_forest(bits):
+        if parent < 0:
+            continue
+        if r <= v < n:  # tail row v, reached from column parent - n
+            shift = (v - r) * n
+            stars.append((1 << (shift + parent - n), rows[v] << shift))
+        elif v >= n + width:  # column c, reached from row parent
+            c = v - n
+            stars.append((1 << ((parent - r) * n + c),
+                          sum(1 << ((k - r) * n + c) for k in _bits(bits[v]))))
+    return tuple(stars)
+
+
+@pytest.mark.parametrize("n, r", [(8, 2), (10, 2), (12, 5), (14, 5)])
+def test_weighing_stars_follow_the_layout_rule(n, r, monkeypatch):
+    found = run_weighing_search(n, r, 0)[0]
+    assert found
+    got = []
+    real = search._stars
+    monkeypatch.setattr(search, "_stars", lambda *args: got.append(real(*args)) or got[-1])
+    _sign_supports(n, r, found)
+    assert got == [_layout_rule_stars(n, r, rows) for rows, _ in found]
+    # at r = 2 some support's row/column graph has a component without row
+    # 0, whose root every sign at is a variable: it must stay out
+    roots = [sum(parent < 0 for _, parent in _bfs_forest(_row_column_bits(n, rows)))
+             for rows, _ in found]
+    assert (max(roots) > 1) == (r == 2)
 
 
 def petersen_graph() -> rs.UnderlyingGraph:
@@ -681,6 +755,17 @@ class TestWeighingSearch:
         with pytest.raises(ValueError, match="node_budget"):
             search_weighing(12, 5, node_budget=-3)
 
+    def test_non_integer_budget_refused(self):
+        # node_budget=2.5 used to run with a budget of 2.5 and place 3 rows
+        for budget in (2.5, True, 3.0):
+            with pytest.raises(TypeError, match="node_budget"):
+                search_weighing(8, 4, node_budget=budget)
+            with pytest.raises(TypeError, match="node_budget"):
+                run_weighing_search(8, 4, budget)
+        out = search_weighing(8, 4, node_budget=np.int64(3))
+        assert type(out.nodes) is int and out.nodes == 3 and not out.exhausted
+        assert run_weighing_search(8, 4, None)[1:] == run_weighing_search(8, 4, 0)[1:]
+
     def test_budget_equal_to_the_node_count_exhausts(self):
         total = search_weighing(12, 5).nodes
         assert search_weighing(12, 5, node_budget=total).exhausted
@@ -916,14 +1001,14 @@ def test_20_6_has_two_classes():
 CORRUPT_WEIGHING_SEARCH = """
 import rectaspec.search as search
 
-real = search._weighing_candidate
+real = search._signs
 
 def corrupted(*args, **kwargs):
     arr = real(*args, **kwargs)
     arr[-1, arr[-1].nonzero()[0][0]] *= -1
     return arr
 
-search._weighing_candidate = corrupted
+search._signs = corrupted
 search.search_weighing(8, 4)
 """
 

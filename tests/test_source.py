@@ -93,16 +93,30 @@ def _outside_core():
                 yield f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}", node
 
 
+def _little_endian_call(node, name: str) -> bool:
+    """Whether ``node`` calls ``name`` with ``bitorder="little"``."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name
+            and any(kw.arg == "bitorder" and getattr(kw.value, "value", None) == "little"
+                    for kw in node.keywords))
+
+
 def test_row_masks_built_only_in_core():
     """``core._row_masks`` alone turns matrix rows into Python-int bitmasks:
     no other module calls ``int.from_bytes`` or a little-endian ``packbits``
     (graph6 packs its six-bit groups big-endian)."""
     found = [place for place, node in _outside_core()
              if isinstance(node, ast.Attribute) and node.attr == "from_bytes"
-             or isinstance(node, ast.Call)
-             and getattr(node.func, "attr", None) == "packbits"
-             and any(kw.arg == "bitorder" and getattr(kw.value, "value", None) == "little"
-                     for kw in node.keywords)]
+             or _little_endian_call(node, "packbits")]
+    assert found == []
+
+
+def test_masks_read_back_only_in_core():
+    """``core._mask_bits`` alone turns a Python-int bitmask back into an
+    array: no other module calls ``int.to_bytes`` or a little-endian
+    ``unpackbits`` (graph6 unpacks big-endian)."""
+    found = [place for place, node in _outside_core()
+             if isinstance(node, ast.Attribute) and node.attr == "to_bytes"
+             or _little_endian_call(node, "unpackbits")]
     assert found == []
 
 

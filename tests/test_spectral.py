@@ -170,6 +170,13 @@ class TestFilter:
         assert rs.filter_sr2se(16, 5).passed
         assert 16 == comb(6, 2) + 1
 
+    def test_orders_read_as_integers(self):
+        # 16.5 used to get a verdict
+        for n, r in ((16.5, 4), (16.0, 5), (16, 5.0)):
+            with pytest.raises(TypeError):
+                rs.filter_sr2se(n, r)
+        assert rs.filter_sr2se(np.int64(16), np.int64(5)) == rs.filter_sr2se(16, 5)
+
     def test_bound_failure(self):
         verdict = rs.filter_sr2se(10, 5)
         assert not verdict.passed and "bound" in verdict.failures
