@@ -157,23 +157,20 @@ def cmd_extend(args) -> int:
     cert = strongest_certificate(g)
     print(f"# input: {_describe_certificate(cert)}", file=sys.stderr)
     try:
-        if cert is not None and cert.kind == "TwoSym":
+        if cert is None:
+            print("refusal: no applicable spectrum shape", file=sys.stderr)
+            return 1
+        if cert.kind == "TwoSym":
             print("# already a two-eigenvalue graph", file=sys.stderr)
             sys.stdout.write(formats.write_signed(g))
             return 0
-        if cert is not None and cert.kind == "FourSym":
-            g = extension.extend_four_to_three(g, lambda_sq=hint)
+        if cert.kind == "FourSym" or cert.kind == "ThreeSym" and cert.d == 2:
+            pair_step = (extension.extend_four_to_three if cert.kind == "FourSym"
+                         else extension.extend_zero_pair)
+            g = pair_step(g, lambda_sq=hint)
             print(f"# after pair-step: "
                   f"{_describe_certificate(strongest_certificate(g))}",
                   file=sys.stderr)
-        elif cert is not None and cert.kind == "ThreeSym" and cert.d == 2:
-            g = extension.extend_zero_pair(g, lambda_sq=hint)
-            print(f"# after pair-step: "
-                  f"{_describe_certificate(strongest_certificate(g))}",
-                  file=sys.stderr)
-        elif cert is None:
-            print("refusal: no applicable spectrum shape", file=sys.stderr)
-            return 1
         g = extension.extend_one_vertex(g, lambda_sq=hint)
     except extension.ExtensionError as err:
         print(f"refusal: {err}", file=sys.stderr)

@@ -16,7 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import SignedGraph, StructureError, UnderlyingGraph, structure_report
+from .core import (SignedGraph, StructureError, UnderlyingGraph, _check_counts,
+                   structure_report)
 from .exactlinalg import poly_compose_negate, poly_eval_at_poly, poly_mul
 from .spectral import certify_two_sym
 from .switching import relabel, scheme_layout
@@ -34,6 +35,13 @@ class CatalogIngestError(RuntimeError):
     one supplied does not fit it."""
 
 
+def _k2_layer(g: SignedGraph, sign: int) -> SignedGraph:
+    """Two copies of g, the second times ``sign``, joined by a positive
+    perfect matching."""
+    eye = np.eye(g.n, dtype=np.int8)
+    return SignedGraph(np.block([[g.adj, eye], [eye, sign * g.adj]]))
+
+
 def ltimes_k2(g: SignedGraph) -> SignedGraph:
     """Two copies of g, one negated, joined by a positive perfect matching.
 
@@ -41,24 +49,12 @@ def ltimes_k2(g: SignedGraph) -> SignedGraph:
     with eigenvalues +-sqrt(t+1); see ``ltimes_charpoly_transform`` for the
     exact characteristic-polynomial effect.
     """
-    n = g.n
-    adj = np.zeros((2 * n, 2 * n), dtype=np.int8)
-    adj[:n, :n] = g.adj
-    adj[n:, n:] = -g.adj
-    adj[:n, n:] = np.eye(n, dtype=np.int8)
-    adj[n:, :n] = np.eye(n, dtype=np.int8)
-    return SignedGraph(adj)
+    return _k2_layer(g, -1)
 
 
 def cartesian_k2(g: SignedGraph) -> SignedGraph:
     """Two copies of g joined by a positive perfect matching."""
-    n = g.n
-    adj = np.zeros((2 * n, 2 * n), dtype=np.int8)
-    adj[:n, :n] = g.adj
-    adj[n:, n:] = g.adj
-    adj[:n, n:] = np.eye(n, dtype=np.int8)
-    adj[n:, :n] = np.eye(n, dtype=np.int8)
-    return SignedGraph(adj)
+    return _k2_layer(g, 1)
 
 
 def bipartite_double(g: SignedGraph) -> SignedGraph:
@@ -98,8 +94,7 @@ def k2() -> SignedGraph:
 def signed_cube(r: int) -> SignedGraph:
     """The r-dimensional signed cube in which every quadrangle is negative:
     2^r vertices, degree r, spectrum {-sqrt(r), +sqrt(r)}."""
-    if r < 1:
-        raise ValueError("dimension must be >= 1")
+    (r,) = _check_counts(1, dimension=r)
     g = k2()
     for _ in range(r - 1):
         g = ltimes_k2(g)
@@ -109,8 +104,7 @@ def signed_cube(r: int) -> SignedGraph:
 def hypercube(r: int) -> UnderlyingGraph:
     """Unsigned r-cube on vertex set {0, ..., 2^r - 1}, edges at Hamming
     distance 1."""
-    if r < 1:
-        raise ValueError("dimension must be >= 1")
+    (r,) = _check_counts(1, dimension=r)
     n = 1 << r
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(r)
              if v < v ^ (1 << b)]
@@ -122,6 +116,7 @@ def folded_cube(r: int) -> UnderlyingGraph:
     degree r+1.  For r = 4 this is the Clebsch graph.  Below r = 4 the
     result has vertex pairs with four common neighbours, hence no zero-two
     structure, so those orders are rejected."""
+    (r,) = _check_counts(dimension=r)
     if r < 4:
         raise ValueError("folded cubes of dimension < 4 are not rectagraphs")
     n = 1 << r

@@ -11,12 +11,14 @@ the quadrangles read the codegree product of the support.  Every predicate
 reads only the support, so it accepts either type and never builds an
 underlying graph first.  The package builds every row bitmask with
 ``_row_masks``, reads a bitmask back into an array with ``_mask_bits``,
-and applies every switching, equivalence or Gram witness with
-``_signed_permute``.
+applies every switching, equivalence or Gram witness with
+``_signed_permute`` and reads every integer argument with
+``_check_counts``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +48,27 @@ def _exact_copy(values, dtype) -> np.ndarray:
             raise ValueError(f"matrix entries must be integers within the {out.dtype} range")
     out.setflags(write=False)
     return out
+
+
+def _check_counts(low: int = 0, **counts) -> tuple:
+    """Each count, order, degree, dimension or lambda^2 as an int
+    (``operator.index``), None staying None: the package's one integer
+    rule.  TypeError naming the first that is a bool or not an integer,
+    ValueError the first below ``low``."""
+    out = []
+    for name, value in counts.items():
+        if value is not None:
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, not a bool")
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise ValueError(f"{name} must not be negative, got {value}" if low == 0
+                                 else f"{name} must be >= {low}")
+        out.append(value)
+    return tuple(out)
 
 
 def _row_masks(matrix: np.ndarray) -> list[int]:

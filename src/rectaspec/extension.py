@@ -10,14 +10,13 @@ classification in ``classify_gram`` (cases (a)-(e) below).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _exact_copy, _signed_permute,
-                   structure_report)
+from .core import (SignedGraph, StructureError, _check_counts, _exact_copy,
+                   _signed_permute, structure_report)
 from .exactlinalg import exact_matmul, rank
 from .spectral import (certify_four_sym, certify_three_sym, certify_two_sym)
 
@@ -54,8 +53,7 @@ class GramResidual:
 def gram_residual(g: SignedGraph, lambda_sq: int) -> GramResidual:
     """M = lambda_sq*I - A^2 with diagonal counts, exact rank and, when the
     rank-2 classification applies, its case label."""
-    if lambda_sq < 1:
-        raise ValueError("lambda_sq must be >= 1")
+    (lambda_sq,) = _check_counts(1, lambda_sq=lambda_sq)
     m = lambda_sq * np.eye(g.n, dtype=np.int64) - exact_matmul(g.adj, g.adj)
     return analyse_residual(m, lambda_sq)
 
@@ -71,10 +69,10 @@ def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
                   int(np.sum(diag == 2)))
     rk = rank(m)
     eig = _shape_eigenvalue(m, rk)
+    d0, d1, d2 = counts if counts is not None else (None, None, None)
     case = None
     if rk == 2 and counts is not None and eig is not None:
-        case = _case_of(m, counts)
-    d0, d1, d2 = counts if counts is not None else (None, None, None)
+        case, _ = _match_shape(m, _row_classes(m), eig, d1, d2)
     return GramResidual(matrix=m, lambda_sq=lambda_sq, d0=d0, d1=d1, d2=d2,
                         rank=rk, eigenvalue=eig, case_label=case)
 
@@ -92,19 +90,6 @@ def _shape_eigenvalue(m: np.ndarray, rk: int) -> int | None:
     return None
 
 
-def _case_of(m, counts) -> str | None:
-    d0, d1, d2 = counts
-    verts1 = [i for i in range(m.shape[0]) if m[i, i] == 1]
-    verts2 = [i for i in range(m.shape[0]) if m[i, i] == 2]
-    if d2 == 0:
-        return "a"
-    if d1 == 0:
-        off = {abs(int(m[i, j])) for i in verts2 for j in verts2 if i != j}
-        return "d" if 1 in off else "c"
-    cross = any(m[i, j] for i in verts1 for j in verts2)
-    return "e" if cross else "b"
-
-
 # -- rank-2 classification with witness ---------------------------------------
 
 
@@ -117,37 +102,38 @@ class ClassifiedGram:
     diagnostic: str | None = None
 
 
+# The five rank-2 shapes, cases (a)-(e): for each, the block sizes as a
+# function of (q, d1, d2) and the value of the form between blocks s and t.
+_SHAPES = {
+    "a": (lambda q, d1, d2: (q, q), [[1, 0], [0, 1]]),
+    "b": (lambda q, d1, d2: (q, q // 2), [[1, 0], [0, 2]]),
+    "c": (lambda q, d1, d2: (q // 2, q // 2), [[2, 0], [0, 2]]),
+    "d": (lambda q, d1, d2: (q // 3,) * 3, [[2, 1, 1], [1, 2, -1], [1, -1, 2]]),
+    "e": (lambda q, d1, d2: (d2 // 2, d2 // 2, d1 // 2, d1 // 2),
+          [[2, 0, 1, 1], [0, 2, 1, -1], [1, 1, 1, 0], [1, -1, 0, 1]]),
+}
+
+
 def canonical_gram_form(case: str, lam: int, d0: int, d1: int, d2: int,
                         n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=np.int64)
-    if case == "a":
-        _fill_j(out, d0, lam, 1)
-        _fill_j(out, d0 + lam, lam, 1)
-    elif case == "b":
-        _fill_j(out, d0, lam, 1)
-        _fill_j(out, d0 + lam, lam // 2, 2)
-    elif case == "c":
-        _fill_j(out, d0, lam // 2, 2)
-        _fill_j(out, d0 + lam // 2, lam // 2, 2)
-    elif case == "d":
-        q = lam // 3
-        core = np.array([[2, 1, 1], [1, 2, -1], [1, -1, 2]], dtype=np.int64)
-        out[d0:d0 + lam, d0:d0 + lam] = np.kron(core, np.ones((q, q), dtype=np.int64))
-    elif case == "e":
-        a, c = d2 // 2, d1 // 2
-        s = [d0, d0 + a, d0 + 2 * a, d0 + 2 * a + c, d0 + 2 * a + 2 * c]
-        blocks = {(0, 0): 2, (1, 1): 2, (2, 2): 1, (3, 3): 1,
-                  (0, 2): 1, (0, 3): 1, (1, 2): 1, (1, 3): -1}
-        for (bi, bj), val in blocks.items():
-            out[s[bi]:s[bi + 1], s[bj]:s[bj + 1]] = val
-            out[s[bj]:s[bj + 1], s[bi]:s[bi + 1]] = val
-    else:
+    """The case's shape with eigenvalue ``lam``: d0 zero rows, then the
+    blocks of ``_SHAPES`` in order, then zero rows up to order n.
+    ValueError unless the blocks have trace 2 * lam (the spectrum is
+    {[lam]^2, 0, ...}) and end by n."""
+    if case not in _SHAPES:
         raise ValueError(f"unknown case {case!r}")
+    sizes, values = _SHAPES[case]
+    values = np.array(values, dtype=np.int64)
+    block = np.repeat(np.arange(len(values)), sizes(lam, d1, d2))
+    if np.sum(np.diagonal(values)[block]) != 2 * lam:
+        raise ValueError(f"case ({case}) has no form with eigenvalue {lam} "
+                         f"for d1 = {d1}, d2 = {d2}")
+    end = d0 + len(block)
+    if end > n:
+        raise ValueError(f"case ({case}) blocks end at {end}, past n = {n}")
+    out = np.zeros((n, n), dtype=np.int64)
+    out[d0:end, d0:end] = values[block[:, None], block]
     return out
-
-
-def _fill_j(out, start, size, scale):
-    out[start:start + size, start:start + size] = scale
 
 
 def _row_classes(m) -> list[tuple[list[int], list[int]]]:
@@ -165,40 +151,39 @@ def _row_classes(m) -> list[tuple[list[int], list[int]]]:
     return list(classes.values())
 
 
-def _class_values(m, classes) -> np.ndarray:
-    """Entry (s, t): the sign-normalised value of m on class s by class t."""
-    firsts = [vs[0] for vs, _ in classes]
-    signs = np.array([ss[0] for _, ss in classes])
-    return np.outer(signs, signs) * m[np.ix_(firsts, firsts)]
-
-
-def _signed_order_onto(m, classes, canonical) -> GramWitness | None:
-    """The first signed order of m's row classes, zero rows first, whose
-    relabelling maps m exactly onto canonical.  Orders are matched on the
-    values between the canonical blocks first (flipping every class at
-    once changes nothing, so the first class keeps its sign), and a match
-    is then checked on m itself."""
-    blocks = _row_classes(canonical)
-    k = len(blocks)
-    if len(classes) != k:
-        return None
+def _match_shape(m, classes, q: int, d1: int, d2: int):
+    """(case, witness) for the first case of ``_SHAPES`` and the first
+    signed order of m's row ``classes``, zero rows first, whose relabelling
+    maps m exactly onto that case's canonical form; (None, None) when none
+    does.  A signed order makes m constant on the blocks its classes become
+    (see ``classify_gram``), so it hits the form exactly when the class
+    sizes are the block sizes and the sign-normalised values between
+    classes are the table's.  Flipping every class at once changes
+    nothing, so the first class keeps its sign."""
+    k = len(classes)
     orders = np.array(list(permutations(range(k))))
     flips = np.array([(1,) + f for f in product((1, -1), repeat=k - 1)])
-    values = _class_values(m, classes)[orders[:, :, None], orders[:, None, :]]
+    firsts = [vs[0] for vs, _ in classes]
+    lead = np.array([ss[0] for _, ss in classes])
+    values = (np.outer(lead, lead) * m[np.ix_(firsts, firsts)])[
+        orders[:, :, None], orders[:, None, :]]
     signed = values[:, None] * (flips[:, :, None] * flips[:, None, :])
-    target = _class_values(canonical, blocks)
-    zeros = np.flatnonzero(np.diagonal(m) == 0).tolist()
-    for o, f in np.argwhere(np.all(signed == target, axis=(2, 3))).tolist():
-        order = orders[o].tolist()
-        verts = zeros + [v for s in order for v in classes[s][0]]
-        signs = np.ones(m.shape[0], dtype=np.int64)
-        for s, fs in zip(order, flips[f].tolist()):
-            signs[classes[s][0]] = fs * np.asarray(classes[s][1])
-        witness = GramWitness(perm=tuple(np.argsort(verts).tolist()),
-                              signs=tuple(signs.tolist()))
-        if np.array_equal(witness.apply(m), canonical):
-            return witness
-    return None
+    sizes = np.array([len(vs) for vs, _ in classes])[orders]
+    for case, (block_sizes, target) in _SHAPES.items():
+        if len(target) != k:
+            continue
+        fits = (np.all(sizes == block_sizes(q, d1, d2), axis=1)[:, None]
+                & np.all(signed == target, axis=(2, 3)))
+        for o, f in np.argwhere(fits)[:1].tolist():
+            order = orders[o].tolist()
+            zeros = np.flatnonzero(np.diagonal(m) == 0).tolist()
+            verts = zeros + [v for s in order for v in classes[s][0]]
+            signs = np.ones(m.shape[0], dtype=np.int64)
+            for s, fs in zip(order, flips[f].tolist()):
+                signs[classes[s][0]] = fs * np.asarray(classes[s][1])
+            return case, GramWitness(perm=tuple(np.argsort(verts).tolist()),
+                                     signs=tuple(signs.tolist()))
+    return None, None
 
 
 def classify_gram(gr: GramResidual) -> ClassifiedGram:
@@ -218,11 +203,12 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
     up to sign come from rows of U equal up to sign (a zero diagonal entry
     means a zero row), and nonzero such vectors fit on at most 4 lines
     through the origin, since two of the lines can only meet at 45, 60 or
-    90 degrees.  The witness is the first of the at most 4! * 2^3 signed
-    orders of the classes (zero rows first) that maps M exactly onto the
-    canonical form.  Every q-eigenvector x = M x / q is constant up to sign
-    on each class, so the {0, +-1} ones are the class-wise sign choices
-    that M fixes, each checked on M itself.
+    90 degrees.  One match (``_match_shape``) of the at most 4! * 2^3
+    signed orders of the classes against the table of shapes gives both
+    the case and the witness, the first order that maps M exactly onto the
+    case's canonical form.  Every q-eigenvector x = M x / q is constant up
+    to sign on each class, so the {0, +-1} ones are the class-wise sign
+    choices that M fixes, each checked on M itself.
     """
     if gr.rank != 2:
         raise StructureError(f"classification needs rank 2, got {gr.rank}")
@@ -233,14 +219,13 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
     m = gr.matrix
     lam = gr.eigenvalue
     n = m.shape[0]
-    canonical = canonical_gram_form(gr.case_label, lam, gr.d0, gr.d1, gr.d2, n)
     classes = _row_classes(m)
-    witness = _signed_order_onto(m, classes, canonical)
-    if witness is None:
+    case, witness = _match_shape(m, classes, lam, gr.d1, gr.d2)
+    if case is None:
         return ClassifiedGram(
             case=None, witness=None, canonical=None, eigen_candidates=(),
-            diagnostic=f"no signed order of the row classes maps M onto the "
-                       f"case ({gr.case_label}) form")
+            diagnostic="no signed order of the row classes maps M onto a "
+                       "case (a)-(e) form")
     basis = np.zeros((n, len(classes)), dtype=np.int64)
     for s, (vs, ss) in enumerate(classes):
         basis[vs, s] = ss
@@ -251,8 +236,10 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
     xs = exact_matmul(basis, coeffs[lead > 0].T)
     fixed = np.all(exact_matmul(m, xs) == lam * xs, axis=0)
     candidates = tuple(map(tuple, xs.T[fixed].tolist()))
-    return ClassifiedGram(case=gr.case_label, witness=witness,
-                          canonical=canonical, eigen_candidates=candidates)
+    return ClassifiedGram(case=case, witness=witness,
+                          canonical=canonical_gram_form(case, lam, gr.d0, gr.d1,
+                                                        gr.d2, n),
+                          eigen_candidates=candidates)
 
 
 # -- extension operations ------------------------------------------------------
@@ -280,10 +267,7 @@ def _resolve_lambda(g: SignedGraph, lambda_sq, certify, want: str,
         if not check(cert):
             raise ExtensionError(f"certificate {cert} does not match {want}")
         return cert.lambda_sq
-    lambda_sq = operator.index(lambda_sq)  # a float raises, not truncates
-    if lambda_sq < 1:
-        raise ValueError("lambda_sq must be >= 1")
-    return lambda_sq
+    return _check_counts(1, lambda_sq=lambda_sq)[0]
 
 
 def extend_one_vertex(g: SignedGraph, lambda_sq: int | None = None) -> SignedGraph:
@@ -476,24 +460,18 @@ def classify_small_spectrum_02graph(g: SignedGraph) -> SmallSpectrumVerdict:
     rep = structure_report(g)
     if not (rep.connected and rep.zero_two):
         raise StructureError("input must be a connected zero-two graph")
-    three = certify_three_sym(g)
-    if three:
-        ok = g.n == 4 and set(g.degrees) == {2}
-        return SmallSpectrumVerdict(
-            status="confirmed" if ok else "falsified",
-            detail="three-eigenvalue spectrum with underlying 4-cycle" if ok
-            else f"three-eigenvalue spectrum on underlying order {g.n}, "
-                 f"degrees {sorted(set(g.degrees))}: contradicts the theorem",
-            certificate=three)
-    four = certify_four_sym(g)
-    if four:
-        ok = g.n == 4 and set(g.degrees) == {3}
-        return SmallSpectrumVerdict(
-            status="confirmed" if ok else "falsified",
-            detail="four-eigenvalue spectrum with underlying complete graph" if ok
-            else f"four-eigenvalue spectrum on underlying order {g.n}, "
-                 f"degrees {sorted(set(g.degrees))}: contradicts the theorem",
-            certificate=four)
+    for certify, kind, degree, shape in (
+            (certify_three_sym, "three", 2, "4-cycle"),
+            (certify_four_sym, "four", 3, "complete graph")):
+        cert = certify(g)
+        if cert:
+            ok = g.n == 4 and set(g.degrees) == {degree}
+            return SmallSpectrumVerdict(
+                status="confirmed" if ok else "falsified",
+                detail=f"{kind}-eigenvalue spectrum with underlying {shape}" if ok
+                else f"{kind}-eigenvalue spectrum on underlying order {g.n}, "
+                     f"degrees {sorted(set(g.degrees))}: contradicts the theorem",
+                certificate=cert)
     return SmallSpectrumVerdict(status="out-of-scope",
                                 detail="no symmetric three- or four-eigenvalue "
                                        "certificate applies")

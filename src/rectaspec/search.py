@@ -50,7 +50,6 @@ and the benchmark imports it.
 from __future__ import annotations
 
 import hashlib
-import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -61,7 +60,7 @@ import numpy as np
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from ._kernel import run_search  # noqa: F401
 from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _bits,
-                   _mask_bits, _row_masks, is_connected, quadrangles)
+                   _check_counts, _mask_bits, _row_masks, is_connected, quadrangles)
 from .formats import write_graph6
 from .spectral import certify_two_sym
 from .switching import (SchemeError, relabel, scheme_layout, scheme_prefix,
@@ -434,50 +433,31 @@ def dedupe_switching_classes(items, same) -> list:
     return reps
 
 
-def _outcome(problem: SignatureSearchProblem, classes: dict[int, int],
+def _outcome(problem: SignatureSearchProblem, masks: list[int],
              nodes: int, exhausted: bool, **details) -> SearchOutcome:
     """Certify each pure-switching class's canonical mask and dedupe those.
 
-    ``classes`` maps each canonical mask to its class's number of raw
-    solutions.  Every other mask of a class is a tail switching of the
-    canonical one, and switching preserves A^2 = r I, so one certificate
-    decides the class.  The certified representatives are deduped with
-    ``switching_match``, not the VF2 ``switching_isomorphic``.
+    Every other mask of a class is one of the ``1 << tail_size`` tail
+    switchings of the canonical one, and switching preserves A^2 = r I, so
+    one certificate decides the class and counts that many raw solutions.
+    The certified representatives are deduped with ``switching_match``,
+    not the VF2 ``switching_isomorphic``.
     """
     r, n_free = problem.degree, len(problem.free_edges)
-    valid, raw_count = [], 0
-    for mask, size in classes.items():
+    valid = []
+    for mask in masks:
         sol = SignedGraph(_signs(problem.prefix_signs, problem.edge_ids, n_free, mask))
         cert = certify_two_sym(sol)
         if cert and cert.lambda_sq == r:
             valid.append(sol)
-            raw_count += size
         elif r != 0:
             # only the degenerate degree-0 graph may fail: its lone
             # signature has the one-eigenvalue spectrum {0}
             raise RuntimeError("search produced a non-solution")
+    raw_count = len(valid) << problem.tail_size
     solutions = dedupe_switching_classes(valid, switching_match)
     return SearchOutcome(solutions=solutions, nodes=nodes, exhausted=exhausted,
                          raw_count=raw_count, problem=problem, **details)
-
-
-def _check_counts(**counts) -> tuple:
-    """Each count as an int (``operator.index``), None staying None;
-    TypeError naming the first that is a bool or not an integer, ValueError
-    the first that is negative."""
-    out = []
-    for name, value in counts.items():
-        if value is not None:
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, not a bool")
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-            if value < 0:
-                raise ValueError(f"{name} must not be negative, got {value}")
-        out.append(value)
-    return tuple(out)
 
 
 def search_signatures(g, node_budget: int | None = None,
@@ -502,7 +482,7 @@ def search_signatures(g, node_budget: int | None = None,
         refutation = tuple(map(tuple, problem.constraint_quadrangles[
             list(solution.refutation)].tolist()))
         check_refutation(problem, refutation)
-        return _outcome(problem, {}, 0, True, rank=solution.rank,
+        return _outcome(problem, [], 0, True, rank=solution.rank,
                         refutation=refutation)
 
     mask, class_basis = _class_space(
@@ -510,13 +490,12 @@ def search_signatures(g, node_budget: int | None = None,
         lambda m: canonical_switch_key(problem, m), problem.tail_size)
     total = 1 << len(class_basis)
     count = min(total, node_budget) if node_budget else total
-    size = 1 << problem.tail_size
-    classes = {}
+    masks = []
     for i, mask in enumerate(_gray_code(mask, class_basis, count), 1):
-        classes[mask] = size
+        masks.append(mask)
         if progress_every and progress is not None and i % progress_every == 0:
             progress(i, len(class_basis))
-    return _outcome(problem, classes, count, count == total, rank=solution.rank)
+    return _outcome(problem, masks, count, count == total, rank=solution.rank)
 
 
 def proof_log(outcome: SearchOutcome) -> str:
@@ -775,8 +754,7 @@ def run_weighing_search(n: int, r: int, node_budget: int | None):
     support rows placed, and ``exhausted`` says whether the search ran to
     its end rather than its budget (None or 0: no budget).
     ``_sign_supports`` signs what it finds."""
-    n, r = operator.index(n), operator.index(r)
-    (node_budget,) = _check_counts(node_budget=node_budget)
+    n, r, node_budget = _check_counts(n=n, r=r, node_budget=node_budget)
     tree = _SupportSearch(n, r, scheme_two_prefix(r, n), node_budget or 0)
     exhausted = tree.run()
     return tree.found, tree.nodes, exhausted
@@ -842,9 +820,8 @@ def search_weighing(n: int, r: int,
     deduped with ``equivalent``.  ``node_budget`` caps the support rows
     placed (``nodes``); ``exhausted`` is False when it cut the search.
     """
-    n, r = operator.index(n), operator.index(r)
-    if n < r or r < 1:
-        raise ValueError("need n >= r >= 1")
+    (r,) = _check_counts(1, r=r)
+    (n,) = _check_counts(r, n=n)
     (node_budget,) = _check_counts(node_budget=node_budget)
     width = r * (r - 1) // 2 + 1
     if n < width:

@@ -18,7 +18,7 @@
   ``search._SupportSearch._orbit_least``.
 """
 
-from collections import Counter
+import dataclasses
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -36,16 +36,19 @@ def search_signatures_dfs(g, node_budget=None, order_seed=None):
     (ties broken by lowest index) with unit propagation on the parity
     equations and enumerates every raw solution; ``order_seed`` shuffles its
     free-edge order and ``node_budget`` caps its decisions, which the
-    outcome's ``nodes`` counts.  The raw solutions are grouped by their
-    canonical switching mask and handed to ``search._outcome``, looked up on
-    the module so that a test patching it sees both searches.
+    outcome's ``nodes`` counts.  The canonical switching masks of the raw
+    solutions, in order of first appearance, are handed to
+    ``search._outcome``, looked up on the module so that a test patching it
+    sees both searches; ``raw_count`` is the DFS's own count of raw
+    solutions, not the one ``_outcome`` infers from the classes.
     """
     problem = search.build_signature_problem(g)
     order = search._edge_order(problem, order_seed)
     masks, nodes, _row_counts, exhausted = run_search(
         *search.kernel_arguments(problem, order=order, node_budget=node_budget or 0))
-    classes = Counter(search.canonical_switch_key(problem, mask) for mask in masks)
-    return search._outcome(problem, classes, nodes, exhausted)
+    classes = dict.fromkeys(search.canonical_switch_key(problem, mask) for mask in masks)
+    outcome = search._outcome(problem, list(classes), nodes, exhausted)
+    return dataclasses.replace(outcome, raw_count=len(masks))
 
 
 def naive_signature_classes(g) -> int:

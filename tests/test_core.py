@@ -345,3 +345,52 @@ def test_mask_bits_inverts_row_masks(width):
     for outside in (1 << width, -1):
         with pytest.raises(ValueError, match="outside"):
             _mask_bits([0, outside], width)
+
+
+def _cube_minus_vertex():
+    return rs.delete_vertices(rs.signed_cube(3), {0})
+
+
+# (argument name, call) for every entry point that reads a count, order,
+# degree, dimension or lambda^2 through core._check_counts
+INTEGER_ENTRY_POINTS = {
+    "search_signatures-node_budget":
+        ("node_budget", lambda v: rs.search_signatures(rs.hypercube(3), node_budget=v)),
+    "search_signatures-progress_every":
+        ("progress_every", lambda v: rs.search_signatures(rs.hypercube(3), progress_every=v)),
+    "kernel_arguments-node_budget":
+        ("node_budget", lambda v: rs.search.kernel_arguments(
+            rs.search.build_signature_problem(rs.hypercube(3)), node_budget=v)),
+    "search_weighing-n": ("n", lambda v: rs.search_weighing(v, 4)),
+    "search_weighing-r": ("r", lambda v: rs.search_weighing(8, v)),
+    "search_weighing-node_budget":
+        ("node_budget", lambda v: rs.search_weighing(8, 4, node_budget=v)),
+    "run_weighing_search-n": ("n", lambda v: rs.search.run_weighing_search(v, 4, None)),
+    "run_weighing_search-r": ("r", lambda v: rs.search.run_weighing_search(8, v, None)),
+    "filter_sr2se-n": ("n", lambda v: rs.filter_sr2se(v, 5)),
+    "filter_sr2se-r": ("r", lambda v: rs.filter_sr2se(16, v)),
+    "gram_residual-lambda_sq":
+        ("lambda_sq", lambda v: rs.extension.gram_residual(_cube_minus_vertex(), v)),
+    "extend_one_vertex-lambda_sq":
+        ("lambda_sq", lambda v: rs.extension.extend_one_vertex(
+            rs.SignedGraph([[0]]), lambda_sq=v)),
+    "extend_four_to_three-lambda_sq":
+        ("lambda_sq", lambda v: rs.extension.extend_four_to_three(
+            rs.delete_vertices(rs.signed_cube(3), {0, 1}), lambda_sq=v)),
+    "extend_zero_pair-lambda_sq":
+        ("lambda_sq", lambda v: rs.extension.extend_zero_pair(
+            rs.delete_vertices(rs.signed_cube(4), {0, 3}), lambda_sq=v)),
+    "signed_cube": ("dimension", rs.signed_cube),
+    "hypercube": ("dimension", rs.hypercube),
+    "folded_cube": ("dimension", rs.folded_cube),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_counts_refuse_bools_and_floats(entry, value):
+    # filter_sr2se(2, True), search_weighing(True, True), extend_one_vertex
+    # with lambda_sq=True and signed_cube(True) used to return results
+    name, call = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer"):
+        call(value)

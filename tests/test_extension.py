@@ -137,6 +137,57 @@ class TestClassifyGram:
             classify_gram(gram_residual(rs.signed_cube(3), 3))
 
 
+# sha256 of the int64 bytes of canonical_gram_form(case, lam, d0, d1, d2, n)
+CANONICAL_FORM_DIGESTS = {
+    ("a", 2, 2, 4, 0, 6):
+        "69f2e7f16eb51ebfbfb65f4ccacbd61b078e29fe2bb4031c03cf3e960a3fc4a8",
+    ("a", 3, 0, 6, 0, 6):
+        "de1086f22ee7a062f9a6b7f52199d4cfb3a5a6d935d47eb9798554838d183ec5",
+    ("a", 4, 1, 8, 0, 11):
+        "0a6e28e34e737f93787929f882975faa638171c660929dec441960e061098221",
+    ("b", 2, 1, 2, 1, 4):
+        "26517be343c2aab9b637b3bdcd507bd4f1748f8066566ec5cea1c083b873c4db",
+    ("b", 4, 2, 4, 2, 8):
+        "c420a343fcf12df235d083c4c1847fae9ca75594fe0e6d8bc785a6d6fa76385f",
+    ("c", 2, 1, 0, 2, 3):
+        "4652fc3fda22c08463e396870776acd88b4813a92b007e0bcf0800e25bac5944",
+    ("c", 6, 2, 0, 6, 9):
+        "e86b0a08f82920276a28b185815fa703a5b59f9f126083ef735090ae2371c143",
+    ("d", 3, 1, 0, 3, 4):
+        "7a94bf4c623992588e0ce65ce59b04d00efd9e600423025846f186827934cf6c",
+    ("d", 6, 2, 0, 6, 8):
+        "89d2f7fd0006d975fa952c991f6f6069df6b1a3e8c628a30eb23e7eb248b560a",
+    ("e", 3, 1, 2, 2, 5):
+        "2211eaaa816fefc9d8da25222c9ac4119dd9a48b179fcc0bba60ce5dcd5cee0e",
+    ("e", 4, 1, 4, 2, 7):
+        "826656baebc7e341fc6b30d6cd70596fa3479e684dfe55a7be48f27e5a9ad737",
+    ("e", 6, 2, 4, 4, 12):
+        "a96fd88ea1b7dd81fc31ba73fe67a4f5eb0b2406502bfd3a560fe03c290e8ad0",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CANONICAL_FORM_DIGESTS))
+def test_canonical_forms_are_pinned(args):
+    m = canonical_gram_form(*args)
+    assert m.dtype == np.int64 and m.shape == (args[-1],) * 2
+    assert hashlib.sha256(m.tobytes()).hexdigest() == CANONICAL_FORM_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("f", 2, 0, 4, 0, 4), "unknown case 'f'"),
+    (("a", 2, 2, 4, 0, 5), r"past n = 5"),
+    (("d", 6, 2, 0, 6, 7), r"past n = 7"),
+    (("e", 4, 1, 4, 2, 6), r"past n = 6"),
+    # lam not a multiple of 3 (d), odd lam (b) and odd d1 (e) fit no form
+    (("d", 4, 0, 0, 4, 4), "no form with eigenvalue 4"),
+    (("b", 3, 0, 3, 1, 4), "no form with eigenvalue 3"),
+    (("e", 4, 0, 3, 2, 5), "no form with eigenvalue 4"),
+])
+def test_canonical_form_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        canonical_gram_form(*args)
+
+
 @pytest.mark.parametrize("extend, g", [
     (extend_one_vertex, rs.delete_vertices(rs.signed_cube(3), {0})),
     (extend_four_to_three, rs.delete_vertices(rs.signed_cube(3), {0, 1})),

@@ -549,12 +549,12 @@ class TestDfsReference:
     def test_gf2_matches_dfs(self, monkeypatch):
         import rectaspec.search as search
 
-        seen = []  # each driver's {canonical class mask: raw solutions}
+        seen = []  # each driver's canonical class masks, sorted
         real = search._outcome
 
-        def recording(problem, classes, *args, **kwargs):
-            seen.append(dict(classes))
-            return real(problem, classes, *args, **kwargs)
+        def recording(problem, masks, *args, **kwargs):
+            seen.append(sorted(masks))
+            return real(problem, masks, *args, **kwargs)
 
         monkeypatch.setattr(search, "_outcome", recording)
         for g in [rs.hypercube(3), rs.hypercube(4), rs.hypercube(5),

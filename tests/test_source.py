@@ -130,3 +130,13 @@ def test_signed_relabellings_scattered_only_in_core():
              and any(getattr(sub, "attr", getattr(sub, "id", None)) == "ix_"
                      for sub in ast.walk(target.slice))]
     assert found == []
+
+
+def test_integers_read_only_in_core():
+    """``core._check_counts`` alone reads a count, order, degree, dimension
+    or lambda^2 as an int: no other module calls ``operator.index``."""
+    found = [place for place, node in _outside_core()
+             if isinstance(node, ast.Attribute) and node.attr == "index"
+             and getattr(node.value, "id", None) == "operator"
+             or isinstance(node, ast.ImportFrom) and node.module == "operator"]
+    assert found == []
