@@ -164,9 +164,10 @@ def cmd_extend(args) -> int:
             print("# already a two-eigenvalue graph", file=sys.stderr)
             sys.stdout.write(formats.write_signed(g))
             return 0
-        if cert.kind == "FourSym" or cert.kind == "ThreeSym" and cert.d == 2:
-            pair_step = (extension.extend_four_to_three if cert.kind == "FourSym"
-                         else extension.extend_zero_pair)
+        pair_step = (extension.extend_four_to_three if cert.kind == "FourSym"
+                     else extension.extend_zero_pair
+                     if cert.kind == "ThreeSym" and cert.d == 2 else None)
+        if pair_step is not None:
             g = pair_step(g, lambda_sq=hint)
             print(f"# after pair-step: "
                   f"{_describe_certificate(strongest_certificate(g))}",

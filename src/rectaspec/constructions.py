@@ -116,7 +116,7 @@ def folded_cube(r: int) -> UnderlyingGraph:
     degree r+1.  For r = 4 this is the Clebsch graph.  Below r = 4 the
     result has vertex pairs with four common neighbours, hence no zero-two
     structure, so those orders are rejected."""
-    (r,) = _check_counts(dimension=r)
+    (r,) = _check_counts(None, dimension=r)
     if r < 4:
         raise ValueError("folded cubes of dimension < 4 are not rectagraphs")
     n = 1 << r

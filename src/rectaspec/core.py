@@ -50,11 +50,11 @@ def _exact_copy(values, dtype) -> np.ndarray:
     return out
 
 
-def _check_counts(low: int = 0, **counts) -> tuple:
+def _check_counts(low: int | None = 0, **counts) -> tuple:
     """Each count, order, degree, dimension or lambda^2 as an int
     (``operator.index``), None staying None: the package's one integer
     rule.  TypeError naming the first that is a bool or not an integer,
-    ValueError the first below ``low``."""
+    ValueError the first below ``low`` (None: the caller checks bounds)."""
     out = []
     for name, value in counts.items():
         if value is not None:
@@ -64,7 +64,7 @@ def _check_counts(low: int = 0, **counts) -> tuple:
                 value = operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
-            if value < low:
+            if low is not None and value < low:
                 raise ValueError(f"{name} must not be negative, got {value}" if low == 0
                                  else f"{name} must be >= {low}")
         out.append(value)

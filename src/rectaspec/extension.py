@@ -11,6 +11,7 @@ classification in ``classify_gram`` (cases (a)-(e) below).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 
 import numpy as np
@@ -47,7 +48,20 @@ class GramResidual:
     d2: int | None
     rank: int
     eigenvalue: int | None  # nonzero eigenvalue when spectrum is {[q]^rank, 0...}
-    case_label: str | None  # "a".."e" for the rank-2 shapes, else None
+
+    @property
+    def case_label(self) -> str | None:  # "a".."e" for the rank-2 shapes, else None
+        return self._match[1]
+
+    @cached_property
+    def _match(self):
+        """(row classes, case, witness) of ``_match_shape``, run once for
+        ``case_label`` and ``classify_gram``; empty unless M is rank-2 shaped."""
+        if self.rank != 2 or self.d0 is None or self.eigenvalue is None:
+            return [], None, None
+        classes = _row_classes(self.matrix)
+        return (classes, *_match_shape(self.matrix, classes, self.eigenvalue,
+                                       self.d1, self.d2))
 
 
 def gram_residual(g: SignedGraph, lambda_sq: int) -> GramResidual:
@@ -63,31 +77,22 @@ def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("residual must be a square matrix")
     diag = np.diagonal(m)
-    counts = None
+    d0 = d1 = d2 = None
     if np.all((diag >= 0) & (diag <= 2)):
-        counts = (int(np.sum(diag == 0)), int(np.sum(diag == 1)),
-                  int(np.sum(diag == 2)))
+        d0, d1, d2 = np.bincount(diag, minlength=3).tolist()
     rk = rank(m)
     eig = _shape_eigenvalue(m, rk)
-    d0, d1, d2 = counts if counts is not None else (None, None, None)
-    case = None
-    if rk == 2 and counts is not None and eig is not None:
-        case, _ = _match_shape(m, _row_classes(m), eig, d1, d2)
     return GramResidual(matrix=m, lambda_sq=lambda_sq, d0=d0, d1=d1, d2=d2,
-                        rank=rk, eigenvalue=eig, case_label=case)
+                        rank=rk, eigenvalue=eig)
 
 
 def _shape_eigenvalue(m: np.ndarray, rk: int) -> int | None:
     """q > 0 with M^2 = q*M and trace = rank*q, else None."""
-    if rk == 0:
-        return None
     tr = int(np.trace(m))
-    if tr <= 0 or tr % rk:
+    if rk == 0 or tr <= 0 or tr % rk:
         return None
     q = tr // rk
-    if np.array_equal(exact_matmul(m, m), q * m):
-        return q
-    return None
+    return q if np.array_equal(exact_matmul(m, m), q * m) else None
 
 
 # -- rank-2 classification with witness ---------------------------------------
@@ -155,12 +160,16 @@ def _match_shape(m, classes, q: int, d1: int, d2: int):
     """(case, witness) for the first case of ``_SHAPES`` and the first
     signed order of m's row ``classes``, zero rows first, whose relabelling
     maps m exactly onto that case's canonical form; (None, None) when none
-    does.  A signed order makes m constant on the blocks its classes become
-    (see ``classify_gram``), so it hits the form exactly when the class
-    sizes are the block sizes and the sign-normalised values between
-    classes are the table's.  Flipping every class at once changes
-    nothing, so the first class keeps its sign."""
+    does.  A signed order makes a symmetric m constant on the blocks its
+    classes become (see ``classify_gram``), so it hits the form exactly
+    when the class sizes are the block sizes and the sign-normalised values
+    between classes are the table's.  Flipping every class at once changes
+    nothing, so the first class keeps its sign.  A non-symmetric m, or a
+    number of classes that no case has, fits no form, so the orders are
+    only listed for at most 4 classes."""
     k = len(classes)
+    if not np.array_equal(m, m.T) or all(len(t) != k for _, t in _SHAPES.values()):
+        return None, None
     orders = np.array(list(permutations(range(k))))
     flips = np.array([(1,) + f for f in product((1, -1), repeat=k - 1)])
     firsts = [vs[0] for vs, _ in classes]
@@ -219,8 +228,7 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
     m = gr.matrix
     lam = gr.eigenvalue
     n = m.shape[0]
-    classes = _row_classes(m)
-    case, witness = _match_shape(m, classes, lam, gr.d1, gr.d2)
+    classes, case, witness = gr._match
     if case is None:
         return ClassifiedGram(
             case=None, witness=None, canonical=None, eigen_candidates=(),
@@ -236,9 +244,8 @@ def classify_gram(gr: GramResidual) -> ClassifiedGram:
     xs = exact_matmul(basis, coeffs[lead > 0].T)
     fixed = np.all(exact_matmul(m, xs) == lam * xs, axis=0)
     candidates = tuple(map(tuple, xs.T[fixed].tolist()))
-    return ClassifiedGram(case=case, witness=witness,
-                          canonical=canonical_gram_form(case, lam, gr.d0, gr.d1,
-                                                        gr.d2, n),
+    canonical = canonical_gram_form(case, lam, gr.d0, gr.d1, gr.d2, n)
+    return ClassifiedGram(case=case, witness=witness, canonical=canonical,
                           eigen_candidates=candidates)
 
 

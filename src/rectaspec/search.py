@@ -820,8 +820,9 @@ def search_weighing(n: int, r: int,
     deduped with ``equivalent``.  ``node_budget`` caps the support rows
     placed (``nodes``); ``exhausted`` is False when it cut the search.
     """
-    (r,) = _check_counts(1, r=r)
-    (n,) = _check_counts(r, n=n)
+    n, r = _check_counts(None, n=n, r=r)
+    if n < r or r < 1:
+        raise ValueError("need n >= r >= 1")
     (node_budget,) = _check_counts(node_budget=node_budget)
     width = r * (r - 1) // 2 + 1
     if n < width:

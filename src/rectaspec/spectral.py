@@ -191,8 +191,9 @@ def filter_sr2se(n: int, r: int, bipartite: bool = False) -> FilterVerdict:
     condition names are collected rather than short-circuited, so a verdict
     lists everything wrong with the parameter pair.
     """
-    (n,) = _check_counts(2, n=n)
-    (r,) = _check_counts(1, r=r)
+    n, r = _check_counts(None, n=n, r=r)
+    if n < 2 or r < 1:
+        raise ValueError("need n >= 2 and r >= 1")
     failures = []
     if not comb(r + 1, 2) + 1 <= n <= 2 ** r:
         failures.append("bound")

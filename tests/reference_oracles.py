@@ -19,6 +19,7 @@
 """
 
 import dataclasses
+from collections import Counter
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -39,16 +40,20 @@ def search_signatures_dfs(g, node_budget=None, order_seed=None):
     outcome's ``nodes`` counts.  The canonical switching masks of the raw
     solutions, in order of first appearance, are handed to
     ``search._outcome``, looked up on the module so that a test patching it
-    sees both searches; ``raw_count`` is the DFS's own count of raw
-    solutions, not the one ``_outcome`` infers from the classes.
+    sees both searches.  ``raw_count`` is the DFS's own count of raw
+    solutions, not the one ``_outcome`` infers from the classes, and the
+    outcome's extra attribute ``class_sizes`` counts them per canonical
+    mask.
     """
     problem = search.build_signature_problem(g)
     order = search._edge_order(problem, order_seed)
     masks, nodes, _row_counts, exhausted = run_search(
         *search.kernel_arguments(problem, order=order, node_budget=node_budget or 0))
-    classes = dict.fromkeys(search.canonical_switch_key(problem, mask) for mask in masks)
+    classes = Counter(search.canonical_switch_key(problem, mask) for mask in masks)
     outcome = search._outcome(problem, list(classes), nodes, exhausted)
-    return dataclasses.replace(outcome, raw_count=len(masks))
+    outcome = dataclasses.replace(outcome, raw_count=len(masks))
+    outcome.class_sizes = classes
+    return outcome
 
 
 def naive_signature_classes(g) -> int:

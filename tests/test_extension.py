@@ -136,6 +136,33 @@ class TestClassifyGram:
         with pytest.raises(StructureError, match="rank"):
             classify_gram(gram_residual(rs.signed_cube(3), 3))
 
+    def test_eight_class_residual_fits_no_case(self):
+        # M = C R has rank 2, M^2 = 4M, trace 8 and unit diagonal, but it is
+        # not symmetric and its rows fall into 8 classes: no signed order
+        # may be listed for it (8! * 2^7 of them)
+        c = np.array([(1, -2), (1, -1), (1, 1), (1, 2),
+                      (-3, 1), (-2, 1), (2, 1), (3, 1)])
+        r = np.repeat(np.eye(2, dtype=int), 4, axis=1)
+        gr = analyse_residual(c @ r, 0)
+        assert (gr.rank, gr.eigenvalue, gr.d1, gr.case_label) == (2, 4, 8, None)
+        cls = classify_gram(gr)
+        assert cls.case is None and cls.witness is None
+        assert "no signed order" in cls.diagnostic
+
+    def test_pair_step_matches_once(self, monkeypatch):
+        import rectaspec.extension as extension
+
+        calls = []
+        real = extension._match_shape
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(extension, "_match_shape", counting)
+        out = extend_zero_pair(rs.delete_vertices(rs.signed_cube(4), {0, 3}))
+        assert out.n == 15 and len(calls) == 1
+
 
 # sha256 of the int64 bytes of canonical_gram_form(case, lam, d0, d1, d2, n)
 CANONICAL_FORM_DIGESTS = {

@@ -567,6 +567,10 @@ class TestDfsReference:
             assert gf2.raw_count == dfs.raw_count
             assert gf2.exhausted and dfs.exhausted
             assert seen[-2] == seen[-1]
+            # every class holds exactly the 2^tail_size raw solutions that
+            # the GF(2) search counts for it without listing them
+            assert dfs.class_sizes == dict.fromkeys(
+                seen[-2], 1 << gf2.problem.tail_size)
 
 
 # every catalog graph with n <= 64 that builds without a weighing file and
