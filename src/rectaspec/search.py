@@ -356,12 +356,16 @@ def _stars(ids: np.ndarray, size: int, support, forest) -> tuple[tuple[int, int]
     at it is a variable (its star has a bit per neighbour) and it has a
     parent: in both searches a component with a fixed sign has a fixed
     root, and in one without, the root's star is the sum of the others'.
+    Only those rows are packed.
     """
-    on_star = np.zeros((len(ids), size + 1), dtype=bool)
-    on_star[np.arange(len(ids))[:, None], ids] = True
-    stars = _row_masks(on_star[:, :size])
-    return tuple((1 << int(ids[v, parent]), stars[v]) for v, parent in forest
-                 if parent >= 0 and stars[v].bit_count() == support[v].bit_count())
+    free = np.count_nonzero(ids < size, axis=1).tolist()
+    kept = [(v, parent) for v, parent in forest
+            if parent >= 0 and free[v] == support[v].bit_count()]
+    rows = ids[[v for v, _ in kept]]
+    on_star = np.zeros((len(kept), size + 1), dtype=bool)
+    on_star[np.arange(len(kept))[:, None], rows] = True
+    return tuple((1 << int(ids[v, parent]), star)
+                 for (v, parent), star in zip(kept, _row_masks(on_star[:, :size])))
 
 
 def _signs(fixed: np.ndarray, ids: np.ndarray, size: int, mask: int) -> np.ndarray:
@@ -577,29 +581,37 @@ class _SupportSearch:
         # No column pair reaches three rows, so placing or undoing a row
         # toggles each pair in it between one row and zero or two.
         self.single = [0] * n
-        for mask in self.rows:
+        self.pair = [0] * n  # the prefix rows holding each column
+        for a, mask in enumerate(self.rows):
             for j in _bits(mask):
                 self.single[j] ^= mask ^ 1 << j
+                self.pair[j] |= 1 << a
         self.pivots: dict[int, tuple[int, int, int]] = {}
         self.found: list[tuple[tuple[int, ...], dict]] = []
         self.nodes = 0
 
     def run(self) -> bool:
-        """Search every support; False when the node budget cut it."""
-        n, r, rows = self.n, self.r, self.rows
+        """Search every support; False when the node budget cut it.
+
+        Every tail row is drawn from the candidates: r columns, none full,
+        meeting each prefix row in 0 or 2.  They grow column by column, each
+        partial row carrying the prefix rows it meets ``once`` and
+        ``twice`` as bitmasks.  Column c, held by the prefix rows
+        ``pair[c]``, is refused when one of them is met twice already;
+        otherwise the rows met once move to ``twice`` and the rest toggle
+        into ``once``.  A finished row meeting no prefix row once is kept.
+        """
+        n, r, pair = self.n, self.r, self.pair
         full = sum(1 << j for j in range(n) if self.col_weight[j] == r)
-        # grow the first tail row column by column, dropping a partial row
-        # as soon as it meets some prefix row in 3 columns
-        cands = [0]
+        grown = [(0, 0, 0, [])]  # (mask, once, twice, columns)
         for left in range(r, 0, -1):
-            cands = [m | 1 << c for m in cands
-                     for c in range(m.bit_length(), n - left + 1)
-                     if not full >> c & 1
-                     and all(((m | 1 << c) & row).bit_count() <= 2 for row in rows)]
-        cands = [m for m in cands if all((m & row).bit_count() != 1 for row in rows)]
-        cands.sort()
-        # every later row is one of these candidates: list its columns once
-        self.columns = {m: _bits(m) for m in cands}
+            grown = [(m | 1 << c, once ^ pair[c], twice | once & pair[c], cols + [c])
+                     for m, once, twice, cols in grown
+                     for c in range(cols[-1] + 1 if cols else 0, n - left + 1)
+                     if not (full >> c & 1 or pair[c] & twice)]
+        # every later row is one of these candidates: keep its columns
+        self.columns = dict(sorted((m, cols) for m, once, _, cols in grown if not once))
+        cands = list(self.columns)
         self.heads = self._orbit_least(cands)
         return self.extend(r, cands, full)
 
@@ -612,11 +624,13 @@ class _SupportSearch:
         tried as the first tail row; later rows draw on every candidate.
 
         A candidate meets each prefix row in 0 or 2 columns, so its pair
-        columns are the edges of a union of cycles on the prefix rows; the
-        rows it misses are the isolated vertices, as many as its columns
-        outside the prefix.  So two candidates share an orbit exactly when
-        those graphs have the same sorted component sizes, and the least of
-        an orbit is the first candidate with its sizes.
+        columns, each linking the two prefix rows ``pair[c]`` that hold
+        it, are the edges of a union of cycles on the prefix rows; the
+        rows it misses are as many as its columns outside the prefix.  So
+        two candidates share an orbit exactly when their cycles have the
+        same sorted sizes, and the least of an orbit is the first
+        candidate with those sizes.  The sizes are read off the links
+        alone, merging the row masks of the components they join.
 
         No class is lost.  G maps a signed support with this prefix to
         another one, and switching restores the prefix signs: the prefix's
@@ -626,20 +640,17 @@ class _SupportSearch:
         in, and it is least in its orbit; so every equivalence class has a
         support whose first tail row is kept.
         """
-        pair = [0] * self.n  # the prefix rows holding each column
-        for a, row in enumerate(self.rows):
-            for c in _bits(row):
-                pair[c] |= 1 << a
         least: dict[tuple[int, ...], int] = {}
         for m in cands:
-            meets = [0] * self.r
-            for a, row in enumerate(self.rows):
-                for c in _bits(m & row):
-                    meets[a] |= pair[c] ^ 1 << a
-            roots = [k for k, (_, parent) in enumerate(_bfs_forest(meets))
-                     if parent < 0]
-            sizes = sorted(b - a for a, b in zip(roots, roots[1:] + [self.r]))
-            least.setdefault(tuple(sizes), m)
+            cycles: list[int] = []  # row masks of the components so far
+            for c in self.columns[m]:
+                link = self.pair[c]  # 0 outside the prefix
+                if link:
+                    for comp in [comp for comp in cycles if comp & link]:
+                        cycles.remove(comp)
+                        link |= comp
+                    cycles.append(link)
+            least.setdefault(tuple(sorted(comp.bit_count() for comp in cycles)), m)
         return set(least.values())
 
     def _completable(self, cands: list[int]) -> bool:
@@ -747,15 +758,28 @@ def _check_weighing(arr: np.ndarray, r: int) -> WeighingMatrix:
     return w
 
 
+def _weighing_counts(n, r, node_budget) -> tuple[int, int, int]:
+    """The weighing searches' one argument check: n, r and ``node_budget``
+    as ints (None: 0); ValueError unless n >= r >= 1."""
+    n, r = _check_counts(None, n=n, r=r)
+    if n < r or r < 1:
+        raise ValueError("need n >= r >= 1")
+    (node_budget,) = _check_counts(node_budget=node_budget)
+    return n, r, node_budget or 0
+
+
 def run_weighing_search(n: int, r: int, node_budget: int | None):
     """(found, nodes, exhausted): the support search alone.  ``found`` holds,
     as (row masks, parity pivots), every kept complete support with a
     consistent parity system, in the order found; ``nodes`` counts the
     support rows placed, and ``exhausted`` says whether the search ran to
-    its end rather than its budget (None or 0: no budget).
+    its end rather than its budget (None or 0: no budget).  An order below
+    the prefix's 1 + r(r-1)/2 columns has no support.
     ``_sign_supports`` signs what it finds."""
-    n, r, node_budget = _check_counts(n=n, r=r, node_budget=node_budget)
-    tree = _SupportSearch(n, r, scheme_two_prefix(r, n), node_budget or 0)
+    n, r, node_budget = _weighing_counts(n, r, node_budget)
+    if n < r * (r - 1) // 2 + 1:
+        return [], 0, True
+    tree = _SupportSearch(n, r, scheme_two_prefix(r, n), node_budget)
     exhausted = tree.run()
     return tree.found, tree.nodes, exhausted
 
@@ -764,6 +788,8 @@ def _sign_supports(n: int, r: int, found) -> list[WeighingMatrix]:
     """Every certified sign class over the supports ``found`` by
     ``run_weighing_search``, in order: the raw matrices that
     ``search_weighing`` dedupes."""
+    if not found:  # an order below the prefix's width has no prefix
+        return []
     size = (n - r) * n
     fixed = np.zeros((n, n), dtype=np.int8)
     fixed[:r] = scheme_two_prefix(r, n)
@@ -820,14 +846,7 @@ def search_weighing(n: int, r: int,
     deduped with ``equivalent``.  ``node_budget`` caps the support rows
     placed (``nodes``); ``exhausted`` is False when it cut the search.
     """
-    n, r = _check_counts(None, n=n, r=r)
-    if n < r or r < 1:
-        raise ValueError("need n >= r >= 1")
-    (node_budget,) = _check_counts(node_budget=node_budget)
-    width = r * (r - 1) // 2 + 1
-    if n < width:
-        return WeighingSearchOutcome([], 0, True, 0)
-
+    n, r, node_budget = _weighing_counts(n, r, node_budget)
     found, nodes, exhausted = run_weighing_search(n, r, node_budget)
     candidates = _sign_supports(n, r, found)
     matrices = dedupe_switching_classes(candidates, equivalent)

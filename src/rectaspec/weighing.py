@@ -186,12 +186,12 @@ class EquivalenceWitness:
         """True iff M = P N Q, checked by indexing, not by products: M's
         entry (i, q_perm[j]) must be p_signs[i] * q_signs[j] times N's entry
         (p_perm[i], j).  ValueError unless both perms are permutations of
-        range(n)."""
-        q_inv = np.argsort(_permutation(self.q_perm, n.n))
-        q_signs = np.asarray(self.q_signs)[q_inv]
+        range(n).  P N Q is built from N's rows in ``p_perm`` order, so
+        neither perm is inverted."""
+        rows = n.entries[_permutation(self.p_perm, n.n)]
         return np.array_equal(
-            _signed_permute(m.entries, self.p_perm, self.p_signs, q_inv, q_signs),
-            n.entries)
+            _signed_permute(rows, range(n.n), self.p_signs, self.q_perm, self.q_signs),
+            m.entries)
 
 
 def _witness_from_transform(n: int, perm, eps) -> EquivalenceWitness:

@@ -461,6 +461,27 @@ def test_weighing_stars_follow_the_layout_rule(n, r, monkeypatch):
     assert (max(roots) > 1) == (r == 2)
 
 
+def _all_rows_stars(ids, size, support, forest):
+    """``search._stars`` by its first definition: every vertex's star is
+    built, then the switchable ones are kept."""
+    stars = [sum(1 << int(i) for i in row if i < size) for row in ids]
+    return tuple((1 << int(ids[v, parent]), stars[v]) for v, parent in forest
+                 if parent >= 0 and stars[v].bit_count() == support[v].bit_count())
+
+
+@pytest.mark.parametrize("name, seed", list(PINNED_SEARCHES))
+def test_tail_stars_match_the_all_rows_stars(name, seed):
+    g = PINNED_GRAPHS[name]()
+    if seed is not None:
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        g = relabel(g, perm)
+    problem = build_signature_problem(g)
+    assert problem.tail_stars == _all_rows_stars(
+        problem.edge_ids, len(problem.free_edges), problem.graph.row_bits,
+        problem.graph.spanning_forest)
+
+
 def petersen_graph() -> rs.UnderlyingGraph:
     """The Kneser graph K(5, 2): regular, triangle-free, and not zero-two
     (two non-adjacent vertices share one neighbour)."""
@@ -779,6 +800,22 @@ class TestWeighingSearch:
         with pytest.raises(ValueError):
             search_weighing(3, 4)
 
+    @pytest.mark.parametrize("n, r", [(8, 0), (3, 4), (0, 0), (8, -1)])
+    def test_both_searches_share_the_order_check(self, n, r):
+        # run_weighing_search(8, 0) used to return one all-zero "support",
+        # and (3, 4) failed in the prefix instead
+        with pytest.raises(ValueError, match=r"^need n >= r >= 1$"):
+            search_weighing(n, r)
+        with pytest.raises(ValueError, match=r"^need n >= r >= 1$"):
+            run_weighing_search(n, r, None)
+
+    def test_order_below_the_prefix_has_no_support(self):
+        # W(5, 4) would need the prefix's 7 columns
+        assert run_weighing_search(5, 4, None) == ([], 0, True)
+        out = search_weighing(5, 4)
+        assert (out.matrices, out.nodes, out.exhausted, out.raw_count, out.supports) == (
+            [], 0, True, 0, 0)
+
 
 def _old_weighing_classes(n, r):
     """The old search: the sign-by-sign kernel, then pairwise equivalence."""
@@ -927,6 +964,19 @@ def test_support_search_node_counts(n, r):
     assert out.exhausted and out.nodes == SUPPORT_SEARCH_NODES[n, r]
 
 
+@pytest.mark.parametrize("n, r", [key for key, (_, supports, _) in
+                                  SUPPORT_SEARCH_ANSWERS.items() if supports])
+def test_weighing_stars_match_the_all_rows_stars(n, r, monkeypatch):
+    calls = []
+    real = search._stars
+    monkeypatch.setattr(search, "_stars",
+                        lambda *args: calls.append((args, real(*args))) or calls[-1][1])
+    search_weighing(n, r)
+    assert calls
+    for args, got in calls:
+        assert got == _all_rows_stars(*args)
+
+
 class TestNumpyIntegerParameters:
     @pytest.mark.parametrize("n, r", [(12, 5), (14, 5), (16, 6)])
     @pytest.mark.parametrize("kind", [np.int64, np.int32])
@@ -974,6 +1024,28 @@ class TestOrbitCut:
                                   for pair in pairs) for p in perms)
 
         assert tree.heads == {orbit_minimum(m) for m in tree.columns}
+
+    @pytest.mark.parametrize("n, r", ORBIT_CUT_ORDERS + [(20, 6)])
+    def test_candidates_are_every_fitting_row(self, n, r):
+        # brute force: the r-subsets of the columns not yet full that meet
+        # every prefix row in 0 or 2 columns, ascending as bitmasks
+        prefix = scheme_two_prefix(r, n)
+        tree = _SupportSearch(n, r, prefix, 1)
+        tree.run()
+        open_columns = np.flatnonzero(np.count_nonzero(prefix, axis=0) < r).tolist()
+        rows = [set(np.flatnonzero(row).tolist()) for row in prefix]
+        want = sorted(sum(1 << c for c in cols) for cols in combinations(open_columns, r)
+                      if all(len(row.intersection(cols)) in (0, 2) for row in rows))
+        assert list(tree.columns) == want
+        assert all(tree.columns[m] == _bits(m) for m in want)
+
+    @pytest.mark.parametrize("n, r, sizes", [(20, 6, (708, 5)), (24, 6, (3054, 6)),
+                                             (28, 6, (9228, 6))])
+    def test_set_up_past_the_exhausted_orders(self, n, r, sizes):
+        # (candidates, first-row orbit heads) of orders the tests cannot exhaust
+        tree = _SupportSearch(n, r, scheme_two_prefix(r, n), 1)
+        tree.run()
+        assert (len(tree.columns), len(tree.heads)) == sizes
 
     @pytest.mark.parametrize("n, r", ORBIT_CUT_ORDERS)
     def test_every_class_survives(self, n, r):
