@@ -426,9 +426,12 @@ def dedupe_switching_classes(items, same) -> list:
     class: the switching matcher ``switching_match`` for signed graphs or,
     for matrices, ``equivalent``; both re-verify every "yes".
 
-    No ``class_invariants`` screen: the candidates of one signature search
-    share a labelled underlying graph and A^2 = r I, so their invariants
-    (charpoly (x^2 - r)^(n/2), all quadrangles negative, ...) are equal.
+    The matcher screens each pair itself: unequal vertex colours (side,
+    degree, signed quadrangle counts) answer "no" before it searches.
+    Inside one search the colours are uniform: the candidates of a
+    signature search share a labelled underlying graph and A^2 = r I, so
+    every quadrangle is negative, and a weighing search's supports meet in
+    0 or 2 with every quadrangle negative too.
     """
     reps = []
     for item in items:
@@ -599,18 +602,23 @@ class _SupportSearch:
         ``twice`` as bitmasks.  Column c, held by the prefix rows
         ``pair[c]``, is refused when one of them is met twice already;
         otherwise the rows met once move to ``twice`` and the rest toggle
-        into ``once``.  A finished row meeting no prefix row once is kept.
+        into ``once``.  A partial row is refused when ``once`` holds more
+        than twice as many rows as it has columns still to come: column 0
+        is full, so every column lies in at most two prefix rows and takes
+        at most two rows out of ``once``.  A finished row therefore meets
+        no prefix row once.
         """
         n, r, pair = self.n, self.r, self.pair
         full = sum(1 << j for j in range(n) if self.col_weight[j] == r)
         grown = [(0, 0, 0, [])]  # (mask, once, twice, columns)
         for left in range(r, 0, -1):
-            grown = [(m | 1 << c, once ^ pair[c], twice | once & pair[c], cols + [c])
+            grown = [(m | 1 << c, met, twice | once & pair[c], cols + [c])
                      for m, once, twice, cols in grown
                      for c in range(cols[-1] + 1 if cols else 0, n - left + 1)
-                     if not (full >> c & 1 or pair[c] & twice)]
+                     if not (full >> c & 1 or pair[c] & twice)
+                     and (met := once ^ pair[c]).bit_count() <= 2 * (left - 1)]
         # every later row is one of these candidates: keep its columns
-        self.columns = dict(sorted((m, cols) for m, once, _, cols in grown if not once))
+        self.columns = dict(sorted((m, cols) for m, _, _, cols in grown))
         cands = list(self.columns)
         self.heads = self._orbit_least(cands)
         return self.extend(r, cands, full)

@@ -10,7 +10,10 @@ the check per candidate is linear in the edge count.  ``switching_match``
 decides the same question without VF2, by the sign-propagating matcher
 ``_sign_match``: a backtracking search over the positive and negative
 neighbour bitmasks (``core._row_masks``) that fixes each vertex's switching
-sign as it places it.  The signature search dedupes with
+sign as it places it.  Each vertex goes only to a vertex of its own colour,
+its side, degree and numbers of negative and positive quadrangles, all kept
+by switching; unequal colour multisets answer "no" before any search, at
+the cost of two matrix products per graph.  The signature search dedupes with
 ``switching_match``, and ``weighing.equivalent`` calls ``_sign_match`` with
 its row/column side split.  Both deciders re-check every witness before
 returning it, by applying it to the adjacency matrix with
@@ -276,13 +279,30 @@ def _match_order(pos, neg) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     return order
 
 
+def _colours(g: SignedGraph, split: int) -> list[tuple[bool, int, int, int]]:
+    """Each vertex's colour (below ``split``, degree, negative quadrangles
+    through it, positive quadrangles through it); see ``_sign_match``."""
+    neg, pos = _quadrangle_signs(g)
+    return list(zip([v < split for v in range(g.n)], g.degrees, neg.tolist(), pos.tolist()))
+
+
 def _sign_match(g: SignedGraph, h: SignedGraph, split: int = 0):
     """A switching isomorphism of ``g`` onto ``h`` as (perm, eps): vertex v
     goes to perm[v] with sign eps[v]; None if there is none.  With
     ``split``, the vertices below it and the rest are two sides that each
     stay on their own (the columns and rows of a weighing matrix's support
     graph); the default 0 puts every vertex on one side.  Unequal orders or
-    degree multisets give None before any search.
+    degree multisets give None before any search, and so do unequal colour
+    multisets.
+
+    A vertex's colour (``_colours``) is its side, its degree and the
+    numbers of negative and of positive quadrangles through it.  Every
+    switching isomorphism keeps it: side and degree by definition, and a
+    signed permutation maps the quadrangles through v onto those through
+    its image, each with its sign, because switching a vertex negates 0 or
+    2 of the four edges of any quadrangle.  So v may go only to a vertex
+    of its own colour, and the colours cost the two products of
+    ``_quadrangle_signs`` per graph.
 
     Backtracking over the order ``_match_order`` fixes in advance.  A vertex
     with an earlier neighbour may go only to an unused neighbour of its
@@ -292,26 +312,28 @@ def _sign_match(g: SignedGraph, h: SignedGraph, split: int = 0):
     every edge, non-edge and sign back to the vertices already placed and
     fixes the vertex's sign.  A vertex with no earlier neighbour starts a
     component; it takes sign +1 (switching a whole component changes
-    nothing) and any unused vertex of its side and degree.  The search is
-    one loop over explicit per-depth state, so it leaves no reference cycle.
+    nothing) and any unused vertex of its colour.  The search is one loop
+    over explicit per-depth state, so it leaves no reference cycle.
     """
     size = g.n
     if size != h.n or sorted(g.degrees) != sorted(h.degrees):
         return None
+    gcolour, hcolour = _colours(g, split), _colours(h, split)
+    if sorted(gcolour) != sorted(hcolour):
+        return None
+    classes: dict[tuple, int] = {}  # colour -> h's vertices of that colour
+    for w, colour in enumerate(hcolour):
+        classes[colour] = classes.get(colour, 0) | 1 << w
+    allowed = [classes[colour] for colour in gcolour]  # v -> the images it may take
     gpos, gneg = _row_masks(g.adj > 0), _row_masks(g.adj < 0)
     hpos, hneg = _row_masks(h.adj > 0), _row_masks(h.adj < 0)
     hbits = h.row_bits
     order = _match_order(gpos, gneg)
-    starts: dict[tuple[bool, int], int] = {}  # (below split, degree) -> h's vertices
-    for w, bits in enumerate(hbits):
-        key = (w < split, bits.bit_count())
-        starts[key] = starts.get(key, 0) | 1 << w
-    degree = g.degrees
     perm, eps = [0] * size, [0] * size
     untried = [0] * size  # images left to try at each depth
     wanted = [(0, 0)] * size  # (positive, negative) neighbour images at each depth
     used, k = 0, 0
-    untried[0] = starts.get((order[0][0] < split, degree[order[0][0]]), 0)
+    untried[0] = allowed[order[0][0]]
     while True:
         cands = untried[k]
         if not cands:
@@ -345,10 +367,9 @@ def _sign_match(g: SignedGraph, h: SignedGraph, split: int = 0):
             else:
                 q |= 1 << perm[u]
         wanted[k] = (p, q)
+        untried[k] = allowed[v] & ~used
         if earlier:
-            untried[k] = hbits[perm[earlier[0][0]]] & ~used
-        else:
-            untried[k] = starts.get((v < split, degree[v]), 0) & ~used
+            untried[k] &= hbits[perm[earlier[0][0]]]
 
 
 def switching_match(g: SignedGraph, h: SignedGraph):
@@ -363,8 +384,9 @@ def switching_match(g: SignedGraph, h: SignedGraph):
     return True, _verified_witness(g, h, *found)
 
 
-def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:
-    """Per-vertex (negative, positive) quadrangle counts, sorted.
+def _quadrangle_signs(g) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex counts of the negative and of the positive quadrangles
+    through each vertex, as two int64 vectors.
 
     A quadrangle through v is (v, b, c, d) for exactly one c != v, with b
     and d two of the k = (|A|^2)_vc common neighbours of v and c.  Its sign
@@ -378,7 +400,14 @@ def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:
     np.fill_diagonal(signed, 0)
     neg = (common * common - signed * signed).sum(axis=1) // 4
     total = (common * (common - 1)).sum(axis=1) // 2
-    return sorted(zip(neg.tolist(), (total - neg).tolist()))
+    return neg, total - neg
+
+
+def quadrangle_balance_counts(g: SignedGraph) -> list[tuple[int, int]]:
+    """Per-vertex (negative, positive) quadrangle counts, sorted (see
+    ``_quadrangle_signs``)."""
+    neg, pos = _quadrangle_signs(g)
+    return sorted(zip(neg.tolist(), pos.tolist()))
 
 
 def underlying_certificate(g) -> str:

@@ -10,6 +10,10 @@ support graphs.  The switching module's sign-propagating matcher
 backtracks over the support bitmasks in a vertex order fixed in advance,
 propagating the switching signs from vertex to vertex as it places them, so
 that every partial map is checked on edges, non-edges and signs at once.
+Each support vertex goes only to one of its own colour (side, degree and
+signed quadrangle counts), so two matrices whose rows meet in different
+patterns, such as W(8,4) and H4 + H4, are told apart before any search;
+on supports with intersection numbers in {0, 2} the colours are uniform.
 The row normal form is read off the same graph (the biadjacency block of its
 star normal form at a column vertex), and one translation turns a switching
 isomorphism of support graphs into the witness (P, Q) for both.  Every

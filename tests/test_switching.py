@@ -6,8 +6,9 @@ import pytest
 
 import rectaspec as rs
 import rectaspec.switching as switching
+from rectaspec.constructions import CatalogIngestError
 from rectaspec.core import disjoint_union
-from rectaspec.switching import (SchemeError, apply_signed_permutation,
+from rectaspec.switching import (SchemeError, _colours, apply_signed_permutation,
                                  quadrangle_balance_counts, relabel, scheme_layout,
                                  scheme_prefix,
                                  switch, switching_match, underlying_isomorphisms)
@@ -283,6 +284,142 @@ class TestMatcherAgainstVf2:
                 switching_match(rs.signed_cube(2), rs.signed_cube(2))
 
 
+def random_signed_graph(rng, n):
+    """A random signed graph on n vertices, mostly irregular and often
+    disconnected."""
+    upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
+    signed = upper * np.where(rng.random((n, n)) < 0.5, -1, 1)
+    return rs.SignedGraph(signed + signed.T)
+
+
+def listed_quadrangle_signs(g) -> tuple[list[int], list[int]]:
+    """Negative and positive quadrangles through each vertex, by listing
+    every 4-cycle."""
+    neg, pos = [0] * g.n, [0] * g.n
+    for a, b, c, d in brute_force_quadrangles(g):
+        sign = int(g.adj[a, b]) * int(g.adj[b, c]) * int(g.adj[c, d]) * int(g.adj[d, a])
+        for v in (a, b, c, d):
+            (neg if sign < 0 else pos)[v] += 1
+    return neg, pos
+
+
+BUILT_ROWS = ["R1.1", "R2.1", "R3.1", "R4.1", "R4.2", "R5.1", "R5.3", "R5.4", "R6.6",
+              "R6.7", "R7.6", "R7.7"]
+
+
+@pytest.fixture(scope="module")
+def catalog_rows():
+    """Every catalog row that builds without a weighing file, plus R5.1 from
+    the searched W(12,5)."""
+    from rectaspec.search import search_weighing
+    from rectaspec.weighing import write_weighing_text
+
+    rows = {}
+    for key in rs.constructions.catalog_ids():
+        if key.startswith("R"):
+            try:
+                rows[key] = rs.catalog(key)
+            except CatalogIngestError:
+                pass
+    rows["R5.1"] = rs.catalog("R5.1", weighing_source=write_weighing_text(
+        search_weighing(12, 5).matrices[0]))
+    assert sorted(rows) == BUILT_ROWS
+    return rows
+
+
+class TestColours:
+    """The matcher's vertex colours (side, degree, negative and positive
+    quadrangles through the vertex) and the refusals and pruning they give."""
+
+    @staticmethod
+    def check_kept(g, rng, split=0):
+        """Every signed permutation that keeps the sides maps each vertex
+        onto one of its own colour."""
+        colours = _colours(g, split)
+        for _ in range(3):
+            perm = [int(v) for v in rng.permutation(split)]
+            perm += [split + int(v) for v in rng.permutation(g.n - split)]
+            h = apply_signed_permutation(g, perm, {v for v in range(g.n)
+                                                   if rng.random() < 0.5})
+            image = _colours(h, split)
+            assert [image[perm[v]] for v in range(g.n)] == colours
+
+    def test_signed_permutations_keep_the_colours(self):
+        rng = np.random.default_rng(30)
+        spread = 0
+        for _ in range(120):
+            g = random_signed_graph(rng, int(rng.integers(1, 14)))
+            self.check_kept(g, rng)
+            spread += len(set(_colours(g, 0))) > 2
+        assert spread >= 60  # most of these graphs have several colours
+        for first, second in (("R2.1", "R3.1"), ("R4.1", "R5.4"), ("T", "R2.1")):
+            self.check_kept(disjoint_union(rs.catalog(first), rs.catalog(second)), rng)
+
+    def test_weighing_supports_keep_the_colours_with_the_side_split(self):
+        from rectaspec.search import search_weighing
+        from rectaspec.weighing import _support_bipartite
+
+        rng = np.random.default_rng(31)
+        w74 = search_weighing(7, 4).matrices[0].entries
+        w84 = search_weighing(8, 4).matrices[0].entries
+        h4 = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+        mixed = np.zeros((19, 19), dtype=np.int8)
+        mixed[:7, :7], mixed[7:11, 7:11], mixed[11:, 11:] = w74, h4, w84
+        for w in (search_weighing(12, 5).matrices[0], rs.WeighingMatrix(mixed)):
+            self.check_kept(_support_bipartite(w), rng, split=w.n)
+        # an uneven split: the sides alone tell the vertices apart
+        self.check_kept(random_signed_graph(rng, 11), rng, split=4)
+
+    def test_colours_count_the_listed_quadrangles(self):
+        g = disjoint_union(rs.catalog("T"), all_positive_c4())
+        neg, pos = listed_quadrangle_signs(g)
+        assert _colours(g, 2) == [(v < 2, g.degrees[v], neg[v], pos[v]) for v in range(g.n)]
+
+    @pytest.mark.parametrize("key", BUILT_ROWS)
+    def test_one_edge_flip_on_every_built_row(self, catalog_rows, key):
+        # every edge of a rectagraph of degree 2 or more lies on a
+        # quadrangle, which the flip makes positive; R1.1's lone edge is a
+        # bridge, and negating a bridge is a switching.  Where VF2's "no"
+        # finishes, TestMatcherAgainstVf2.test_one_edge_flips compares the two
+        g = catalog_rows[key]
+        copy = relabelled_switched(g, 11)
+        flipped = one_edge_flipped(copy, 12)
+        for h, same in ((copy, True), (flipped, key == "R1.1")):
+            ok, witness = switching_match(g, h)
+            assert ok == same
+            if ok:
+                assert apply_signed_permutation(g, witness.perm, witness.switch_set) == h
+
+    def test_matcher_agrees_with_vf2_on_random_graphs(self):
+        # irregular and disconnected inputs, where the colours split the
+        # vertices unevenly; a flipped bridge is still a "yes"
+        rng = np.random.default_rng(32)
+        answers = set()
+        for seed in range(80):
+            g = random_signed_graph(rng, int(rng.integers(2, 10)))
+            if not g.edges():
+                continue
+            h = relabelled_switched(g, seed)
+            assert both_answers(g, h) == [True, True]
+            flipped = both_answers(g, one_edge_flipped(h, seed))
+            assert flipped[0] == flipped[1]
+            answers.add(flipped[0])
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("key", ["R2.1", "R4.2", "R5.4", "R6.6"])
+    def test_unequal_colours_answer_before_any_search(self, monkeypatch, key):
+        g = rs.catalog(key)
+        h = one_edge_flipped(relabelled_switched(g, 13), 14)
+        assert sorted(g.degrees) == sorted(h.degrees)
+
+        def no_search(*args):
+            raise AssertionError("the matcher searched")
+
+        monkeypatch.setattr(switching, "_match_order", no_search)
+        assert switching_match(g, h) == (False, None)
+        assert switching_match(h, g) == (False, None)
+
+
 class TestClassInvariants:
     def test_invariance_under_switch_and_relabel(self):
         rng = random.Random(9)
@@ -305,21 +442,13 @@ class TestClassInvariants:
     @staticmethod
     def _listed_balance_counts(g):
         """``quadrangle_balance_counts`` by listing every 4-cycle."""
-        neg, pos = [0] * g.n, [0] * g.n
-        for a, b, c, d in brute_force_quadrangles(g):
-            sign = int(g.adj[a, b]) * int(g.adj[b, c]) * int(g.adj[c, d]) * int(g.adj[d, a])
-            for v in (a, b, c, d):
-                (neg if sign < 0 else pos)[v] += 1
-        return sorted(zip(neg, pos))
+        return sorted(zip(*listed_quadrangle_signs(g)))
 
     def test_balance_counts_match_listed_quadrangles_on_random_graphs(self):
         rng = np.random.default_rng(24)
         wide = 0
         for _ in range(240):
-            n = int(rng.integers(1, 16))
-            upper = np.triu(rng.random((n, n)) < rng.uniform(0.1, 0.9), 1)
-            signed = upper * np.where(rng.random((n, n)) < 0.5, -1, 1)
-            g = rs.SignedGraph(signed + signed.T)
+            g = random_signed_graph(rng, int(rng.integers(1, 16)))
             assert quadrangle_balance_counts(g) == self._listed_balance_counts(g)
             support = np.abs(g.adj).astype(np.int64)
             codegrees = support @ support

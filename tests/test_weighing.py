@@ -253,6 +253,23 @@ class TestEquivalence:
         assert rs.is_proper(proper) and not rs.is_proper(improper)
         assert rs.intersection_numbers(proper) != rs.intersection_numbers(improper)
 
+    def test_unequal_colours_answer_before_any_search(self, monkeypatch):
+        # rows of H4 + H4 meet in 4 columns, so each vertex of its support
+        # graph lies on 12 negative and 6 positive quadrangles; the rows of
+        # W(8,4) meet in 0 or 2, and each vertex lies on 6 negative ones
+        import rectaspec.switching as switching
+        from rectaspec.search import search_weighing
+
+        proper = search_weighing(8, 4).matrices[0]
+        improper = scrambled(direct_sum(H4, H4), np.random.default_rng(4))
+
+        def no_search(*args):
+            raise AssertionError("the matcher searched")
+
+        monkeypatch.setattr(switching, "_match_order", no_search)
+        assert rs.equivalent(proper, improper) == (False, None)
+        assert rs.equivalent(improper, proper) == (False, None)
+
     def test_sums_of_unlike_blocks(self):
         # equivalent by construction (the VF2 oracle did not finish these
         # nine pairs in three minutes).  Each
