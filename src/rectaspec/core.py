@@ -12,8 +12,8 @@ reads only the support, so it accepts either type and never builds an
 underlying graph first.  The package builds every row bitmask with
 ``_row_masks``, reads a bitmask back into an array with ``_mask_bits``,
 applies every switching, equivalence or Gram witness with
-``_signed_permute`` and reads every integer argument with
-``_check_counts``.
+``_signed_permute``, reads every integer argument with ``_check_counts``
+and squares an adjacency matrix only in the cached ``square``.
 """
 
 from __future__ import annotations
@@ -175,6 +175,14 @@ class _Graph:
     def spanning_forest(self) -> tuple[tuple[int, int], ...]:
         """``_bfs_forest`` of the support."""
         return _bfs_forest(self.row_bits)
+
+    @cached_property
+    def square(self) -> np.ndarray:
+        """A^2 as a read-only int64 matrix: the package's one product of an
+        adjacency matrix with itself."""
+        sq = exact_matmul(self.adj, self.adj)
+        sq.setflags(write=False)
+        return sq
 
     def __eq__(self, other):
         return type(other) is type(self) and np.array_equal(self.adj, other.adj)

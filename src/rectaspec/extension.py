@@ -42,7 +42,6 @@ class GramWitness:
 @dataclass(frozen=True, eq=False)  # arrays: equality and hash by identity
 class GramResidual:
     matrix: np.ndarray  # int64, read-only
-    lambda_sq: int
     d0: int | None
     d1: int | None
     d2: int | None
@@ -65,14 +64,13 @@ class GramResidual:
 
 
 def gram_residual(g: SignedGraph, lambda_sq: int) -> GramResidual:
-    """M = lambda_sq*I - A^2 with diagonal counts, exact rank and, when the
-    rank-2 classification applies, its case label."""
+    """M = lambda_sq*I - A^2 (``g.square``) with diagonal counts, exact rank
+    and, when the rank-2 classification applies, its case label."""
     (lambda_sq,) = _check_counts(1, lambda_sq=lambda_sq)
-    m = lambda_sq * np.eye(g.n, dtype=np.int64) - exact_matmul(g.adj, g.adj)
-    return analyse_residual(m, lambda_sq)
+    return analyse_residual(lambda_sq * np.eye(g.n, dtype=np.int64) - g.square)
 
 
-def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
+def analyse_residual(m: np.ndarray) -> GramResidual:
     m = _exact_copy(m, np.int64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("residual must be a square matrix")
@@ -82,8 +80,7 @@ def analyse_residual(m: np.ndarray, lambda_sq: int) -> GramResidual:
         d0, d1, d2 = np.bincount(diag, minlength=3).tolist()
     rk = rank(m)
     eig = _shape_eigenvalue(m, rk)
-    return GramResidual(matrix=m, lambda_sq=lambda_sq, d0=d0, d1=d1, d2=d2,
-                        rank=rk, eigenvalue=eig)
+    return GramResidual(matrix=m, d0=d0, d1=d1, d2=d2, rank=rk, eigenvalue=eig)
 
 
 def _shape_eigenvalue(m: np.ndarray, rk: int) -> int | None:
@@ -429,7 +426,7 @@ def classify_constant_diag_gram(m) -> ConstantDiagVerdict:
     if not set(np.unique(np.abs(off))) <= {0, 2}:
         raise StructureError("off-diagonal entries must lie in {0, +-2}")
     d = int(diag[0])
-    gr = analyse_residual(m, 0)
+    gr = analyse_residual(m)
     if gr.rank != 2:
         return ConstantDiagVerdict(False, f"rank {gr.rank}, not the rank-2 spectrum shape")
     if gr.eigenvalue is None:

@@ -2,8 +2,9 @@
 
 A certificate is only issued after the defining polynomial identity has been
 verified entry-for-entry in integer arithmetic (A^2 = t*I, A^3 = t*A, or
-(A^2 - t1*I)(A^2 - t2*I) = 0).  No floating eigensolver runs here; the
-tests compare the certificates with numpy's eigenvalues on their own.
+(A^2 - t1*I)(A^2 - t2*I) = 0), A^2 being the graph's cached ``square``.
+No floating eigensolver runs here; the tests compare the certificates with
+numpy's eigenvalues on their own.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ def _first_violation(diff: np.ndarray) -> tuple[int, int, int]:
     return (i, j, int(diff[i, j]))
 
 
-def certify_two_sym(g: SignedGraph, moments=None):
+def certify_two_sym(g: SignedGraph):
     """Certificate that the spectrum is exactly {-sqrt(r), +sqrt(r)}.
 
     Holds iff A^2 = r*I with r the (common) vertex degree; a non-regular
     graph is refused outright since the identity forces regularity.
-    ``moments``, g's ``_moments`` if the caller has them, saves squaring A.
     """
     degs = set(g.degrees)
     if len(degs) > 1:
@@ -60,38 +60,31 @@ def certify_two_sym(g: SignedGraph, moments=None):
     r = g.degrees[0]
     if r == 0:
         return Refusal("degree 0: the spectrum {0} has one eigenvalue, not two")
-    _, sq, _, _ = moments or _moments(g)
+    sq = g.square
     target = r * np.eye(g.n, dtype=np.int64)
     if not np.array_equal(sq, target):
         return Refusal("A^2 != r*I", witness=_first_violation(sq - target))
     return SpectralCertificate(kind="TwoSym", lambda_sq=r, m=g.n // 2)
 
 
-def _moments(g: SignedGraph):
-    """(A, A^2, tr A^2, tr A^4); tr A^4 is the sum of the squared entries of
-    the symmetric A^2, so it costs no second product."""
-    a = np.asarray(g.adj, dtype=np.int64)
-    sq = exact_matmul(a, a)
-    return a, sq, int(np.trace(sq)), int((sq * sq).sum())
-
-
-def certify_three_sym(g: SignedGraph, moments=None):
+def certify_three_sym(g: SignedGraph):
     """Certificate for spectrum {[-lam]^m, [0]^d, [lam]^m} with d >= 1.
 
     The unique candidate lam^2 is tr(A^4)/tr(A^2); the certificate is issued
     only if A^3 = lam^2 * A holds exactly and A^2 != lam^2 * I.  The identity
     leaves the eigenvalues 0 and +-lam, and tr A = 0 splits +-lam evenly, so
-    tr(A^2) = 2*m*lam^2 fixes m and d = n - 2m.  ``moments`` as for
-    ``certify_two_sym``.
+    tr(A^2) = 2*m*lam^2 fixes m and d = n - 2m.  tr(A^4) is the sum of
+    the squared entries of the symmetric A^2, so it costs no second product.
     """
-    a, sq, t2, t4 = moments or _moments(g)
+    sq = g.square
+    t2, t4 = int(np.trace(sq)), int((sq * sq).sum())
     if t2 == 0:
         return Refusal("empty graph: no nonzero eigenvalue pair")
     if t4 % t2:
         return Refusal(f"tr(A^4)/tr(A^2) = {t4}/{t2} is not an integer")
     lam_sq = t4 // t2
-    cube = exact_matmul(sq, a)
-    diff = cube - lam_sq * a
+    a = np.asarray(g.adj, dtype=np.int64)  # lam^2 * A overflows int8 from 128
+    diff = exact_matmul(sq, a) - lam_sq * a
     if np.any(diff):
         return Refusal(f"A^3 != {lam_sq}*A", witness=_first_violation(diff))
     if np.array_equal(sq, lam_sq * np.eye(g.n, dtype=np.int64)):
@@ -101,23 +94,22 @@ def certify_three_sym(g: SignedGraph, moments=None):
                                d=g.n - 2 * m)
 
 
-def certify_four_sym(g: SignedGraph, moments=None):
+def certify_four_sym(g: SignedGraph):
     """Certificate for spectrum {[-lam]^m, [-mu]^1, [mu]^1, [lam]^m}, 1 <= mu < lam.
 
     lam^2 and mu^2 are recovered from tr(A^2), tr(A^4) and n, then the
     identity (A^2 - lam^2 I)(A^2 - mu^2 I) = 0 is verified.  It fixes the
     multiplicities: if lam^2 has multiplicity k in A^2, then
     k*lam^2 + (n - k)*mu^2 = tr(A^2) = 2*m*lam^2 + 2*mu^2 forces k = 2m, and
-    tr A = 0 splits each pair +-lam, +-mu evenly.  ``moments`` as for
-    ``certify_two_sym``.
+    tr A = 0 splits each pair +-lam, +-mu evenly.
     """
     n = g.n
     if n < 4 or n % 2:
         return Refusal(f"order {n} cannot carry the four-eigenvalue shape")
     m = (n - 2) // 2
-    _, sq, t2, t4 = moments or _moments(g)
+    sq = g.square
     # tr A^2 = 2|E| and tr A^4 = sum deg^2 + an even part, so both are even
-    s, t = t2 // 2, t4 // 2
+    s, t = int(np.trace(sq)) // 2, int((sq * sq).sum()) // 2
     # m*lam^2 + mu^2 = s and m*lam^4 + mu^4 = t give a quadratic for lam^2.
     aa = m * m + m
     bb = -2 * s * m
@@ -145,11 +137,10 @@ def certify_four_sym(g: SignedGraph, moments=None):
 
 
 def strongest_certificate(g: SignedGraph):
-    """TwoSym, ThreeSym or FourSym certificate, else None; A is squared
-    once for all three."""
-    moments = _moments(g)
+    """TwoSym, ThreeSym or FourSym certificate, else None; the three share
+    the one A^2 of ``g.square``."""
     for fn in (certify_two_sym, certify_three_sym, certify_four_sym):
-        cert = fn(g, moments)
+        cert = fn(g)
         if cert:
             return cert
     return None

@@ -13,7 +13,8 @@ neighbour bitmasks (``core._row_masks``) that fixes each vertex's switching
 sign as it places it.  Each vertex goes only to a vertex of its own colour,
 its side, degree and numbers of negative and positive quadrangles, all kept
 by switching; unequal colour multisets answer "no" before any search, at
-the cost of two matrix products per graph.  The signature search dedupes with
+the cost of |A|^2 and ``SignedGraph.square`` per graph, one product for a
+graph already squared.  The signature search dedupes with
 ``switching_match``, and ``weighing.equivalent`` calls ``_sign_match`` with
 its row/column side split.  Both deciders re-check every witness before
 returning it, by applying it to the adjacency matrix with
@@ -31,7 +32,7 @@ from .core import (SignedGraph, StructureError, _bits, _codegrees, _permutation,
                    _signed_permute, _triangle_free, _zero_two)
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .core import quadrangles, structure_report  # noqa: F401
-from .exactlinalg import charpoly, exact_matmul
+from .exactlinalg import charpoly
 
 class SchemeError(StructureError):
     """The star normal form does not exist for this input."""
@@ -301,8 +302,8 @@ def _sign_match(g: SignedGraph, h: SignedGraph, split: int = 0):
     signed permutation maps the quadrangles through v onto those through
     its image, each with its sign, because switching a vertex negates 0 or
     2 of the four edges of any quadrangle.  So v may go only to a vertex
-    of its own colour, and the colours cost the two products of
-    ``_quadrangle_signs`` per graph.
+    of its own colour, and the colours cost |A|^2 per graph, plus A^2
+    unless ``g.square`` is already cached.
 
     Backtracking over the order ``_match_order`` fixes in advance.  A vertex
     with an earlier neighbour may go only to an unused neighbour of its
@@ -391,14 +392,14 @@ def _quadrangle_signs(g) -> tuple[np.ndarray, np.ndarray]:
     A quadrangle through v is (v, b, c, d) for exactly one c != v, with b
     and d two of the k = (|A|^2)_vc common neighbours of v and c.  Its sign
     is the product of the signs of the paths v b c and v d c, and the k
-    path signs sum to s = (A^2)_vc, so (k^2 - s^2) / 4 of the C(k, 2)
-    quadrangles with diagonal vc are negative.
+    path signs sum to s = (A^2)_vc (``g.square``), so (k^2 - s^2) / 4 of
+    the C(k, 2) quadrangles with diagonal vc are negative.  On the
+    diagonal k = s is the degree, which adds nothing.
     """
     common = _codegrees(g)
-    signed = exact_matmul(g.adj, g.adj)
-    np.fill_diagonal(common, 0)
-    np.fill_diagonal(signed, 0)
+    signed = g.square
     neg = (common * common - signed * signed).sum(axis=1) // 4
+    np.fill_diagonal(common, 0)
     total = (common * (common - 1)).sum(axis=1) // 2
     return neg, total - neg
 

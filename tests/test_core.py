@@ -9,6 +9,7 @@ from rectaspec.core import (StructureError, StructureReport, _mask_bits, _row_ma
                             bipartition, components,
                             disjoint_union, is_rectagraph, quadrangle_count,
                             quadrangles)
+from rectaspec.exactlinalg import exact_matmul
 from rectaspec.switching import relabel, switch
 from reference_oracles import brute_force_quadrangles
 
@@ -218,6 +219,21 @@ def _oracle_inputs():
         signed = rs.SignedGraph(u.adj * (signs + signs.T))
         flipped = np.flatnonzero(rng.random(u.n) < 0.5).tolist()
         yield from (u, signed, switch(signed, flipped))
+
+
+def test_square_is_one_cached_read_only_product():
+    types = set()
+    for g in _oracle_inputs():
+        types.add(type(g))
+        sq = g.square
+        assert sq is g.square
+        assert sq.dtype == np.int64 and not sq.flags.writeable
+        assert np.array_equal(sq, exact_matmul(g.adj, g.adj))
+        wide = g.adj.astype(np.int64)
+        assert np.array_equal(sq, wide @ wide)
+        with pytest.raises(ValueError):
+            sq[0, 0] = 1
+    assert types == {rs.SignedGraph, rs.UnderlyingGraph}
 
 
 def test_structure_matches_matrix_and_networkx_oracle():

@@ -42,29 +42,38 @@ class TestGramResidual:
         gr = gram_residual(h, 4)
         assert int(np.trace(gr.matrix)) == gr.d1 + 2 * gr.d2
 
+    def test_residual_leaves_the_square_as_it_was(self):
+        for g, r in ((rs.delete_vertices(rs.signed_cube(4), {0, 3}), 4), (k13(), 3),
+                     (rs.signed_cube(3), 3)):
+            g = rs.SignedGraph(g.adj)
+            before = np.array(g.square)
+            gr = gram_residual(g, r)
+            assert np.array_equal(g.square, before)
+            assert np.array_equal(gr.matrix, r * np.eye(g.n, dtype=np.int64) - before)
+
     @pytest.mark.parametrize("m", [np.ones((2, 3), dtype=int), np.ones(3, dtype=int),
                                    np.ones((2, 2, 2), dtype=int)], ids=["2x3", "1-D", "3-D"])
     def test_non_square_residual_refused(self, m):
         with pytest.raises(ValueError, match="residual must be a square matrix"):
-            analyse_residual(m, 1)
+            analyse_residual(m)
 
 
 class TestClassifyGram:
     def test_case_a_direct(self):
         m = canonical_gram_form("a", 2, 2, 4, 0, 6)
-        cls = classify_gram(analyse_residual(m, 0))
+        cls = classify_gram(analyse_residual(m))
         assert cls.case == "a"
         assert np.array_equal(cls.witness.apply(m), cls.canonical)
 
     def test_case_c_padded(self):
         m = canonical_gram_form("c", 2, 1, 0, 2, 3)
-        cls = classify_gram(analyse_residual(m, 0))
+        cls = classify_gram(analyse_residual(m))
         assert cls.case == "c"
 
     def test_caller_array_stays_writeable(self):
         m = canonical_gram_form("c", 4, 0, 0, 4, 4)
         assert m.dtype == np.int64 and m.flags.writeable
-        gr = analyse_residual(m, 0)
+        gr = analyse_residual(m)
         assert m.flags.writeable and not gr.matrix.flags.writeable
 
     def test_star_residual_case_d_with_witness(self):
@@ -97,7 +106,7 @@ class TestClassifyGram:
             rng.shuffle(perm)
             signs = [rng.choice((-1, 1)) for _ in range(n)]
             scrambled = GramWitness(tuple(perm), tuple(signs)).apply(m)
-            cls = classify_gram(analyse_residual(scrambled, 0))
+            cls = classify_gram(analyse_residual(scrambled))
             assert cls.case == case, (case, cls.diagnostic)
             assert np.array_equal(cls.witness.apply(scrambled), cls.canonical)
 
@@ -122,7 +131,7 @@ class TestClassifyGram:
                 rng.shuffle(perm)
                 signs = [rng.choice((-1, 1)) for _ in range(n)]
                 m = GramWitness(tuple(perm), tuple(signs)).apply(canonical)
-                gr = analyse_residual(m, 0)
+                gr = analyse_residual(m)
                 assert gr.case_label == case and gr.eigenvalue == lam
                 cls = classify_gram(gr)
                 assert np.array_equal(cls.witness.apply(m), canonical)
@@ -143,7 +152,7 @@ class TestClassifyGram:
         c = np.array([(1, -2), (1, -1), (1, 1), (1, 2),
                       (-3, 1), (-2, 1), (2, 1), (3, 1)])
         r = np.repeat(np.eye(2, dtype=int), 4, axis=1)
-        gr = analyse_residual(c @ r, 0)
+        gr = analyse_residual(c @ r)
         assert (gr.rank, gr.eigenvalue, gr.d1, gr.case_label) == (2, 4, 8, None)
         cls = classify_gram(gr)
         assert cls.case is None and cls.witness is None
@@ -393,7 +402,7 @@ class TestConstantDiagClassifier:
         with pytest.raises(ValueError):
             classify_constant_diag_gram(m)
         with pytest.raises(ValueError):
-            analyse_residual(m, 0)
+            analyse_residual(m)
 
     def test_rank_one_rejected(self):
         verdict = classify_constant_diag_gram(2 * np.ones((3, 3), dtype=np.int64))

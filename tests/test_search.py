@@ -535,8 +535,8 @@ def test_records_with_array_fields_compare_by_identity():
 
     m = canonical_gram_form("c", 2, 1, 0, 2, 3)
     for make in (lambda: build_signature_problem(rs.hypercube(3)),
-                 lambda: analyse_residual(m, 0),
-                 lambda: classify_gram(analyse_residual(m, 0))):
+                 lambda: analyse_residual(m),
+                 lambda: classify_gram(analyse_residual(m))):
         a, b = make(), make()
         assert a == a and a != b
         assert len({a, a, b}) == 2

@@ -6,7 +6,7 @@ import pytest
 import rectaspec as rs
 from rectaspec.constructions import catalog_certificate, catalog_ids
 from rectaspec.core import StructureError
-from rectaspec.spectral import _moments, strongest_certificate
+from rectaspec.spectral import strongest_certificate
 from rectaspec.switching import switch
 from reference_oracles import float_spectrum_matches
 
@@ -79,7 +79,7 @@ class TestFourSym:
             edges = [(u, v, rng.choice((-1, 1))) for u in range(n)
                      for v in range(u + 1, n) if rng.random() < rng.random()]
             g = rs.SignedGraph.from_edges(n, edges)
-            _, _, t2, t4 = _moments(g)
+            t2, t4 = int(np.trace(g.square)), int((g.square * g.square).sum())
             assert t2 % 2 == 0 and t4 % 2 == 0
             assert (n - 2) // 2 * (n * t4 - t2 * t2) >= 0
             rs.certify_four_sym(g)
@@ -147,16 +147,40 @@ def _one_edge_negated(g):
     (lambda: rs.catalog("R7.7"), "TwoSym", 1),
 ], ids=["R7.7-negated-edge", "three", "four", "R7.7"])
 def test_strongest_certificate_squares_once(monkeypatch, make, kind, products):
+    import rectaspec.core as core
     import rectaspec.spectral as spectral
 
-    g = make()
+    # a fresh graph: a catalog graph's square is cached by its own certification
+    g = rs.SignedGraph(make().adj)
     calls = []
     real = spectral.exact_matmul
-    monkeypatch.setattr(spectral, "exact_matmul",
-                        lambda a, b: calls.append(1) or real(a, b))
+    for module in (core, spectral):
+        monkeypatch.setattr(module, "exact_matmul",
+                            lambda a, b: calls.append(1) or real(a, b))
     cert = strongest_certificate(g)
     assert (cert.kind if cert else None) == kind
     assert len(calls) == products
+
+
+def test_three_sym_scales_a_past_the_int8_range():
+    # lam^2 = 200: lam^2 * A wraps or raises if A is scaled as int8
+    star = rs.SignedGraph.from_edges(201, [(0, v, 1) for v in range(1, 201)])
+    cert = strongest_certificate(star)
+    assert cert.kind == "ThreeSym" and cert.lambda_sq == 200
+    assert cert.m == 1 and cert.d == 199
+
+
+def test_certifiers_check_only_the_graphs_own_square():
+    # a caller's A^2 = 2I would certify the all-positive 6-cycle
+    c6 = rs.UnderlyingGraph.from_edges(6, [(v, (v + 1) % 6) for v in range(6)]).all_positive()
+    forged = (None, 2 * np.eye(6, dtype=np.int64), 12, 24)
+    for fn in (rs.certify_two_sym, rs.certify_three_sym, rs.certify_four_sym):
+        with pytest.raises(TypeError):
+            fn(c6, forged)
+        with pytest.raises(TypeError):
+            fn(c6, moments=forged)
+    ref = rs.certify_two_sym(c6)
+    assert not ref and ref.reason == "A^2 != r*I"
 
 
 class TestFilter:

@@ -439,6 +439,14 @@ class TestClassInvariants:
         counts = quadrangle_balance_counts(rs.signed_cube(3))
         assert all(neg == 3 and pos == 0 for neg, pos in counts)
 
+    def test_balance_counts_leave_the_square_as_it_was(self):
+        rng = np.random.default_rng(31)
+        for g in [rs.catalog("R6.7")] + [random_signed_graph(rng, 12) for _ in range(20)]:
+            g = rs.SignedGraph(g.adj)
+            before = np.array(g.square)
+            quadrangle_balance_counts(g)
+            assert np.array_equal(g.square, before)
+
     @staticmethod
     def _listed_balance_counts(g):
         """``quadrangle_balance_counts`` by listing every 4-cycle."""
