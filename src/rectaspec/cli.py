@@ -210,7 +210,7 @@ def cmd_convert(args) -> int:
     elif src == "sg1":
         obj = formats.parse_signed(data)
     else:
-        obj = formats.parse_weighing_text(data)
+        obj = weighing.parse_weighing_text(data)
     if dst == "graph6":
         g = obj if isinstance(obj, (SignedGraph, UnderlyingGraph)) \
             else weighing.to_bipartite_sr2se(obj)

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (SignedGraph, StructureError, UnderlyingGraph, _check_counts,
-                   structure_report)
+                   structure_report, underlying)
 from .exactlinalg import poly_compose_negate, poly_eval_at_poly, poly_mul
 from .spectral import certify_two_sym
 from .switching import relabel, scheme_layout
@@ -103,12 +103,8 @@ def signed_cube(r: int) -> SignedGraph:
 
 def hypercube(r: int) -> UnderlyingGraph:
     """Unsigned r-cube on vertex set {0, ..., 2^r - 1}, edges at Hamming
-    distance 1."""
-    (r,) = _check_counts(1, dimension=r)
-    n = 1 << r
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(r)
-             if v < v ^ (1 << b)]
-    return UnderlyingGraph.from_edges(n, edges)
+    distance 1: the underlying graph of ``signed_cube(r)``."""
+    return underlying(signed_cube(r))
 
 
 def folded_cube(r: int) -> UnderlyingGraph:
@@ -119,10 +115,9 @@ def folded_cube(r: int) -> UnderlyingGraph:
     (r,) = _check_counts(None, dimension=r)
     if r < 4:
         raise ValueError("folded cubes of dimension < 4 are not rectagraphs")
-    n = 1 << r
-    cube = hypercube(r)
-    edges = cube.edges() + [(v, v ^ (n - 1)) for v in range(n // 2)]
-    return UnderlyingGraph.from_edges(n, edges)
+    adj = hypercube(r).adj.copy()
+    adj[np.arange(1 << r), np.arange(1 << r)[::-1]] = 1  # v ^ (n - 1) = n - 1 - v
+    return UnderlyingGraph(adj)
 
 
 def clebsch_graph() -> UnderlyingGraph:

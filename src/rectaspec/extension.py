@@ -10,7 +10,7 @@ classification in ``classify_gram`` (cases (a)-(e) below).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
 
@@ -41,12 +41,27 @@ class GramWitness:
 
 @dataclass(frozen=True, eq=False)  # arrays: equality and hash by identity
 class GramResidual:
+    """A residual M with its diagonal counts, exact rank and eigenvalue, all
+    derived from M; ValueError unless M is a square integer matrix."""
+
     matrix: np.ndarray  # int64, read-only
-    d0: int | None
-    d1: int | None
-    d2: int | None
-    rank: int
-    eigenvalue: int | None  # nonzero eigenvalue when spectrum is {[q]^rank, 0...}
+    d0: int | None = field(init=False)  # d0..d2 are None unless diag(M) is in {0, 1, 2}
+    d1: int | None = field(init=False)
+    d2: int | None = field(init=False)
+    rank: int = field(init=False)
+    eigenvalue: int | None = field(init=False)  # q when spectrum is {[q]^rank, 0...}
+
+    def __post_init__(self):
+        m = _exact_copy(self.matrix, np.int64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("residual must be a square matrix")
+        diag = np.diagonal(m)
+        small = np.all((diag >= 0) & (diag <= 2))
+        counts = np.bincount(diag, minlength=3).tolist() if small else [None] * 3
+        rk = rank(m)
+        for name, value in zip(("matrix", "d0", "d1", "d2", "rank", "eigenvalue"),
+                               (m, *counts, rk, _shape_eigenvalue(m, rk))):
+            object.__setattr__(self, name, value)
 
     @property
     def case_label(self) -> str | None:  # "a".."e" for the rank-2 shapes, else None
@@ -67,20 +82,7 @@ def gram_residual(g: SignedGraph, lambda_sq: int) -> GramResidual:
     """M = lambda_sq*I - A^2 (``g.square``) with diagonal counts, exact rank
     and, when the rank-2 classification applies, its case label."""
     (lambda_sq,) = _check_counts(1, lambda_sq=lambda_sq)
-    return analyse_residual(lambda_sq * np.eye(g.n, dtype=np.int64) - g.square)
-
-
-def analyse_residual(m: np.ndarray) -> GramResidual:
-    m = _exact_copy(m, np.int64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("residual must be a square matrix")
-    diag = np.diagonal(m)
-    d0 = d1 = d2 = None
-    if np.all((diag >= 0) & (diag <= 2)):
-        d0, d1, d2 = np.bincount(diag, minlength=3).tolist()
-    rk = rank(m)
-    eig = _shape_eigenvalue(m, rk)
-    return GramResidual(matrix=m, d0=d0, d1=d1, d2=d2, rank=rk, eigenvalue=eig)
+    return GramResidual(lambda_sq * np.eye(g.n, dtype=np.int64) - g.square)
 
 
 def _shape_eigenvalue(m: np.ndarray, rk: int) -> int | None:
@@ -426,7 +428,7 @@ def classify_constant_diag_gram(m) -> ConstantDiagVerdict:
     if not set(np.unique(np.abs(off))) <= {0, 2}:
         raise StructureError("off-diagonal entries must lie in {0, +-2}")
     d = int(diag[0])
-    gr = analyse_residual(m)
+    gr = GramResidual(m)
     if gr.rank != 2:
         return ConstantDiagVerdict(False, f"rank {gr.rank}, not the rank-2 spectrum shape")
     if gr.eigenvalue is None:

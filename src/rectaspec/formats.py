@@ -1,5 +1,5 @@
-"""File formats: graph6 for unsigned graphs, the line-oriented "sg1" signed
-interchange format, and re-exports of the weighing-matrix text format.
+"""File formats: graph6 for unsigned graphs and the line-oriented "sg1"
+signed interchange format; weighing matrices have theirs in ``weighing``.
 
 graph6 follows the published format definition bit-for-bit: a 6-bit size
 field (with the 126-prefixed long forms), then the upper triangle packed
@@ -12,14 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SignedGraph, UnderlyingGraph
-from .weighing import (WeighingFormatError, parse_weighing_text,
-                       write_weighing_text)
 
 __all__ = [
     "Graph6Error", "Graph6LengthError", "Graph6PaddingError", "Graph6ByteError",
-    "SignedFormatError", "parse_graph6", "write_graph6", "parse_signed",
-    "write_signed", "parse_weighing_text", "write_weighing_text",
-    "WeighingFormatError",
+    "SignedFormatError", "parse_graph6", "write_graph6", "parse_signed", "write_signed",
 ]
 
 

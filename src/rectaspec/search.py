@@ -60,7 +60,8 @@ import numpy as np
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from ._kernel import run_search  # noqa: F401
 from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _bits,
-                   _check_counts, _mask_bits, _row_masks, is_connected, quadrangles)
+                   _check_counts, _mask_bits, _permutation, _row_masks, is_connected,
+                   quadrangles)
 from .formats import write_graph6
 from .spectral import certify_two_sym
 from .switching import (SchemeError, relabel, scheme_layout, scheme_prefix,
@@ -181,9 +182,11 @@ def build_signature_problem(g) -> SignatureSearchProblem:
 def kernel_arguments(problem: SignatureSearchProblem, order=None,
                      node_budget: int = 0) -> tuple:
     """Argument tuple for the signature DFS kernel ``run_search``, which
-    only the benchmark and the tests' reference search call."""
+    only the benchmark and the tests' reference search call; ``order``, its
+    edge order, must be a permutation of the free-edge ids (ValueError)."""
     (node_budget,) = _check_counts(node_budget=node_budget)
     n_free = len(problem.free_edges)
+    order = _permutation(range(n_free) if order is None else order, n_free)
     constraint_edges = [tuple(e for e in row if e != n_free)
                         for row in problem.constraint_edges.tolist()]
     edge_constraints = [[] for _ in range(n_free)]
@@ -195,9 +198,8 @@ def kernel_arguments(problem: SignatureSearchProblem, order=None,
         row_free_counts[v] += 1
         row_free_counts[w] += 1
     return (n_free, constraint_edges, problem.constraint_targets.tolist(),
-            [tuple(c) for c in edge_constraints],
-            [(v, w) for v, w in problem.free_edges], row_free_counts,
-            order if order is not None else list(range(n_free)), node_budget)
+            [tuple(c) for c in edge_constraints], list(problem.free_edges),
+            row_free_counts, order.tolist(), node_budget)
 
 
 class ParitySolution(NamedTuple):
@@ -253,15 +255,17 @@ def _constraint_rows(problem: SignatureSearchProblem):
         size *= 2
 
 
-def solve_parity_system(problem: SignatureSearchProblem, order) -> ParitySolution:
+def solve_parity_system(problem: SignatureSearchProblem,
+                        order_seed: int | None = None) -> ParitySolution:
     """Gaussian elimination over GF(2) on Python-int row bitmasks.
 
-    Column j of the elimination is free edge ``order[j]``; the lowest column
-    of a row is its pivot.  Each pivot carries the set of constraints it
-    combines, so the first row that reduces to 0 = 1 names its refutation
-    and elimination stops there.
+    Column j of the elimination is free edge ``order[j]``, ``order`` drawn by
+    ``_edge_order`` from ``order_seed``; the lowest column of a row is its pivot.
+    Each pivot carries the set of constraints it combines, so the first row
+    that reduces to 0 = 1 names its refutation and elimination stops there.
     """
-    column = [0] * (len(problem.free_edges) + 1)  # the sentinel's stays 0
+    order = _edge_order(problem, order_seed)
+    column = [0] * (len(order) + 1)  # the sentinel's stays 0
     for j, e in enumerate(order):
         column[e] = 1 << j
     pivots: dict[int, tuple[int, int, int]] = {}
@@ -314,28 +318,35 @@ def _back_substitute(pivots: dict, columns: int) -> tuple[int, list[int]]:
 
 
 def check_refutation(problem: SignatureSearchProblem, quads) -> None:
-    """Re-derive 0 = 1 from ``quads`` using only the graph and the prefix.
+    """Re-derive 0 = 1 from ``quads`` using only ``problem.graph``.
 
     Every quadrangle of a two-eigenvalue signed rectagraph is negative, so
     the sign bits around each listed 4-cycle sum to 1.  Summing those
-    equations, every free edge must cancel, and what the fixed prefix edges
-    leave must contradict the number of quadrangles.
+    equations, every free edge must cancel, and what the fixed edges leave
+    must contradict the number of quadrangles.  With r the degree of vertex
+    0, edge vw (v < w) is fixed iff v <= r, to its ``scheme_prefix`` sign:
+    WLOG when the first r + 1 rows have exactly the prefix's support.
     """
     adj = problem.graph.adj
+    vertices = set(range(len(adj)))
+    r = int(np.count_nonzero(adj[0]))
+    # at least the prefix's width, so that a graph too small for it fails below
+    prefix = scheme_prefix(r, max(len(adj), 1 + r * (r + 1) // 2))
+    if not np.array_equal(adj[:r + 1] != 0, prefix != 0):
+        raise RuntimeError("the graph's first r + 1 rows are not the prefix's support")
     odd: set[tuple[int, int]] = set()
     for a, b, c, d in quads:
-        if len({a, b, c, d}) != 4:
-            raise RuntimeError("refutation names a degenerate quadrangle")
+        if len({a, b, c, d} & vertices) != 4:
+            raise RuntimeError("refutation names a degenerate or out-of-range quadrangle")
         for v, w in ((a, b), (b, c), (c, d), (d, a)):
             if not adj[v, w]:
                 raise RuntimeError("refutation names a non-quadrangle")
             odd ^= {(min(v, w), max(v, w))}
     parity = len(quads)
     for v, w in odd:
-        sign = int(problem.prefix_signs[v, w])
-        if sign == 0:
+        if v > r:
             raise RuntimeError("refutation leaves a free edge uncancelled")
-        parity += sign < 0
+        parity += int(prefix[v, w]) < 0
     if parity % 2 == 0:
         raise RuntimeError("refutation certificate does not sum to 0 = 1")
 
@@ -484,7 +495,7 @@ def search_signatures(g, node_budget: int | None = None,
     node_budget, progress_every = _check_counts(node_budget=node_budget,
                                                 progress_every=progress_every)
     problem = build_signature_problem(g)
-    solution = solve_parity_system(problem, _edge_order(problem, order_seed))
+    solution = solve_parity_system(problem, order_seed)
     if solution.particular is None:
         refutation = tuple(map(tuple, problem.constraint_quadrangles[
             list(solution.refutation)].tolist()))

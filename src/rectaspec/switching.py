@@ -233,8 +233,6 @@ def switching_isomorphic(g: SignedGraph, h: SignedGraph):
     arguments are ``SignedGraph``.
     """
     _require_signed("switching_isomorphic", g, h)
-    if g.n != h.n:
-        return False, None
     for perm in underlying_isomorphisms(g, h):
         eps = solve_switch_for_perm(g, h, perm)
         if eps is not None:

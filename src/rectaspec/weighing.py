@@ -223,8 +223,6 @@ def equivalent(m: WeighingMatrix, n: WeighingMatrix):
     for arg in (m, n):
         if not isinstance(arg, WeighingMatrix):
             raise TypeError(f"equivalent takes two WeighingMatrix, not {type(arg).__name__}")
-    if (m.n, m.r) != (n.n, n.r):
-        return False, None
     found = _sign_match(_support_bipartite(m), _support_bipartite(n), split=m.n)
     if found is None:
         return False, None

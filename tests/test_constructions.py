@@ -52,6 +52,27 @@ CATALOG_DIGESTS = {
     "R7.7": "33b87f48189f4176488d1ab26ef3bcd64d2da588ad894c9192f2ad14966b077f",
 }
 
+# sha256 of the adjacency bytes of hypercube(r) and folded_cube(r): the
+# benchmark's Q4, Q5 and FC5 and the catalog's cube labellings
+CUBE_DIGESTS = {
+    1: "d5e2d2ac07b741be58f6b9e50ede5fdcf16f3e8053ecef9350e7744b0d8bd90c",
+    2: "516f0f2b348f378bbfdfaa1783dcfa2095bb0f8285efe3b239dbe1059072e5b8",
+    3: "fe9d0d0b7962b9430573b2dced32b185af3c208a442f82e53a765631052a3e8b",
+    4: "b28975e23c7c937b9d867ea603860114527a2fc68b20b856daef4e12665d3b30",
+    5: "f1ab7c8062a1c8b534472a56e6f6bb949e733443cc6e705fb6dc23439b4e9223",
+    6: "8699768f7ae204b1d4596ac961b27fc4906ea3844ddaa4a3f3bd8101a9dc7bad",
+    7: "153dfc2fa4875e9d88e68c670eeb5ffe9c784a5a43bbbe7ba04458ee6357aaa4",
+    8: "86faac504c06b7a3ab08c1e6e21f595b64210849684e5b6fa85d6c0f68d23142",
+    9: "da827e7700614f8af4e3b7a90d4263c0f676e8738e90ea3e2ebfc87fc345a99c",
+    10: "ab181600b3fa4e472b61fcb328787af9a2ca0e1d82db9de28a931504284ef075",
+}
+FOLDED_CUBE_DIGESTS = {
+    4: "09749765652731608e0a2258c0497ee2ef6a0a0d362f854b447458578b7d0e6b",
+    5: "1f188526edb0aa0998e456c22c6dd274b945d29832740b9d14b9b6db06d25517",
+    6: "8346f1fe700a71cd2560bee3139fdf08f226194959c472c1a4b3e3afdd9a3a05",
+    7: "3440a4607a656f752ff2531cce768090a5bbb35f0ee5dc0086dd240e36e3e485",
+}
+
 
 def random_signed_graph(rng, max_n=12):
     n = rng.randint(1, max_n)
@@ -147,6 +168,14 @@ class TestSignedCube:
             sign = (int(g.adj[a, b]) * int(g.adj[b, c])
                     * int(g.adj[c, d]) * int(g.adj[d, a]))
             assert sign == -1
+
+
+@pytest.mark.parametrize("build, digests", [(rs.hypercube, CUBE_DIGESTS),
+                                             (rs.folded_cube, FOLDED_CUBE_DIGESTS)],
+                         ids=["hypercube", "folded_cube"])
+def test_cube_labellings_are_pinned(build, digests):
+    for r, digest in digests.items():
+        assert hashlib.sha256(build(r).adj.tobytes()).hexdigest() == digest, r
 
 
 class TestFoldedCube:

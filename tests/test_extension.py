@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from itertools import combinations, product
@@ -7,7 +8,7 @@ import pytest
 
 import rectaspec as rs
 from rectaspec.core import StructureError, disjoint_union
-from rectaspec.extension import (ExtensionError, GramWitness, analyse_residual,
+from rectaspec.extension import (ExtensionError, GramResidual, GramWitness,
                                  canonical_gram_form, classify_constant_diag_gram,
                                  classify_gram,
                                  classify_small_spectrum_02graph,
@@ -55,25 +56,43 @@ class TestGramResidual:
                                    np.ones((2, 2, 2), dtype=int)], ids=["2x3", "1-D", "3-D"])
     def test_non_square_residual_refused(self, m):
         with pytest.raises(ValueError, match="residual must be a square matrix"):
-            analyse_residual(m)
+            GramResidual(m)
+
+    def test_built_from_the_matrix_alone(self):
+        m = canonical_gram_form("a", 2, 2, 4, 0, 6)
+        gr = GramResidual(m)
+        assert (gr.d0, gr.d1, gr.d2, gr.rank, gr.eigenvalue) == (2, 4, 0, 2, 2)
+        assert [f.name for f in dataclasses.fields(gr) if f.init] == ["matrix"]
+
+    def test_derived_fields_cannot_be_supplied(self):
+        # a caller's counts used to be taken as given: with d0 = 0 and
+        # d1 = 5 against the true 2 and 4, case (a) came back with a
+        # witness that does not map m onto the canonical form returned
+        m = canonical_gram_form("a", 2, 1, 4, 0, 6)
+        with pytest.raises(TypeError):
+            GramResidual(matrix=m, d0=0, d1=5, d2=0, rank=2, eigenvalue=2)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(GramResidual(m), rank=3)
+        cls = classify_gram(GramResidual(m))
+        assert cls.case == "a" and np.array_equal(cls.witness.apply(m), cls.canonical)
 
 
 class TestClassifyGram:
     def test_case_a_direct(self):
         m = canonical_gram_form("a", 2, 2, 4, 0, 6)
-        cls = classify_gram(analyse_residual(m))
+        cls = classify_gram(GramResidual(m))
         assert cls.case == "a"
         assert np.array_equal(cls.witness.apply(m), cls.canonical)
 
     def test_case_c_padded(self):
         m = canonical_gram_form("c", 2, 1, 0, 2, 3)
-        cls = classify_gram(analyse_residual(m))
+        cls = classify_gram(GramResidual(m))
         assert cls.case == "c"
 
     def test_caller_array_stays_writeable(self):
         m = canonical_gram_form("c", 4, 0, 0, 4, 4)
         assert m.dtype == np.int64 and m.flags.writeable
-        gr = analyse_residual(m)
+        gr = GramResidual(m)
         assert m.flags.writeable and not gr.matrix.flags.writeable
 
     def test_star_residual_case_d_with_witness(self):
@@ -106,7 +125,7 @@ class TestClassifyGram:
             rng.shuffle(perm)
             signs = [rng.choice((-1, 1)) for _ in range(n)]
             scrambled = GramWitness(tuple(perm), tuple(signs)).apply(m)
-            cls = classify_gram(analyse_residual(scrambled))
+            cls = classify_gram(GramResidual(scrambled))
             assert cls.case == case, (case, cls.diagnostic)
             assert np.array_equal(cls.witness.apply(scrambled), cls.canonical)
 
@@ -131,7 +150,7 @@ class TestClassifyGram:
                 rng.shuffle(perm)
                 signs = [rng.choice((-1, 1)) for _ in range(n)]
                 m = GramWitness(tuple(perm), tuple(signs)).apply(canonical)
-                gr = analyse_residual(m)
+                gr = GramResidual(m)
                 assert gr.case_label == case and gr.eigenvalue == lam
                 cls = classify_gram(gr)
                 assert np.array_equal(cls.witness.apply(m), canonical)
@@ -152,7 +171,7 @@ class TestClassifyGram:
         c = np.array([(1, -2), (1, -1), (1, 1), (1, 2),
                       (-3, 1), (-2, 1), (2, 1), (3, 1)])
         r = np.repeat(np.eye(2, dtype=int), 4, axis=1)
-        gr = analyse_residual(c @ r)
+        gr = GramResidual(c @ r)
         assert (gr.rank, gr.eigenvalue, gr.d1, gr.case_label) == (2, 4, 8, None)
         cls = classify_gram(gr)
         assert cls.case is None and cls.witness is None
@@ -402,7 +421,7 @@ class TestConstantDiagClassifier:
         with pytest.raises(ValueError):
             classify_constant_diag_gram(m)
         with pytest.raises(ValueError):
-            analyse_residual(m)
+            GramResidual(m)
 
     def test_rank_one_rejected(self):
         verdict = classify_constant_diag_gram(2 * np.ones((3, 3), dtype=np.int64))

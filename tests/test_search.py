@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -154,6 +155,53 @@ class TestSignatureSearch:
         for i in range(len(quads)):
             with pytest.raises(RuntimeError, match="refutation"):
                 check_refutation(out.problem, quads[:i] + quads[i + 1:])
+
+    def test_refutation_signs_come_from_the_graph(self):
+        # the check used to read the problem's prefix_signs: with edge
+        # (0, 1) negated there, one quadrangle "refuted" Q4, which has a
+        # signature class
+        problem = build_signature_problem(rs.hypercube(4))
+        prefix = problem.prefix_signs.copy()
+        prefix[0, 1] = prefix[1, 0] = -1
+        forged = dataclasses.replace(problem, prefix_signs=prefix)
+        with pytest.raises(RuntimeError, match="0 = 1"):
+            check_refutation(forged, [(0, 1, 5, 2)])
+        # vertex -5 must not pass for 11: the check would read the free
+        # edges (5, 11) and (11, 6) off row 0 of the prefix, as fixed and
+        # positive
+        for quad in [(1, 5, -5, 6), (1, 5, 11 + 16, 6)]:
+            with pytest.raises(RuntimeError, match="degenerate"):
+                check_refutation(problem, [quad])
+
+    @pytest.mark.parametrize("graph", [
+        lambda: rs.folded_cube(5),  # vertex 0's neighbours are not 1..6
+        lambda: rs.UnderlyingGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])],
+        ids=["unrelabelled", "narrower-than-prefix"])
+    def test_refutation_needs_the_prefix_support(self, graph):
+        out = search_signatures(rs.folded_cube(5))
+        moved = dataclasses.replace(out.problem, graph=graph())
+        with pytest.raises(RuntimeError, match="prefix's support"):
+            check_refutation(moved, out.refutation)
+
+    def test_elimination_order_comes_from_a_seed(self):
+        # an order list [0] * 16 used to give rank 1 and no null vector
+        problem = build_signature_problem(rs.hypercube(4))
+        for seed in (None, 0, 7):
+            sol = search.solve_parity_system(problem, seed)
+            assert (sol.rank, len(sol.null_basis)) == (11, 5)
+        with pytest.raises(TypeError):
+            search.solve_parity_system(problem, [0] * 16)
+
+    @pytest.mark.parametrize("order", [[0] * 16, list(range(15))],
+                             ids=["repeated", "short"])
+    def test_kernel_order_must_be_a_permutation(self, order):
+        # [0] * 16 made the DFS return 2 masks in 2 nodes instead of 32 in
+        # 62; a 15-entry order died with IndexError inside the kernel
+        problem = build_signature_problem(rs.hypercube(4))
+        with pytest.raises(ValueError, match="not a permutation"):
+            kernel_arguments(problem, order=order)
+        masks, nodes = search.run_search(*kernel_arguments(problem))[:2]
+        assert (len(masks), nodes) == (32, 62)
 
     def test_oracle_agreement_small(self):
         for g in [rs.catalog("Q1"), rs.hypercube(2), rs.hypercube(3)]:
@@ -531,12 +579,12 @@ class TestSchemeErrorOrder:
 
 
 def test_records_with_array_fields_compare_by_identity():
-    from rectaspec.extension import analyse_residual, canonical_gram_form, classify_gram
+    from rectaspec.extension import GramResidual, canonical_gram_form, classify_gram
 
     m = canonical_gram_form("c", 2, 1, 0, 2, 3)
     for make in (lambda: build_signature_problem(rs.hypercube(3)),
-                 lambda: analyse_residual(m),
-                 lambda: classify_gram(analyse_residual(m))):
+                 lambda: GramResidual(m),
+                 lambda: classify_gram(GramResidual(m))):
         a, b = make(), make()
         assert a == a and a != b
         assert len({a, a, b}) == 2
