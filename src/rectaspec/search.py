@@ -459,7 +459,8 @@ def _outcome(problem: SignatureSearchProblem, masks: list[int],
     switchings of the canonical one, and switching preserves A^2 = r I, so
     one certificate decides the class and counts that many raw solutions.
     The certified representatives are deduped with ``switching_match``,
-    not the VF2 ``switching_isomorphic``.
+    which never runs VF2, and are returned without the A^2 (``square``)
+    that certification and the dedupe cached on them.
     """
     r, n_free = problem.degree, len(problem.free_edges)
     valid = []
@@ -474,6 +475,8 @@ def _outcome(problem: SignatureSearchProblem, masks: list[int],
             raise RuntimeError("search produced a non-solution")
     raw_count = len(valid) << problem.tail_size
     solutions = dedupe_switching_classes(valid, switching_match)
+    for sol in solutions:
+        vars(sol).pop("square", None)
     return SearchOutcome(solutions=solutions, nodes=nodes, exhausted=exhausted,
                          raw_count=raw_count, problem=problem, **details)
 

@@ -2,17 +2,18 @@
 switching-isomorphism decision procedures.
 
 Two signed graphs are switching isomorphic when a signed permutation matrix
-conjugates one adjacency matrix onto the other.  ``switching_isomorphic``
-enumerates isomorphisms of the underlying graphs (VF2, the only use of it
-here) and, for each candidate, propagates signs along a spanning tree: on a
-connected graph a candidate permutation admits at most one switching, so
-the check per candidate is linear in the edge count.  ``switching_match``
-decides the same question without VF2, by the sign-propagating matcher
-``_sign_match``: a backtracking search over the positive and negative
-neighbour bitmasks (``core._row_masks``) that fixes each vertex's switching
-sign as it places it.  Each vertex goes only to a vertex of its own colour,
-its side, degree and numbers of negative and positive quadrangles, all kept
-by switching; unequal colour multisets answer "no" before any search, at
+conjugates one adjacency matrix onto the other.  Both deciders find a "yes"
+by the sign-propagating matcher ``_sign_match``.  ``switching_match`` also
+takes its "no"; ``switching_isomorphic`` returns a "no" only after VF2 (the
+only use of it here) agrees: it enumerates isomorphisms of the underlying
+graphs and, for each candidate, propagates signs along a spanning tree; on
+a connected graph a candidate permutation admits at most one switching, so
+the check per candidate is linear in the edge count.  The matcher is a
+backtracking search over the positive and negative neighbour bitmasks
+(``core._row_masks``) that fixes each vertex's switching sign as it places
+it.  Each vertex goes only to a vertex of its own colour, its side,
+degree and numbers of negative and positive quadrangles, all kept by
+switching; unequal colour multisets answer "no" before any search, at
 the cost of |A|^2 and ``SignedGraph.square`` per graph, one product for a
 graph already squared.  The signature search dedupes with
 ``switching_match``, and ``weighing.equivalent`` calls ``_sign_match`` with
@@ -24,6 +25,7 @@ returning it, by applying it to the adjacency matrix with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -76,9 +78,10 @@ class SwitchingClass:
     tail_size: int  # vertices at distance >= 3 from the base vertex, or unreachable
 
 
+@cache
 def scheme_prefix(r: int, n: int) -> np.ndarray:
     """First r+1 rows of the normal-form adjacency matrix of an (n, r)
-    two-eigenvalue signed rectagraph.
+    two-eigenvalue signed rectagraph, built once per (r, n) and read-only.
 
     Row 0 is a positive star on vertices 1..r; for every pair (a, b) with
     1 <= a < b <= r there is one column holding +1 in row a and -1 in row b;
@@ -97,6 +100,7 @@ def scheme_prefix(r: int, n: int) -> np.ndarray:
             rows[a, col] = 1
             rows[b, col] = -1
             col += 1
+    rows.flags.writeable = False
     return rows
 
 
@@ -226,17 +230,22 @@ def solve_switch_for_perm(g: SignedGraph, h: SignedGraph, perm):
 def switching_isomorphic(g: SignedGraph, h: SignedGraph):
     """Decide switching isomorphism; returns (bool, witness-or-None).
 
-    Candidate permutations come from underlying-graph isomorphisms (which
-    also handles matching up components of disconnected inputs); each
-    candidate admits at most one switching.  A returned witness has been
-    re-verified by direct application.  Raises TypeError unless both
-    arguments are ``SignedGraph``.
+    A "yes" comes from ``_sign_match``, and its witness has been
+    re-verified by direct application.  A "no" carries no certificate, so
+    it is returned only once VF2 agrees: no underlying-graph isomorphism
+    (components of disconnected inputs included) admits a switching, each
+    candidate checked by ``solve_switch_for_perm``.  RuntimeError if VF2
+    finds one the matcher missed.  Raises TypeError unless both arguments
+    are ``SignedGraph``.
     """
     _require_signed("switching_isomorphic", g, h)
+    found = _sign_match(g, h)
+    if found is not None:
+        return True, _verified_witness(g, h, *found)
     for perm in underlying_isomorphisms(g, h):
-        eps = solve_switch_for_perm(g, h, perm)
-        if eps is not None:
-            return True, _verified_witness(g, h, perm, eps)
+        if solve_switch_for_perm(g, h, perm) is not None:
+            raise RuntimeError("the sign matcher answered no, but VF2 found a "
+                               "switching isomorphism")
     return False, None
 
 

@@ -50,6 +50,16 @@ class TestSignatureSearch:
             cert = rs.certify_two_sym(sol)
             assert cert and cert.lambda_sq == 4
 
+    @pytest.mark.parametrize("maker", [rs.clebsch_graph, lambda: rs.hypercube(4)],
+                             ids=["clebsch", "Q4"])
+    def test_solutions_drop_the_cached_square(self, maker):
+        # certification and the dedupe square each candidate; an outcome
+        # keeps only the int8 matrix of each representative
+        out = search_signatures(maker())
+        assert out.solutions
+        for sol in out.solutions:
+            assert "square" not in vars(sol)
+
     def test_order_independence(self):
         for g in [rs.hypercube(3), rs.hypercube(4), rs.clebsch_graph(),
                   rs.folded_cube(5)]:
@@ -279,9 +289,13 @@ class TestNoSearchReachesVf2:
         monkeypatch.setattr(switching, "underlying_isomorphisms", refuse)
 
     def test_the_patch_bites(self):
+        # a "yes" needs no VF2, but a "no" is confirmed by it
         g = rs.catalog("R3.1")
+        a, b, sign = g.edges()[0]
+        adj = np.array(g.adj)
+        adj[a, b] = adj[b, a] = -sign
         with pytest.raises(AssertionError, match="VF2"):
-            rs.switching_isomorphic(g, g)
+            rs.switching_isomorphic(g, rs.SignedGraph(adj))
 
     @pytest.mark.parametrize("maker", [rs.clebsch_graph,
                                        lambda: rs.underlying(rs.catalog("R6.7"))],

@@ -102,6 +102,28 @@ class TestSchemeNormalForm:
         with pytest.raises(ValueError, match=f"order at least {width}, got {n}"):
             scheme_prefix(r, n)
         assert scheme_prefix(r, width).shape == (r + 1, width)
+        # a refusal is not cached: the same call refuses again
+        with pytest.raises(ValueError, match=f"order at least {width}, got {n}"):
+            scheme_prefix(r, n)
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_prefix_matches_a_loop_reference(self, r):
+        width = 1 + r + r * (r - 1) // 2
+        for n in (width, width + 3):
+            expected = np.zeros((r + 1, n), dtype=np.int8)
+            expected[0, 1:r + 1] = expected[1:, 0] = 1
+            pairs = [(a, b) for a in range(1, r + 1) for b in range(a + 1, r + 1)]
+            for col, (a, b) in enumerate(pairs, start=r + 1):
+                expected[a, col], expected[b, col] = 1, -1
+            assert np.array_equal(scheme_prefix(r, n), expected)
+
+    def test_prefix_is_one_read_only_array_per_shape(self):
+        rows = scheme_prefix(4, 20)
+        assert scheme_prefix(4, 20) is rows
+        assert scheme_prefix(4, 21) is not rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 1] = -1
 
 
 class TestSwitchingIsomorphic:
@@ -126,11 +148,18 @@ class TestSwitchingIsomorphic:
         assert apply_signed_permutation(g, witness.perm, witness.switch_set) == h
 
     def test_failed_reverification_raises(self, monkeypatch):
-        # the candidate's signs switch vertex 1 alone, which negates two edges
-        monkeypatch.setattr(switching, "solve_switch_for_perm",
-                            lambda g, h, perm: [1, -1, 1, 1])
+        # the matcher's signs switch vertex 1 alone, which negates two edges
+        monkeypatch.setattr(switching, "_sign_match",
+                            lambda g, h, split=0: ([0, 1, 2, 3], [1, -1, 1, 1]))
         with pytest.raises(RuntimeError, match="re-verification"):
             rs.switching_isomorphic(rs.signed_cube(2), rs.signed_cube(2))
+
+    def test_a_missed_yes_raises(self, monkeypatch):
+        # VF2 confirms every "no" and finds the isomorphism the matcher missed
+        g = rs.catalog("R4.1")
+        monkeypatch.setattr(switching, "_sign_match", lambda g, h, split=0: None)
+        with pytest.raises(RuntimeError, match="sign matcher answered no"):
+            rs.switching_isomorphic(g, relabelled_switched(g, 1))
 
     def test_equivalence_relation_spot_checks(self):
         rng = random.Random(5)
@@ -205,8 +234,9 @@ def edge_removed(g):
 
 
 def both_answers(g, h) -> list[bool]:
-    """The answers of ``switching_isomorphic`` (VF2) and ``switching_match``
-    (the sign-propagating matcher), each "yes" witness re-applied."""
+    """The answers of ``switching_isomorphic`` (each "no" confirmed by VF2)
+    and ``switching_match`` (the sign-propagating matcher alone), each "yes"
+    witness re-applied."""
     answers = []
     for decide in (rs.switching_isomorphic, switching_match):
         ok, witness = decide(g, h)
@@ -325,6 +355,34 @@ def catalog_rows():
         search_weighing(12, 5).matrices[0]))
     assert sorted(rows) == BUILT_ROWS
     return rows
+
+
+class TestYesWithoutVf2:
+    """With the VF2 isomorphism enumeration made to fail, every "yes" still
+    comes back, from the matcher, with a witness that re-applies."""
+
+    @pytest.fixture(autouse=True)
+    def no_vf2(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("VF2 reached")
+
+        monkeypatch.setattr(switching, "underlying_isomorphisms", refuse)
+
+    @staticmethod
+    def assert_yes(g, h):
+        ok, witness = rs.switching_isomorphic(g, h)
+        assert ok
+        assert apply_signed_permutation(g, witness.perm, witness.switch_set) == h
+
+    @pytest.mark.parametrize("key", BUILT_ROWS)
+    def test_catalog_rows(self, catalog_rows, key):
+        g = catalog_rows[key]
+        self.assert_yes(g, relabelled_switched(g, 10))
+
+    def test_disjoint_union(self, catalog_rows):
+        a, b = catalog_rows["R3.1"], catalog_rows["R5.4"]
+        self.assert_yes(disjoint_union(a, b),
+                        disjoint_union(relabelled_switched(b, 11), relabelled_switched(a, 12)))
 
 
 class TestColours:
