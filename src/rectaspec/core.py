@@ -13,7 +13,10 @@ underlying graph first.  The package builds every row bitmask with
 ``_row_masks``, reads a bitmask back into an array with ``_mask_bits``,
 applies every switching, equivalence or Gram witness with
 ``_signed_permute``, reads every integer argument with ``_check_counts``
-and squares an adjacency matrix only in the cached ``square``.
+and squares an adjacency matrix only in the cached ``square``.  Every
+matrix enters through ``_exact_copy``, which refuses one that is not square
+or a sign matrix with an entry outside {-1, 0, +1}; every decider checks
+its argument types with ``_require``.
 """
 
 from __future__ import annotations
@@ -34,11 +37,15 @@ class StructureError(ValueError):
 def _exact_copy(values, dtype) -> np.ndarray:
     """A private, C-contiguous, read-only copy of ``values`` in the integer
     ``dtype``: the one way a graph, weighing or residual matrix enters.
-    ValueError when the input is not numeric or the cast would change an
-    entry (int8 wraps 257 to 1, an integer cast truncates 0.5 to 0)."""
+    ValueError when the input is not a square 2-D numeric matrix, the cast
+    would change an entry (int8 wraps 257 to 1, an integer cast truncates
+    0.5 to 0) or, the int8 copies being the sign matrices, an entry lies
+    outside {-1, 0, +1}."""
     src = np.asarray(values)
     if src.dtype.kind not in "biuf":
         raise ValueError(f"matrix entries must be numbers, not {src.dtype}")
+    if src.ndim != 2 or src.shape[0] != src.shape[1]:
+        raise ValueError("matrix must be square")
     if src.dtype == dtype:
         out = np.array(src, dtype=dtype, order="C")
     else:
@@ -46,8 +53,18 @@ def _exact_copy(values, dtype) -> np.ndarray:
             out = np.array(src, dtype=dtype, order="C")
         if not np.array_equal(out, src):
             raise ValueError(f"matrix entries must be integers within the {out.dtype} range")
+    if out.dtype == np.int8 and (out.min(initial=0) < -1 or out.max(initial=0) > 1):
+        raise ValueError("entries must lie in {-1, 0, +1}")
     out.setflags(write=False)
     return out
+
+
+def _require(kind: type, name: str, *args) -> None:
+    """TypeError unless every argument is a ``kind``: the deciders' one
+    type check."""
+    for arg in args:
+        if not isinstance(arg, kind):
+            raise TypeError(f"{name} takes two {kind.__name__}, not {type(arg).__name__}")
 
 
 def _check_counts(low: int | None = 0, **counts) -> tuple:
@@ -146,17 +163,12 @@ class _Graph:
     def __post_init__(self):
         adj = _exact_copy(self.adj, np.int8)
         object.__setattr__(self, "adj", adj)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency matrix must be square")
         if adj.shape[0] == 0:
             raise ValueError("graph must have at least one vertex")
         if np.any(np.diagonal(adj)):
             raise ValueError("diagonal entries must be zero")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency matrix must be symmetric")
-        # not abs: the int8 abs of -128 is -128
-        if adj.min() < -1 or adj.max() > 1:
-            raise ValueError("entries must lie in {-1, 0, +1}")
 
     @property
     def n(self) -> int:

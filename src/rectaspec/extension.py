@@ -53,8 +53,6 @@ class GramResidual:
 
     def __post_init__(self):
         m = _exact_copy(self.matrix, np.int64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("residual must be a square matrix")
         diag = np.diagonal(m)
         small = np.all((diag >= 0) & (diag <= 2))
         counts = np.bincount(diag, minlength=3).tolist() if small else [None] * 3
@@ -414,8 +412,6 @@ def classify_constant_diag_gram(m) -> ConstantDiagVerdict:
     all-twos blocks of size n/2, q = n); anything else is rejected with the
     violated hypothesis or conclusion named."""
     m = _exact_copy(m, np.int64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
     n = m.shape[0]
     if n < 3:
         raise StructureError("need order at least 3")

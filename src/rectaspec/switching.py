@@ -30,8 +30,8 @@ from math import comb
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _bits, _codegrees, _permutation, _row_masks,
-                   _signed_permute, _triangle_free, _zero_two)
+from .core import (SignedGraph, StructureError, _bits, _codegrees, _permutation, _require,
+                   _row_masks, _signed_permute, _triangle_free, _zero_two)
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .core import quadrangles, structure_report  # noqa: F401
 from .exactlinalg import charpoly
@@ -238,7 +238,7 @@ def switching_isomorphic(g: SignedGraph, h: SignedGraph):
     finds one the matcher missed.  Raises TypeError unless both arguments
     are ``SignedGraph``.
     """
-    _require_signed("switching_isomorphic", g, h)
+    _require(SignedGraph, "switching_isomorphic", g, h)
     found = _sign_match(g, h)
     if found is not None:
         return True, _verified_witness(g, h, *found)
@@ -247,12 +247,6 @@ def switching_isomorphic(g: SignedGraph, h: SignedGraph):
             raise RuntimeError("the sign matcher answered no, but VF2 found a "
                                "switching isomorphism")
     return False, None
-
-
-def _require_signed(name: str, g, h) -> None:
-    for arg in (g, h):
-        if not isinstance(arg, SignedGraph):
-            raise TypeError(f"{name} takes two SignedGraph, not {type(arg).__name__}")
 
 
 def _verified_witness(g: SignedGraph, h: SignedGraph, perm, eps) -> SwitchingWitness:
@@ -385,7 +379,7 @@ def switching_match(g: SignedGraph, h: SignedGraph):
     returns (bool, witness-or-None) like ``switching_isomorphic``, and a
     returned witness has been re-verified by direct application.  Raises
     TypeError unless both arguments are ``SignedGraph``."""
-    _require_signed("switching_match", g, h)
+    _require(SignedGraph, "switching_match", g, h)
     found = _sign_match(g, h)
     if found is None:
         return False, None

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _exact_copy, _permutation,
+from .core import (SignedGraph, StructureError, _exact_copy, _permutation, _require,
                    _signed_permute, bipartition, is_connected, structure_report)
 from .exactlinalg import exact_matmul
 from .spectral import Refusal, _first_violation, certify_two_sym
@@ -43,11 +43,6 @@ class WeighingMatrix:
     def __post_init__(self):
         arr = _exact_copy(self.entries, np.int8)
         object.__setattr__(self, "entries", arr)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("weighing matrix must be square")
-        # not abs: the int8 abs of -128 is -128
-        if arr.min(initial=0) < -1 or arr.max(initial=0) > 1:
-            raise ValueError("entries must lie in {-1, 0, +1}")
         refusal = _gram_refusal(arr)
         if refusal is not None:
             raise ValueError(refusal.reason)
@@ -92,8 +87,6 @@ def verify_weighing(matrix):
         arr = _exact_copy(matrix, np.int64)
     except ValueError as err:
         return Refusal(str(err))
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        return Refusal("matrix is not square")
     if np.any(np.abs(arr) > 1):
         return Refusal("entries must lie in {-1, 0, +1}",
                        witness=_first_violation(np.where(np.abs(arr) > 1, arr, 0)))
@@ -220,9 +213,7 @@ def equivalent(m: WeighingMatrix, n: WeighingMatrix):
     ``EquivalenceWitness.verify``.  Raises TypeError unless
     both arguments are ``WeighingMatrix``.
     """
-    for arg in (m, n):
-        if not isinstance(arg, WeighingMatrix):
-            raise TypeError(f"equivalent takes two WeighingMatrix, not {type(arg).__name__}")
+    _require(WeighingMatrix, "equivalent", m, n)
     found = _sign_match(_support_bipartite(m), _support_bipartite(n), split=m.n)
     if found is None:
         return False, None

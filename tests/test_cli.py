@@ -316,6 +316,27 @@ def test_unknown_catalog_id(capsys):
     assert code == 1 and err == "error: unknown catalog id 'R9.9'\n"
 
 
+def test_empty_catalog_id_is_unknown(capsys):
+    # an empty option is still given: it reaches the catalog, not open(None)
+    code, _, err = run(capsys, "check", "--catalog", "")
+    assert code == 1 and err == "error: unknown catalog id ''\n"
+
+
+def test_empty_file_name_is_an_error(capsys):
+    code, out, err = run(capsys, "check", "--signed-file", "")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_graph6_input_is_read_as_bytes(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\xff")
+    want = (1, "", "error: byte 255 outside printable range 63..126\n")
+    assert run(capsys, "check", "--graph6-file", str(path)) == want
+    assert run(capsys, "convert", "--from", "graph6", "--to", "sg1",
+               "--in", str(path)) == want
+
+
 def _relabelled_search_inputs():
     from rectaspec.constructions import cartesian_k2
     from rectaspec.core import underlying
@@ -328,6 +349,12 @@ def _relabelled_search_inputs():
         "Clebsch": rs.clebsch_graph(),
         "Q5": rs.hypercube(5),
     }
+
+
+def _digest(out: str, err: str) -> str:
+    import hashlib
+
+    return hashlib.sha256((out + err).encode()).hexdigest()
 
 
 # sha256 of stdout + stderr (the proof log included) of `rectaspec search` on
@@ -359,8 +386,6 @@ SEARCH_DIGESTS = {
 
 @pytest.mark.parametrize("name, seed", sorted(SEARCH_DIGESTS))
 def test_search_output_digest(capsys, tmp_path, name, seed):
-    import hashlib
-
     import numpy as np
 
     from rectaspec.formats import write_graph6
@@ -371,8 +396,63 @@ def test_search_output_digest(capsys, tmp_path, name, seed):
     path.write_bytes(write_graph6(rs.UnderlyingGraph(g.adj[np.ix_(perm, perm)])))
     code, out, err = run(capsys, "search", "--graph6-file", str(path))
     assert code == 0
-    digest = hashlib.sha256((out + err).encode()).hexdigest()
-    assert digest == SEARCH_DIGESTS[name, seed]
+    assert _digest(out, err) == SEARCH_DIGESTS[name, seed]
+
+
+# sha256 of stdout + stderr of `rectaspec check --signed-file` on seeded
+# signed relabellings of catalog graphs, the copies of seed 2 with one edge
+# negated: the command shape of the benchmark's screen workload.
+CHECK_DIGESTS = {
+    ("R4.1", 1, False):
+        "73ad8d7c77252c937e7ff9a3af9a5a629f0af8fc104ccf2129a94d8e78908c74",
+    ("R4.1", 2, True):
+        "5bdb941ed8b9b32fb488d11aaeb841998ceeba6ed53f537faa7f2fed9dd90c85",
+    ("R6.7", 1, False):
+        "459cf3915984a5a21a7084e7076ce6b5606cff1cc466bc0a7941480f7d48cd76",
+    ("R6.7", 2, True):
+        "60fe7aadf9462875d60c450fde3487ec0deaf82d0eaac5e3bf23269cc222fd78",
+    ("R7.7", 1, False):
+        "3b31eb14ad95aa813ab8d9d253d8b86812f20baa30bbefb1c80ee55f6e083e79",
+    ("R7.7", 2, True):
+        "794495578bcc1f5adf5f65d14fe406945bb63e1516e59427c225749ca5b0f0a9",
+}
+
+
+@pytest.mark.parametrize("name, seed, flipped", sorted(CHECK_DIGESTS))
+def test_check_output_digest(capsys, tmp_path, name, seed, flipped):
+    import numpy as np
+
+    g = rs.catalog(name)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(g.n)
+    signs = rng.choice((-1, 1), g.n)
+    adj = g.adj[np.ix_(perm, perm)] * np.outer(signs, signs)
+    if flipped:
+        us, vs = np.nonzero(np.triu(adj))
+        k = rng.integers(len(us))
+        adj[us[k], vs[k]] = adj[vs[k], us[k]] = -adj[us[k], vs[k]]
+    path = tmp_path / "g.sg1"
+    path.write_text(write_signed(rs.SignedGraph(adj)))
+    code, out, err = run(capsys, "check", "--signed-file", str(path))
+    assert code == int(flipped)
+    assert _digest(out, err) == CHECK_DIGESTS[name, seed, flipped]
+
+
+# sha256 of stdout + stderr of `rectaspec search-weighing`: the weighing
+# searches of the benchmark's search workloads.
+SEARCH_WEIGHING_DIGESTS = {
+    (12, 5): "c0917180b36af9a18dae91832576f5e35591a36fadbe8cff43ae108504f229d1",
+    (13, 4): "548c67819ae71a22c902e599bb0a57c392ae5d4170e04e4429732b1d880d55fb",
+    (16, 6): "baba4824e52d72804607d40a6b946b3b967adf156d4b6db605d2b6a399c482a1",
+}
+
+
+@pytest.mark.parametrize("order, weight", sorted(SEARCH_WEIGHING_DIGESTS))
+def test_search_weighing_output_digest(capsys, order, weight):
+    code, out, err = run(capsys, "search-weighing", "--order", str(order),
+                         "--weight", str(weight))
+    assert code == 0
+    assert _digest(out, err) == SEARCH_WEIGHING_DIGESTS[order, weight]
 
 
 def test_readme_command_lines_parse():

@@ -55,7 +55,7 @@ class TestGramResidual:
     @pytest.mark.parametrize("m", [np.ones((2, 3), dtype=int), np.ones(3, dtype=int),
                                    np.ones((2, 2, 2), dtype=int)], ids=["2x3", "1-D", "3-D"])
     def test_non_square_residual_refused(self, m):
-        with pytest.raises(ValueError, match="residual must be a square matrix"):
+        with pytest.raises(ValueError, match="matrix must be square"):
             GramResidual(m)
 
     def test_built_from_the_matrix_alone(self):

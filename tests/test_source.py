@@ -140,3 +140,46 @@ def test_integers_read_only_in_core():
              and getattr(node.value, "id", None) == "operator"
              or isinstance(node, ast.ImportFrom) and node.module == "operator"]
     assert found == []
+
+
+def _shape_index(node):
+    """i for an ast node ``<expr>.shape[i]`` with a constant i, else None."""
+    if (isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "shape"
+            and isinstance(node.slice, ast.Constant)):
+        return node.slice.value
+    return None
+
+
+def test_squareness_checked_only_in_core():
+    """``core._exact_copy`` alone refuses a matrix that is not square: no
+    other module compares a ``shape[0]`` with a ``shape[1]``."""
+    found = [place for place, node in _outside_core()
+             if isinstance(node, ast.Compare)
+             and {0, 1} <= {_shape_index(side) for side in (node.left, *node.comparators)}]
+    assert found == []
+
+
+def _input_reads(root) -> list[int]:
+    """Lines under ``root`` that read an input: a use of ``stdin``, or an
+    ``open`` call whose mode is not a constant that writes."""
+    lines = []
+    for node in ast.walk(root):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax")):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "stdin":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_cli_reads_input_only_in_its_reader():
+    """``cli._read`` alone opens a file to read it or reads stdin; ``--log``
+    and ``convert --out`` open theirs to write."""
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    [reader] = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_read"]
+    assert _input_reads(reader)
+    assert _input_reads(tree) == _input_reads(reader)
