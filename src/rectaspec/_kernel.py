@@ -13,25 +13,22 @@ from __future__ import annotations
 
 
 def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
-               edge_rows, row_free_counts, order, node_budget=0):
+               order, node_budget=0):
     """DFS over the free-edge signs.
 
-    Returns (solutions, nodes, row counts, exhausted); solutions are
-    bitmasks over free-edge ids with bit 1 meaning a negative edge, and
-    row counts[v] is the number of consistent completions of vertex v's row.
+    Returns (solutions, nodes, (), exhausted), solutions being bitmasks over
+    free-edge ids, bit 1 a negative edge; the () holds the place of per-row
+    completion counts, which nothing read, as the benchmark unpacks four.
     """
-    n_constraints = len(constraint_edges)
     assign = [-1] * n_free
     cnt = [len(es) for es in constraint_edges]
-    acc = [0] * n_constraints
-    row_left = list(row_free_counts)
-    row_cand = [0] * len(row_free_counts)
+    acc = [0] * len(constraint_edges)
     trail: list[int] = []
     solutions: list[int] = []
     nodes = 0
     exhausted = True
 
-    def try_assign(e0, b0, completed):
+    def try_assign(e0, b0):
         queue = [(e0, b0)]
         while queue:
             e, b = queue.pop()
@@ -41,13 +38,6 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
                 continue
             assign[e] = b
             trail.append(e)
-            ra, rb = edge_rows[e]
-            row_left[ra] -= 1
-            if row_left[ra] == 0:
-                completed.append(ra)
-            row_left[rb] -= 1
-            if row_left[rb] == 0:
-                completed.append(rb)
             for ci in edge_constraints[e]:
                 cnt[ci] -= 1
                 acc[ci] ^= b
@@ -74,9 +64,6 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
             e = trail.pop()
             b = assign[e]
             assign[e] = -1
-            ra, rb = edge_rows[e]
-            row_left[ra] += 1
-            row_left[rb] += 1
             for ci in edge_constraints[e]:
                 cnt[ci] += 1
                 acc[ci] ^= b
@@ -87,7 +74,7 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
         return p
 
     if n_free == 0:
-        return [0], 0, row_cand, True
+        return [0], 0, (), True
 
     p0 = next_unassigned(0)
     frames = [[order[p0], 0, 0, p0]]  # edge, next sign, trail mark, order ptr
@@ -103,11 +90,8 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
             exhausted = False
             break
         nodes += 1
-        completed: list[int] = []
-        if not try_assign(e, sign, completed):
+        if not try_assign(e, sign):
             continue
-        for v in completed:
-            row_cand[v] += 1
         p = next_unassigned(fptr + 1)
         if p == n_free:
             mask = 0
@@ -118,7 +102,7 @@ def run_search(n_free, constraint_edges, constraint_targets, edge_constraints,
             continue
         frames.append([order[p], 0, len(trail), p])
     undo_to(0)
-    return solutions, nodes, row_cand, exhausted
+    return solutions, nodes, (), exhausted
 
 
 def active_backend() -> str:

@@ -68,10 +68,11 @@ def _require(kind: type, name: str, *args) -> None:
 
 
 def _check_counts(low: int | None = 0, **counts) -> tuple:
-    """Each count, order, degree, dimension or lambda^2 as an int
-    (``operator.index``), None staying None: the package's one integer
-    rule.  TypeError naming the first that is a bool or not an integer,
-    ValueError the first below ``low`` (None: the caller checks bounds)."""
+    """Each count, order, degree, dimension, lambda^2, vertex index or edge
+    sign as an int (``operator.index``), None staying None: the package's
+    one integer rule.  TypeError naming the first that is a bool or not an
+    integer, ValueError the first below ``low`` (None: the caller checks
+    bounds)."""
     out = []
     for name, value in counts.items():
         if value is not None:
@@ -220,6 +221,7 @@ class SignedGraph(_Graph):
     def from_edges(n: int, edges) -> "SignedGraph":
         adj = np.zeros((n, n), dtype=np.int8)
         for u, v, sign in edges:
+            u, v, sign = _check_counts(None, u=u, v=v, sign=sign)
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ValueError(f"bad edge ({u}, {v})")
             if sign not in (-1, 1):

@@ -183,7 +183,8 @@ def kernel_arguments(problem: SignatureSearchProblem, order=None,
                      node_budget: int = 0) -> tuple:
     """Argument tuple for the signature DFS kernel ``run_search``, which
     only the benchmark and the tests' reference search call; ``order``, its
-    edge order, must be a permutation of the free-edge ids (ValueError)."""
+    edge order, must be a permutation of the free-edge ids (ValueError).
+    No endpoints: the kernel keeps no per-row count, which nothing read."""
     (node_budget,) = _check_counts(node_budget=node_budget)
     n_free = len(problem.free_edges)
     order = _permutation(range(n_free) if order is None else order, n_free)
@@ -193,13 +194,8 @@ def kernel_arguments(problem: SignatureSearchProblem, order=None,
     for ci, edges in enumerate(constraint_edges):
         for e in edges:
             edge_constraints[e].append(ci)
-    row_free_counts = [0] * problem.graph.n
-    for v, w in problem.free_edges:
-        row_free_counts[v] += 1
-        row_free_counts[w] += 1
     return (n_free, constraint_edges, problem.constraint_targets.tolist(),
-            [tuple(c) for c in edge_constraints], list(problem.free_edges),
-            row_free_counts, order.tolist(), node_budget)
+            [tuple(c) for c in edge_constraints], order.tolist(), node_budget)
 
 
 class ParitySolution(NamedTuple):

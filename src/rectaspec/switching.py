@@ -30,8 +30,9 @@ from math import comb
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _bits, _codegrees, _permutation, _require,
-                   _row_masks, _signed_permute, _triangle_free, _zero_two)
+from .core import (SignedGraph, StructureError, _bits, _check_counts, _codegrees,
+                   _permutation, _require, _row_masks, _signed_permute, _triangle_free,
+                   _zero_two)
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .core import quadrangles, structure_report  # noqa: F401
 from .exactlinalg import charpoly
@@ -121,7 +122,9 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
 
     SchemeError names the first of regular, triangle-free and zero-two that
     fails, all three read off one codegree product; connectivity is left
-    to the caller.  ValueError when ``base`` is not a vertex."""
+    to the caller.  TypeError when ``base`` is not an integer, ValueError
+    when it is not a vertex."""
+    (base,) = _check_counts(None, base=base)
     if base not in range(g.n):
         raise ValueError(f"base vertex {base} outside range({g.n})")
     codegrees = _codegrees(g)

@@ -43,11 +43,12 @@ def search_signatures_dfs(g, node_budget=None, order_seed=None):
     sees both searches.  ``raw_count`` is the DFS's own count of raw
     solutions, not the one ``_outcome`` infers from the classes, and the
     outcome's extra attribute ``class_sizes`` counts them per canonical
-    mask.
+    mask.  The kernel's third item is an empty tuple: it keeps no per-row
+    count of completions, because nothing read one.
     """
     problem = search.build_signature_problem(g)
     order = search._edge_order(problem, order_seed)
-    masks, nodes, _row_counts, exhausted = run_search(
+    masks, nodes, _, exhausted = run_search(
         *search.kernel_arguments(problem, order=order, node_budget=node_budget or 0))
     classes = Counter(search.canonical_switch_key(problem, mask) for mask in masks)
     outcome = search._outcome(problem, list(classes), nodes, exhausted)

@@ -58,6 +58,13 @@ def test_filter_lo_hi_range(capsys):
     ]
 
 
+def test_filter_range_below_the_orders_exits_one(capsys):
+    # the range parses, but filter_sr2se refuses n = 0 and n = 1
+    code, out, err = run(capsys, "filter", "--n", "0:3", "--r", "2")
+    assert code == 1 and out == ""
+    assert err == "error: need n >= 2 and r >= 1\n"
+
+
 @pytest.mark.parametrize("flag, text", [
     ("--n", "5:2"), ("--n", "\u0661\u0666"), ("--r", "5:"), ("--r", "-3")])
 def test_filter_refuses_a_bad_range(capsys, flag, text):

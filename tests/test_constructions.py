@@ -216,6 +216,12 @@ class TestBibdIncidence:
         assert g.n == 6 and rep.degree == 2 and rep.connected  # the 6-cycle
 
     def test_axiom_violations(self):
+        for blocks in ([{0, 1}, {1, 2}, {2, 5}], [{1, 2}, {2, 3}, {1, 3}]):
+            with pytest.raises(ValueError, match=r"^need exactly 3 points labelled 0\.\.2$"):
+                rs.bibd_incidence(blocks)
+        with pytest.raises(ValueError, match="^every point must lie in exactly r blocks$"):
+            # equal block sizes, but point 0 lies in 3 blocks and point 2 in 1
+            rs.bibd_incidence([{0, 1}, {0, 2}, {0, 1}])
         with pytest.raises(ValueError, match="sizes"):
             rs.bibd_incidence([{0, 1}, {1, 2, 3}, {0, 2}, {0, 3}])
         with pytest.raises(ValueError, match="pair"):

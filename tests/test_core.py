@@ -38,6 +38,13 @@ def test_signed_graph_validation():
         rs.SignedGraph.from_edges(3, [(0, 1, 1), (0, 1, -1)])  # duplicate
 
 
+def test_empty_and_negative_matrices_refused():
+    with pytest.raises(ValueError, match="^graph must have at least one vertex$"):
+        rs.SignedGraph(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="^underlying graph entries must be 0 or 1$"):
+        rs.UnderlyingGraph([[0, -1], [-1, 0]])
+
+
 def test_every_int8_outside_the_unit_range_is_refused():
     # the int8 abs of -128 is -128, so an abs check lets it through
     for value in sorted(set(range(-128, 128)) - {-1, 0, 1}):
@@ -46,6 +53,14 @@ def test_every_int8_outside_the_unit_range_is_refused():
                           (rs.WeighingMatrix, adj[:1, 1:])):
             with pytest.raises(ValueError, match=r"entries must lie in \{-1, 0, \+1\}"):
                 make(arr)
+
+
+def test_edge_ends_and_signs_keep_their_range_messages():
+    g = rs.SignedGraph.from_edges(3, [(np.int64(0), np.uint8(1), np.int8(-1))])
+    assert g.adj[0, 1] == g.adj[1, 0] == -1
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match=rf"bad sign {sign} on edge \(0, 1\)"):
+            rs.SignedGraph.from_edges(3, [(0, 1, sign)])
 
 
 def test_underlying_from_edges_refuses_what_the_signed_one_does():
@@ -368,8 +383,20 @@ def _cube_minus_vertex():
 
 
 # (argument name, call) for every entry point that reads a count, order,
-# degree, dimension or lambda^2 through core._check_counts
+# degree, dimension, lambda^2, vertex index or edge sign through
+# core._check_counts
 INTEGER_ENTRY_POINTS = {
+    # (True, False, 1) died in NumPy, (0.0, 1.0, 1) raised IndexError, a sign
+    # of True or 1.0 was taken as +1, and scheme_layout(g, base=1.0) raised
+    # IndexError
+    "SignedGraph.from_edges-u": ("u", lambda v: rs.SignedGraph.from_edges(3, [(v, 1, 1)])),
+    "SignedGraph.from_edges-v": ("v", lambda v: rs.SignedGraph.from_edges(3, [(0, v, 1)])),
+    "SignedGraph.from_edges-sign":
+        ("sign", lambda v: rs.SignedGraph.from_edges(3, [(0, 1, v)])),
+    "UnderlyingGraph.from_edges-u":
+        ("u", lambda v: rs.UnderlyingGraph.from_edges(3, [(v, 1)])),
+    "scheme_layout-base": ("base", lambda v: rs.switching.scheme_layout(rs.hypercube(3), base=v)),
+    "schem_normal_form-base": ("base", lambda v: rs.schem_normal_form(rs.signed_cube(3), base=v)),
     "search_signatures-node_budget":
         ("node_budget", lambda v: rs.search_signatures(rs.hypercube(3), node_budget=v)),
     "search_signatures-progress_every":

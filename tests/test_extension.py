@@ -164,6 +164,15 @@ class TestClassifyGram:
         with pytest.raises(StructureError, match="rank"):
             classify_gram(gram_residual(rs.signed_cube(3), 3))
 
+    def test_diagonal_and_spectrum_preconditions(self):
+        with pytest.raises(StructureError,
+                           match=r"^classification needs diagonal entries in \{0, 1, 2\}$"):
+            classify_gram(GramResidual(np.diag([3, 3, 0])))
+        # rank 2 with a small diagonal, but eigenvalues 1 and 2 differ
+        with pytest.raises(StructureError,
+                           match=r"^matrix does not have the \{\[q\]\^2, 0, \.\.\.\} spectrum$"):
+            classify_gram(GramResidual(np.diag([1, 2, 0])))
+
     def test_eight_class_residual_fits_no_case(self):
         # M = C R has rank 2, M^2 = 4M, trace 8 and unit diagonal, but it is
         # not symmetric and its rows fall into 8 classes: no signed order
@@ -298,6 +307,11 @@ class TestExtendOneVertex:
         cert = rs.certify_two_sym(out)
         assert out.n == 4 and cert and cert.lambda_sq == 2
 
+    def test_rank_two_residual_faults(self):
+        h = rs.delete_vertices(rs.catalog("R4.2"), [0, 1])
+        with pytest.raises(ExtensionError, match="^residual has rank 2, expected 1$"):
+            extend_one_vertex(h, lambda_sq=4)
+
     def test_single_vertex_with_hint(self):
         k1 = rs.SignedGraph(np.zeros((1, 1), dtype=np.int8))
         out = extend_one_vertex(k1, lambda_sq=1)
@@ -338,6 +352,12 @@ class TestExtendZeroPair:
     def test_star_faults_with_case_d(self):
         with pytest.raises(ExtensionError, match=r"case \(d\)"):
             extend_zero_pair(k13())
+
+    def test_degree_window_faults(self):
+        h = rs.delete_vertices(rs.catalog("R4.2"), [0])
+        with pytest.raises(ExtensionError, match=r"^degree condition fails: degrees \[3\] "
+                                                 r"are outside \{4, \.\.\., 6\}$"):
+            extend_zero_pair(h, lambda_sq=6)
 
     def test_wrong_nullity_rejected(self):
         h = rs.delete_vertices(rs.signed_cube(3), {0})  # d = 1, not 2
@@ -412,6 +432,17 @@ class TestConstantDiagClassifier:
         # a 1-D or 3-D input used to fail inside NumPy
         with pytest.raises(ValueError, match="matrix must be square"):
             classify_constant_diag_gram(2 * np.ones(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("m, message", [
+        (2 * np.eye(2, dtype=int), "need order at least 3"),
+        ([[2, 2, 0], [0, 2, 0], [0, 0, 2]], "matrix must be symmetric"),
+        ([[2, 0, 0], [0, 1, 0], [0, 0, 2]], "diagonal must be constant"),
+        ([[2, 1, 0], [1, 2, 0], [0, 0, 2]], r"off-diagonal entries must lie in \{0, \+-2\}"),
+        ([[2, 4, 0], [4, 2, 0], [0, 0, 2]], r"off-diagonal entries must lie in \{0, \+-2\}"),
+    ], ids=["order", "asymmetric", "diagonal", "off-diagonal-1", "off-diagonal-4"])
+    def test_hypotheses_refused(self, m, message):
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            classify_constant_diag_gram(m)
 
     def test_fractional_entry_rejected(self):
         m = np.zeros((4, 4))

@@ -129,6 +129,10 @@ class TestSignedFormat:
         with pytest.raises(SignedFormatError, match=message):
             parse_signed(text)
 
+    def test_no_vertices(self):
+        with pytest.raises(SignedFormatError, match="^vertex count must be positive$"):
+            parse_signed("sg1 0\n")
+
     def test_no_edges(self):
         g = parse_signed("sg1 3\n")
         assert g.n == 3 and not np.any(g.adj)

@@ -85,12 +85,17 @@ def test_products_taken_only_in_exactlinalg():
     assert found == []
 
 
+def _package_nodes():
+    """(place, node) for every ast node of every module of the package."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}", node
+
+
 def _outside_core():
     """(place, node) for every ast node of every module but ``core``."""
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name != "core.py":
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                yield f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}", node
+    return ((place, node) for place, node in _package_nodes()
+            if not place.startswith("core.py:"))
 
 
 def _little_endian_call(node, name: str) -> bool:
@@ -133,8 +138,9 @@ def test_signed_relabellings_scattered_only_in_core():
 
 
 def test_integers_read_only_in_core():
-    """``core._check_counts`` alone reads a count, order, degree, dimension
-    or lambda^2 as an int: no other module calls ``operator.index``."""
+    """``core._check_counts`` alone reads a count, order, degree, dimension,
+    lambda^2, vertex index or edge sign as an int: no other module calls
+    ``operator.index``."""
     found = [place for place, node in _outside_core()
              if isinstance(node, ast.Attribute) and node.attr == "index"
              and getattr(node.value, "id", None) == "operator"
@@ -183,3 +189,22 @@ def test_cli_reads_input_only_in_its_reader():
                 if isinstance(node, ast.FunctionDef) and node.name == "_read"]
     assert _input_reads(reader)
     assert _input_reads(tree) == _input_reads(reader)
+
+
+def test_dfs_kernel_stays_a_reference():
+    """The paper's DFS (``_kernel``) is the tests' reference, not a search:
+    only ``search``'s tracer-hook line imports it, and no package code calls
+    ``run_search`` or ``kernel_arguments``."""
+    imports = [place for place, node in _package_nodes()
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[-1] == "_kernel"
+               or isinstance(node, ast.Import)
+               and any(a.name.split(".")[-1] == "_kernel" for a in node.names)]
+    hook = [place for place, _, name in _silenced_imports()
+            if place.startswith("search.py:") and name == "run_search"]
+    assert len(hook) == 1 and imports == hook
+    calls = [place for place, node in _package_nodes()
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("run_search", "kernel_arguments")]
+    assert calls == []

@@ -201,6 +201,11 @@ class TestFilter:
                 rs.filter_sr2se(n, r)
         assert rs.filter_sr2se(np.int64(16), np.int64(5)) == rs.filter_sr2se(16, 5)
 
+    def test_orders_below_the_range_refused(self):
+        for n, r in ((1, 1), (2, 0), (0, 3)):
+            with pytest.raises(ValueError, match=r"^need n >= 2 and r >= 1$"):
+                rs.filter_sr2se(n, r)
+
     def test_bound_failure(self):
         verdict = rs.filter_sr2se(10, 5)
         assert not verdict.passed and "bound" in verdict.failures

@@ -92,6 +92,12 @@ class TestSchemeNormalForm:
         with pytest.raises(ValueError, match=r"outside range\(8\)"):
             rs.schem_normal_form(g, base=base)
 
+    def test_base_is_read_as_an_integer(self):
+        g = rs.signed_cube(3)
+        with pytest.raises(TypeError, match="^base must be an integer"):
+            scheme_layout(g, "0")
+        assert scheme_layout(g, np.int64(5)) == scheme_layout(g, 5)
+
     def test_positive_quadrangle_signature_rejected(self):
         with pytest.raises(SchemeError, match="quadrangle"):
             rs.schem_normal_form(all_positive_c4())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rectaspec as rs
-from rectaspec.core import StructureError
+from rectaspec.core import StructureError, disjoint_union
 from rectaspec.weighing import (EquivalenceWitness, WeighingFormatError,
                                 scheme_two_prefix)
 from vf2_oracle import vf2_equivalent
@@ -216,6 +216,16 @@ class TestBipartiteCorrespondence:
     def test_nonbipartite_faults(self):
         with pytest.raises(StructureError, match="bipartite"):
             rs.from_bipartite_sr2se(rs.catalog("R5.4"))
+
+    @pytest.mark.parametrize("g, message", [
+        (rs.catalog("T"), r"not a two-eigenvalue graph: A\^2 != r\*I"),
+        # two signed 4-cycles pass the certificate but are not connected
+        (disjoint_union(rs.catalog("R2.1"), rs.catalog("R2.1")),
+         "graph is not a connected signed rectagraph"),
+    ], ids=["tetrahedron", "two-4-cycles"])
+    def test_non_rectagraph_faults(self, g, message):
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            rs.from_bipartite_sr2se(g)
 
 
 class TestEquivalence:
@@ -532,6 +542,12 @@ class TestTextFormat:
             rs.parse_weighing_text("2 2\n+0\n0+\n")
         with pytest.raises(WeighingFormatError, match="order must be positive"):
             rs.parse_weighing_text("0 5\n")
+        for text in ("", "\n  \n"):
+            with pytest.raises(WeighingFormatError, match="^empty input$"):
+                rs.parse_weighing_text(text)
+        with pytest.raises(WeighingFormatError,
+                           match=r"^columns 0 and 1 have inner product 2, expected 0$"):
+            rs.parse_weighing_text("2 2\n++\n++\n")
         # headers that pass a digit test but not int()
         for head in ("--2 1", "\u00b2 1"):
             with pytest.raises(WeighingFormatError, match="header"):
