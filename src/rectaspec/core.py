@@ -219,6 +219,7 @@ class SignedGraph(_Graph):
 
     @staticmethod
     def from_edges(n: int, edges) -> "SignedGraph":
+        (n,) = _check_counts(n=n)
         adj = np.zeros((n, n), dtype=np.int8)
         for u, v, sign in edges:
             u, v, sign = _check_counts(None, u=u, v=v, sign=sign)

@@ -15,7 +15,10 @@ it.  Each vertex goes only to a vertex of its own colour, its side,
 degree and numbers of negative and positive quadrangles, all kept by
 switching; unequal colour multisets answer "no" before any search, at
 the cost of |A|^2 and ``SignedGraph.square`` per graph, one product for a
-graph already squared.  The signature search dedupes with
+graph already squared.  Past the colours, a search packs each graph's
+positive rows once, reads the negative ones off the cached support bits,
+and fixes its vertex order in O(n + m) operations on n-bit masks (a bucket
+queue on placed-neighbour counts).  The signature search dedupes with
 ``switching_match``, and ``weighing.equivalent`` calls ``_sign_match`` with
 its row/column side split.  Both deciders re-check every witness before
 returning it, by applying it to the adjacency matrix with
@@ -30,9 +33,8 @@ from math import comb
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _bits, _check_counts, _codegrees,
-                   _permutation, _require, _row_masks, _signed_permute, _triangle_free,
-                   _zero_two)
+from .core import (SignedGraph, StructureError, _check_counts, _codegrees, _permutation,
+                   _require, _row_masks, _signed_permute, _triangle_free, _zero_two)
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .core import quadrangles, structure_report  # noqa: F401
 from .exactlinalg import charpoly
@@ -268,19 +270,37 @@ def _match_order(pos, neg) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """The matcher's vertex order, each vertex with its (earlier neighbour,
     edge sign) pairs in order of placement; the first is its anchor.  Next
     comes the vertex with the most neighbours already placed, ties to the
-    lowest index, so a vertex with none starts a new component."""
+    lowest index, so a vertex with none starts a new component.
+
+    The unplaced vertices sit in buckets by placed-neighbour count, one
+    bitmask per bucket, and the next vertex is the lowest bit of the highest
+    non-empty bucket.  Placing v moves each unplaced neighbour up one bucket
+    and appends (v, sign) to its earlier neighbours, so the whole order
+    costs O(n + m) operations on n-bit masks."""
     size = len(pos)
-    placed, count, order = 0, [0] * size, []
-    where = [0] * size
-    for k in range(size):
-        v = max((u for u in range(size) if not placed >> u & 1),
-                key=lambda u: (count[u], -u))
-        earlier = sorted(_bits((pos[v] | neg[v]) & placed), key=where.__getitem__)
-        order.append((v, tuple((u, 1 if pos[v] >> u & 1 else -1) for u in earlier)))
-        placed |= 1 << v
-        where[v] = k
-        for u in _bits(pos[v] | neg[v]):
-            count[u] += 1
+    unplaced = (1 << size) - 1
+    buckets = [unplaced] + [0] * size  # placed-neighbour count -> unplaced vertices
+    earlier = [[] for _ in range(size)]  # one entry per placed neighbour
+    order, top = [], 0
+    for _ in range(size):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        unplaced ^= low
+        v = low.bit_length() - 1
+        order.append((v, tuple(earlier[v])))
+        for nbrs, sign in ((pos[v] & unplaced, 1), (neg[v] & unplaced, -1)):
+            while nbrs:
+                bit = nbrs & -nbrs
+                nbrs ^= bit
+                u = bit.bit_length() - 1
+                earlier[u].append((v, sign))
+                c = len(earlier[u])
+                buckets[c - 1] ^= bit
+                buckets[c] |= bit
+                if c > top:
+                    top = c
     return order
 
 
@@ -330,9 +350,11 @@ def _sign_match(g: SignedGraph, h: SignedGraph, split: int = 0):
     for w, colour in enumerate(hcolour):
         classes[colour] = classes.get(colour, 0) | 1 << w
     allowed = [classes[colour] for colour in gcolour]  # v -> the images it may take
-    gpos, gneg = _row_masks(g.adj > 0), _row_masks(g.adj < 0)
-    hpos, hneg = _row_masks(h.adj > 0), _row_masks(h.adj < 0)
+    gpos, hpos = _row_masks(g.adj > 0), _row_masks(h.adj > 0)
+    # each support row is its positive and its negative neighbours, disjoint
+    gneg = [bits ^ p for bits, p in zip(g.row_bits, gpos)]
     hbits = h.row_bits
+    hneg = [bits ^ p for bits, p in zip(hbits, hpos)]
     order = _match_order(gpos, gneg)
     perm, eps = [0] * size, [0] * size
     untried = [0] * size  # images left to try at each depth

@@ -16,6 +16,9 @@
 * ``uncut_support_search``: the support search with every candidate tried
   as the first tail row, checked against the orbit cut of
   ``search._SupportSearch._orbit_least``.
+* ``quadratic_match_order``: the sign matcher's vertex order by a scan of
+  every unplaced vertex per step, checked against the bucket queue of
+  ``switching._match_order``.
 """
 
 import dataclasses
@@ -27,7 +30,7 @@ import numpy as np
 
 import rectaspec.search as search
 from rectaspec._kernel import run_search
-from rectaspec.core import _as_underlying
+from rectaspec.core import _as_underlying, _bits
 
 
 def search_signatures_dfs(g, node_budget=None, order_seed=None):
@@ -358,3 +361,23 @@ def uncut_support_search():
         yield
     finally:
         search._SupportSearch = cut
+
+
+def quadratic_match_order(pos, neg):
+    """Reference for ``switching._match_order``, O(n^2): each step scans the
+    unplaced vertices for the one with the most neighbours already placed,
+    ties to the lowest index, and sorts its placed neighbours by when they
+    were placed."""
+    size = len(pos)
+    placed, count, order = 0, [0] * size, []
+    where = [0] * size
+    for k in range(size):
+        v = max((u for u in range(size) if not placed >> u & 1),
+                key=lambda u: (count[u], -u))
+        earlier = sorted(_bits((pos[v] | neg[v]) & placed), key=where.__getitem__)
+        order.append((v, tuple((u, 1 if pos[v] >> u & 1 else -1) for u in earlier)))
+        placed |= 1 << v
+        where[v] = k
+        for u in _bits(pos[v] | neg[v]):
+            count[u] += 1
+    return order

@@ -63,6 +63,17 @@ def test_edge_ends_and_signs_keep_their_range_messages():
             rs.SignedGraph.from_edges(3, [(0, 1, sign)])
 
 
+def test_edge_lists_read_the_order_as_a_count():
+    # n went straight into np.zeros, which refused -1 with NumPy's
+    # "negative dimensions are not allowed"
+    for make in (rs.SignedGraph.from_edges, rs.UnderlyingGraph.from_edges):
+        with pytest.raises(ValueError, match="^n must not be negative, got -1$"):
+            make(-1, [])
+        with pytest.raises(ValueError, match="^graph must have at least one vertex$"):
+            make(0, [])
+        assert make(np.int64(2), []).n == 2
+
+
 def test_underlying_from_edges_refuses_what_the_signed_one_does():
     for edges in ([(0, 1), (1, 0)], [(0, 1), (0, 1)]):
         with pytest.raises(ValueError, match=r"duplicate edge \(\d, \d\)"):
@@ -388,7 +399,9 @@ def _cube_minus_vertex():
 INTEGER_ENTRY_POINTS = {
     # (True, False, 1) died in NumPy, (0.0, 1.0, 1) raised IndexError, a sign
     # of True or 1.0 was taken as +1, and scheme_layout(g, base=1.0) raised
-    # IndexError
+    # IndexError; an order n of True or 2.0 died in NumPy
+    "SignedGraph.from_edges-n": ("n", lambda v: rs.SignedGraph.from_edges(v, [])),
+    "UnderlyingGraph.from_edges-n": ("n", lambda v: rs.UnderlyingGraph.from_edges(v, [])),
     "SignedGraph.from_edges-u": ("u", lambda v: rs.SignedGraph.from_edges(3, [(v, 1, 1)])),
     "SignedGraph.from_edges-v": ("v", lambda v: rs.SignedGraph.from_edges(3, [(0, v, 1)])),
     "SignedGraph.from_edges-sign":

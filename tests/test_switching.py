@@ -7,12 +7,12 @@ import pytest
 import rectaspec as rs
 import rectaspec.switching as switching
 from rectaspec.constructions import CatalogIngestError
-from rectaspec.core import disjoint_union
+from rectaspec.core import _row_masks, disjoint_union
 from rectaspec.switching import (SchemeError, _colours, apply_signed_permutation,
                                  quadrangle_balance_counts, relabel, scheme_layout,
                                  scheme_prefix,
                                  switch, switching_match, underlying_isomorphisms)
-from reference_oracles import brute_force_quadrangles
+from reference_oracles import brute_force_quadrangles, quadratic_match_order
 
 
 def all_positive_c4():
@@ -195,7 +195,7 @@ class TestSwitchingIsomorphic:
             assert True  # invariants may still collide; only the converse binds
 
     def test_disconnected_component_matching(self):
-        from rectaspec.core import disjoint_union
+        from rectaspec.core import _row_masks, disjoint_union
 
         a = disjoint_union(rs.signed_cube(2), rs.signed_cube(1))
         b = disjoint_union(rs.signed_cube(1), switch(rs.signed_cube(2), {0}))
@@ -482,6 +482,61 @@ class TestColours:
         monkeypatch.setattr(switching, "_match_order", no_search)
         assert switching_match(g, h) == (False, None)
         assert switching_match(h, g) == (False, None)
+
+
+def sign_masks(g):
+    """Positive and negative neighbour bitmasks, each packed from the matrix."""
+    return _row_masks(g.adj > 0), _row_masks(g.adj < 0)
+
+
+def assert_order_matches_reference(g):
+    assert switching._match_order(*sign_masks(g)) == quadratic_match_order(*sign_masks(g))
+
+
+class TestMatchOrder:
+    """The bucket-queue vertex order against the quadratic scan it replaced,
+    and the matcher's answers under either order."""
+
+    @pytest.mark.parametrize("key", BUILT_ROWS)
+    def test_catalog_rows_relabelled_switched_and_flipped(self, catalog_rows, key):
+        g = catalog_rows[key]
+        for seed in range(3):
+            copy = relabelled_switched(g, 20 + seed)
+            for h in (g, copy, one_edge_flipped(copy, 30 + seed)):
+                assert_order_matches_reference(h)
+
+    @pytest.mark.parametrize("first, second", [("R1.1", "R1.1"), ("R2.1", "R3.1"),
+                                               ("R3.1", "R2.1"), ("R4.1", "R5.4"),
+                                               ("R6.7", "R4.2")])
+    def test_disjoint_unions_have_several_roots(self, catalog_rows, first, second):
+        a, b = catalog_rows[first], catalog_rows[second]
+        for g in (disjoint_union(a, b),
+                  relabelled_switched(disjoint_union(a, b), 40),
+                  disjoint_union(relabelled_switched(b, 41), one_edge_flipped(a, 42))):
+            order = switching._match_order(*sign_masks(g))
+            assert sum(not earlier for _, earlier in order) >= 2
+            assert_order_matches_reference(g)
+
+    def test_single_vertex_and_edgeless(self):
+        for n in (1, 5):
+            g = rs.SignedGraph(np.zeros((n, n), dtype=np.int8))
+            assert switching._match_order(*sign_masks(g)) == [(v, ()) for v in range(n)]
+            assert_order_matches_reference(g)
+
+    def test_random_graphs(self):
+        # irregular and often disconnected, so ties and restarts are common
+        rng = np.random.default_rng(33)
+        for _ in range(120):
+            assert_order_matches_reference(random_signed_graph(rng, int(rng.integers(1, 20))))
+
+    @pytest.mark.parametrize("key", BUILT_ROWS)
+    def test_reference_order_gives_the_same_match(self, monkeypatch, catalog_rows, key):
+        g = catalog_rows[key]
+        pairs = [(g, relabelled_switched(g, 50)), (relabelled_switched(g, 51), g)]
+        found = [switching._sign_match(a, b) for a, b in pairs]
+        assert all(match is not None for match in found)
+        monkeypatch.setattr(switching, "_match_order", quadratic_match_order)
+        assert [switching._sign_match(a, b) for a, b in pairs] == found
 
 
 class TestClassInvariants:

@@ -299,6 +299,44 @@ class TestEquivalence:
                 assert ok and witness.verify(m, other)
 
 
+class TestSupportMatchOrder:
+    """The sign matcher's bucket-queue vertex order on weighing support
+    graphs, against the quadratic scan it replaced."""
+
+    @staticmethod
+    def supports():
+        from rectaspec.search import search_weighing
+
+        return [search_weighing(8, 4).matrices[0], searched_12_5(), direct_sum(H4, H4)]
+
+    def test_orders_match_the_reference(self):
+        from rectaspec.core import _row_masks
+        from rectaspec.switching import _match_order
+        from rectaspec.weighing import _support_bipartite
+        from reference_oracles import quadratic_match_order
+
+        rng = np.random.default_rng(34)
+        for w in self.supports():
+            for g in (_support_bipartite(w), _support_bipartite(scrambled(w, rng))):
+                masks = _row_masks(g.adj > 0), _row_masks(g.adj < 0)
+                assert _match_order(*masks) == quadratic_match_order(*masks)
+
+    def test_reference_order_gives_the_same_match(self, monkeypatch):
+        import rectaspec.switching as switching
+        from rectaspec.weighing import _support_bipartite
+        from reference_oracles import quadratic_match_order
+
+        rng = np.random.default_rng(35)
+        pairs = [(w, scrambled(w, rng)) for w in self.supports()[:2]]
+        supports = [(_support_bipartite(m), _support_bipartite(n), m.n) for m, n in pairs]
+        found = [switching._sign_match(*support) for support in supports]
+        answers = [rs.equivalent(m, n) for m, n in pairs]
+        assert all(match is not None for match in found)
+        monkeypatch.setattr(switching, "_match_order", quadratic_match_order)
+        assert [switching._sign_match(*support) for support in supports] == found
+        assert [rs.equivalent(m, n) for m, n in pairs] == answers
+
+
 class TestWitnessVerify:
     """``EquivalenceWitness.verify``, which indexes, against the product
     definition M = P N Q."""
