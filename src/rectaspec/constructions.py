@@ -167,12 +167,8 @@ def gewirtz_graph() -> UnderlyingGraph:
     cls = [h for h in hyperovals if (h & hyperovals[0]).bit_count() % 2 == 0]
     if len(cls) != 56:
         raise RuntimeError(f"hyperoval class has {len(cls)} members, not 56")
-    adj = np.zeros((56, 56), dtype=np.int8)
-    for i in range(56):
-        for j in range(i + 1, 56):
-            if cls[i] & cls[j] == 0:
-                adj[i, j] = adj[j, i] = 1
-    g = UnderlyingGraph(adj)
+    g = UnderlyingGraph.from_edges(56, [(i, j) for i, j in combinations(range(56), 2)
+                                        if cls[i] & cls[j] == 0])
     rep = structure_report(g)
     if not (rep.degree == 10 and rep.connected and rep.triangle_free and rep.zero_two):
         raise RuntimeError("Gewirtz construction is not a 10-regular rectagraph")

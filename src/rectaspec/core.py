@@ -2,21 +2,20 @@
 
 A signed graph is stored as a symmetric n x n matrix with entries in
 {-1, 0, +1} and zero diagonal: the entry carries the edge sign, zero means
-non-edge.  The underlying (unsigned) graph is the entrywise absolute value.
-Both graph types share one base class.  Connectivity, the components and
-bipartiteness read the per-row bitmasks of the support (``row_bits``) and
-the one breadth-first spanning forest built from them (``spanning_forest``);
-triangle-freeness, the zero-two property, the common-neighbour profile and
-the quadrangles read the codegree product of the support.  Every predicate
-reads only the support, so it accepts either type and never builds an
-underlying graph first.  The package builds every row bitmask with
-``_row_masks``, reads a bitmask back into an array with ``_mask_bits``,
-applies every switching, equivalence or Gram witness with
-``_signed_permute``, reads every integer argument with ``_check_counts``
-and squares an adjacency matrix only in the cached ``square``.  Every
-matrix enters through ``_exact_copy``, which refuses one that is not square
-or a sign matrix with an entry outside {-1, 0, +1}; every decider checks
-its argument types with ``_require``.
+non-edge; ``underlying`` takes its absolute value.  Both graph types share
+one base class, with the one edge intake ``from_edges`` and the one cached
+edge list.  Connectivity, the components and bipartiteness read the
+per-row support bitmasks (``row_bits``) and their breadth-first spanning
+forest (``spanning_forest``); the other predicates read the codegree
+product of the support, so every predicate accepts either type.  The
+package builds every row bitmask with ``_row_masks``, reads one back with
+``_mask_bits``, applies every witness with ``_signed_permute``, reads every
+integer with ``_check_counts``, every vertex set with ``_vertex_set`` and
+every permutation or sign vector with ``_index_array`` (a bool or
+non-integer is a TypeError throughout), and squares an adjacency matrix
+only in ``square``.  Every matrix enters through ``_exact_copy``, which
+refuses one that is not square or a sign matrix with an entry outside
+{-1, 0, +1}; every decider checks its argument types with ``_require``.
 """
 
 from __future__ import annotations
@@ -108,23 +107,48 @@ def _mask_bits(masks, size: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1, count=size, bitorder="little").view(bool)
 
 
+def _index_array(values, name: str) -> np.ndarray:
+    """``values`` as an integer array at C speed; TypeError for a bool or non-integer."""
+    if not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)):
+        raise TypeError(f"{name} entries must be integers, not bools")
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size:  # an empty list reads as float
+        raise TypeError(f"{name} entries must be integers, got {arr.dtype}")
+    return arr
+
+
 def _permutation(perm, size: int) -> np.ndarray:
-    """``perm`` as an index array; ValueError unless it is a permutation of
-    range(size)."""
-    if sorted(perm) != list(range(size)):
+    """``perm`` read by ``_index_array``; ValueError unless it permutes range(size)."""
+    arr = _index_array(perm, "perm").astype(np.intp, copy=False)
+    if arr.shape != (size,) or (np.sort(arr).tobytes()  # one dtype: bytes compare exactly
+                                != np.arange(size, dtype=np.intp).tobytes()):
         raise ValueError(f"perm is not a permutation of range({size})")
-    return np.asarray(perm, dtype=np.intp)
+    return arr
 
 
 def _signed_permute(m: np.ndarray, rows, row_signs, cols, col_signs) -> np.ndarray:
     """The matrix with row_signs[i] * col_signs[j] * m[i, j] at
-    (rows[i], cols[j]); ValueError unless ``rows`` and ``cols`` are
-    permutations of m's row and column indices."""
+    (rows[i], cols[j]), indices read by ``_permutation`` and signs by
+    ``_index_array``; ValueError unless each index has a sign, -1 or +1."""
     rows = _permutation(rows, m.shape[0])
     cols = _permutation(cols, m.shape[1])
-    values = np.asarray(row_signs)[:, None] * m * np.asarray(col_signs)
+    row_signs, col_signs = (_index_array(s, "sign") for s in (row_signs, col_signs))
+    if (row_signs.shape, col_signs.shape) != (rows.shape, cols.shape) or (
+            np.abs(np.concatenate((row_signs, col_signs))) != 1).any():
+        raise ValueError("signs must give each index -1 or +1")
+    values = row_signs[:, None] * m * col_signs
     out = np.empty_like(values)
     out[np.ix_(rows, cols)] = values
+    return out
+
+
+def _vertex_set(vertices, n: int, name: str) -> frozenset[int]:
+    """``vertices`` as a frozenset, each read by ``_check_counts`` (TypeError
+    naming ``name``); ValueError for a vertex outside range(n)."""
+    out = frozenset(_check_counts(None, **{name: vertex})[0] for vertex in vertices)
+    outside = sorted(vertex for vertex in out if not 0 <= vertex < n)
+    if outside:
+        raise ValueError(f"{name} {outside[0]} outside range({n})")
     return out
 
 
@@ -197,6 +221,27 @@ class _Graph:
         sq.setflags(write=False)
         return sq
 
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int, int], ...]:  # sorted, u < v
+        us, vs = np.nonzero(np.triu(self.adj))
+        return tuple(zip(us.tolist(), vs.tolist(), self.adj[us, vs].tolist()))
+
+    @classmethod
+    def from_edges(cls, n: int, edges):
+        """The one edge intake: (u, v, sign) triples, read by ``_check_counts``."""
+        (n,) = _check_counts(n=n)
+        adj = np.zeros((n, n), dtype=np.int8)
+        for u, v, sign in edges:
+            u, v, sign = _check_counts(None, u=u, v=v, sign=sign)
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise ValueError(f"bad edge ({u}, {v})")
+            if sign not in (-1, 1):
+                raise ValueError(f"bad sign {sign} on edge ({u}, {v})")
+            if adj[u, v]:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            adj[u, v] = adj[v, u] = sign
+        return cls(adj)
+
     def __eq__(self, other):
         return type(other) is type(self) and np.array_equal(self.adj, other.adj)
 
@@ -212,26 +257,6 @@ class SignedGraph(_Graph):
         """Sorted (u, v, sign) triples with u < v."""
         return list(self._edges)
 
-    @cached_property
-    def _edges(self) -> tuple[tuple[int, int, int], ...]:
-        us, vs = np.nonzero(np.triu(self.adj))
-        return tuple(zip(us.tolist(), vs.tolist(), self.adj[us, vs].tolist()))
-
-    @staticmethod
-    def from_edges(n: int, edges) -> "SignedGraph":
-        (n,) = _check_counts(n=n)
-        adj = np.zeros((n, n), dtype=np.int8)
-        for u, v, sign in edges:
-            u, v, sign = _check_counts(None, u=u, v=v, sign=sign)
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"bad edge ({u}, {v})")
-            if sign not in (-1, 1):
-                raise ValueError(f"bad sign {sign} on edge ({u}, {v})")
-            if adj[u, v]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            adj[u, v] = adj[v, u] = sign
-        return SignedGraph(adj)
-
 
 @dataclass(frozen=True, eq=False)
 class UnderlyingGraph(_Graph):
@@ -243,15 +268,15 @@ class UnderlyingGraph(_Graph):
             raise ValueError("underlying graph entries must be 0 or 1")
 
     def edges(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(np.triu(self.adj))
-        return [(int(u), int(v)) for u, v in zip(us, vs)]
+        return [(u, v) for u, v, _ in self._edges]
 
     def all_positive(self) -> SignedGraph:
         return SignedGraph(self.adj)
 
-    @staticmethod
-    def from_edges(n: int, edges) -> "UnderlyingGraph":
-        return underlying(SignedGraph.from_edges(n, ((u, v, 1) for u, v in edges)))
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "UnderlyingGraph":
+        """(u, v) ``edges`` enter ``_Graph.from_edges`` as positive edges."""
+        return super().from_edges(n, ((u, v, 1) for u, v in edges))
 
 
 @dataclass(frozen=True)
@@ -265,13 +290,13 @@ class StructureReport:
     quadrangle_count: int
 
 
-def underlying(g: SignedGraph) -> UnderlyingGraph:
-    """Entrywise absolute value: erase the signs."""
-    return UnderlyingGraph(np.abs(g.adj))
-
-
-def _as_underlying(g) -> UnderlyingGraph:
-    return underlying(g) if isinstance(g, SignedGraph) else g
+def underlying(g) -> UnderlyingGraph:
+    """Entrywise absolute value: erase the signs.  An ``UnderlyingGraph``
+    comes back unchanged; TypeError for anything but the two graph types."""
+    if not isinstance(g, (SignedGraph, UnderlyingGraph)):
+        raise TypeError(f"underlying takes a SignedGraph or an UnderlyingGraph, "
+                        f"not {type(g).__name__}")
+    return g if isinstance(g, UnderlyingGraph) else UnderlyingGraph(np.abs(g.adj))
 
 
 def _bits(mask: int) -> list[int]:
@@ -433,18 +458,12 @@ def is_rectagraph(g) -> bool:
 def delete_vertices(g, remove):
     """Induced subgraph on the complement of ``remove``; a graph of ``g``'s
     own type."""
-    remove = set(remove)
-    if not remove.issubset(range(g.n)):
-        raise ValueError(f"vertex to delete outside range({g.n})")
-    keep = [v for v in range(g.n) if v not in remove]
+    keep = sorted(set(range(g.n)) - _vertex_set(remove, g.n, "vertex to delete"))
     if not keep:
         raise ValueError("cannot delete every vertex")
-    idx = np.asarray(keep)
-    return type(g)(g.adj[np.ix_(idx, idx)])
+    return type(g)(g.adj[np.ix_(keep, keep)])
 
 
 def disjoint_union(a: SignedGraph, b: SignedGraph) -> SignedGraph:
-    adj = np.zeros((a.n + b.n, a.n + b.n), dtype=np.int8)
-    adj[: a.n, : a.n] = a.adj
-    adj[a.n :, a.n :] = b.adj
-    return SignedGraph(adj)
+    gap = np.zeros((a.n, b.n), dtype=np.int8)
+    return SignedGraph(np.block([[a.adj, gap], [gap.T, b.adj]]))

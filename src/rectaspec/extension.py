@@ -35,7 +35,7 @@ class GramWitness:
     signs: tuple[int, ...]
 
     def apply(self, m: np.ndarray) -> np.ndarray:
-        """ValueError unless ``perm`` is a permutation of m's indices."""
+        """By ``core._signed_permute``: TypeError or ValueError for a bad perm or sign."""
         return _signed_permute(m, self.perm, self.signs, self.perm, self.signs)
 
 

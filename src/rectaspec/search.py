@@ -59,9 +59,9 @@ import numpy as np
 
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps this name
 from ._kernel import run_search  # noqa: F401
-from .core import (SignedGraph, UnderlyingGraph, _as_underlying, _bfs_forest, _bits,
-                   _check_counts, _mask_bits, _permutation, _row_masks, is_connected,
-                   quadrangles)
+from .core import (SignedGraph, UnderlyingGraph, _bfs_forest, _bits, _check_counts,
+                   _mask_bits, _permutation, _row_masks, is_connected, quadrangles,
+                   underlying)
 from .formats import write_graph6
 from .spectral import certify_two_sym
 from .switching import (SchemeError, relabel, scheme_layout, scheme_prefix,
@@ -119,7 +119,7 @@ class SearchOutcome:
 
 
 def build_signature_problem(g) -> SignatureSearchProblem:
-    u = _as_underlying(g)
+    u = underlying(g)
     if not is_connected(u):
         raise SchemeError("normal form needs a connected graph")
     layout = scheme_layout(u)  # raises SchemeError naming the predicate
@@ -183,7 +183,7 @@ def kernel_arguments(problem: SignatureSearchProblem, order=None,
                      node_budget: int = 0) -> tuple:
     """Argument tuple for the signature DFS kernel ``run_search``, which
     only the benchmark and the tests' reference search call; ``order``, its
-    edge order, must be a permutation of the free-edge ids (ValueError).
+    edge order, must be a permutation of the free-edge ids (``_permutation``).
     No endpoints: the kernel keeps no per-row count, which nothing read."""
     (node_budget,) = _check_counts(node_budget=node_budget)
     n_free = len(problem.free_edges)

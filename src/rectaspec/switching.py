@@ -33,8 +33,8 @@ from math import comb
 
 import numpy as np
 
-from .core import (SignedGraph, StructureError, _check_counts, _codegrees, _permutation,
-                   _require, _row_masks, _signed_permute, _triangle_free, _zero_two)
+from .core import (SignedGraph, StructureError, _codegrees, _permutation, _require,
+                   _row_masks, _signed_permute, _triangle_free, _vertex_set, _zero_two)
 # not called here: the benchmark's tracer (perfbench/tracing.py) wraps these names
 from .core import quadrangles, structure_report  # noqa: F401
 from .exactlinalg import charpoly
@@ -45,12 +45,9 @@ class SchemeError(StructureError):
 
 def switch(g: SignedGraph, vertices) -> SignedGraph:
     """Negate every edge with exactly one endpoint in ``vertices``."""
-    s = set(vertices)
-    if not s.issubset(range(g.n)):
-        raise ValueError(f"switch set has a vertex outside range({g.n})")
-    eps = np.asarray([-1 if v in s else 1 for v in range(g.n)], dtype=np.int8)
-    adj = (g.adj * np.outer(eps, eps)).astype(np.int8)
-    return SignedGraph(adj)
+    eps = np.ones(g.n, dtype=np.int8)
+    eps[list(_vertex_set(vertices, g.n, "switch set vertex"))] = -1
+    return SignedGraph(g.adj * np.outer(eps, eps))
 
 
 def relabel(g, perm):
@@ -126,9 +123,7 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
     fails, all three read off one codegree product; connectivity is left
     to the caller.  TypeError when ``base`` is not an integer, ValueError
     when it is not a vertex."""
-    (base,) = _check_counts(None, base=base)
-    if base not in range(g.n):
-        raise ValueError(f"base vertex {base} outside range({g.n})")
+    (base,) = _vertex_set([base], g.n, "base")
     codegrees = _codegrees(g)
     degree = int(codegrees[0, 0])
     if np.any(np.diagonal(codegrees) != degree):
@@ -147,10 +142,8 @@ def scheme_layout(g, base: int = 0) -> SchemeLayout:
     placed = set(order)
     tail = [v for v in range(g.n) if v not in placed]
     order.extend(tail)
-    perm = [0] * g.n
-    for new, old in enumerate(order):
-        perm[old] = new
-    return SchemeLayout(perm=tuple(perm), degree=degree, tail_size=len(tail))
+    return SchemeLayout(perm=tuple(np.argsort(order).tolist()),
+                        degree=degree, tail_size=len(tail))
 
 
 def schem_normal_form(g: SignedGraph, base: int = 0) -> SwitchingClass:
@@ -192,7 +185,7 @@ def _to_nx(g, colours=None):
     out = nx.Graph()
     for v in range(g.n):
         out.add_node(v, c=None if colours is None else colours[v])
-    us, vs = np.nonzero(np.triu(g.adj))
+    us, vs = np.nonzero(np.triu(g.adj))  # not ``_edges``: that caches a list on g
     out.add_edges_from(zip(us.tolist(), vs.tolist()))
     return out
 
@@ -235,35 +228,22 @@ def solve_switch_for_perm(g: SignedGraph, h: SignedGraph, perm):
 def switching_isomorphic(g: SignedGraph, h: SignedGraph):
     """Decide switching isomorphism; returns (bool, witness-or-None).
 
-    A "yes" comes from ``_sign_match``, and its witness has been
-    re-verified by direct application.  A "no" carries no certificate, so
-    it is returned only once VF2 agrees: no underlying-graph isomorphism
-    (components of disconnected inputs included) admits a switching, each
-    candidate checked by ``solve_switch_for_perm``.  RuntimeError if VF2
-    finds one the matcher missed.  Raises TypeError unless both arguments
-    are ``SignedGraph``.
+    A "yes" is ``switching_match``'s, its witness re-verified.  A "no"
+    carries no certificate, so it is returned only once VF2 agrees: no
+    underlying-graph isomorphism (components of disconnected inputs
+    included) admits a switching, each candidate checked by
+    ``solve_switch_for_perm``.  RuntimeError if VF2 finds one the matcher
+    missed; TypeError unless both arguments are ``SignedGraph``.
     """
     _require(SignedGraph, "switching_isomorphic", g, h)
-    found = _sign_match(g, h)
-    if found is not None:
-        return True, _verified_witness(g, h, *found)
+    answer = switching_match(g, h)
+    if answer[0]:
+        return answer
     for perm in underlying_isomorphisms(g, h):
         if solve_switch_for_perm(g, h, perm) is not None:
             raise RuntimeError("the sign matcher answered no, but VF2 found a "
                                "switching isomorphism")
     return False, None
-
-
-def _verified_witness(g: SignedGraph, h: SignedGraph, perm, eps) -> SwitchingWitness:
-    """Witness of the switching isomorphism g -> h that sends vertex v to
-    perm[v] with sign eps[v]; RuntimeError unless it re-applies to h."""
-    witness = SwitchingWitness(perm=tuple(perm[v] for v in range(g.n)),
-                               switch_set=frozenset(perm[v] for v in range(g.n)
-                                                    if eps[v] == -1))
-    if not np.array_equal(_signed_permute(g.adj, witness.perm, eps, witness.perm, eps),
-                          h.adj):
-        raise RuntimeError("witness failed re-verification")
-    return witness
 
 
 def _match_order(pos, neg) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
@@ -408,7 +388,12 @@ def switching_match(g: SignedGraph, h: SignedGraph):
     found = _sign_match(g, h)
     if found is None:
         return False, None
-    return True, _verified_witness(g, h, *found)
+    perm, eps = found
+    witness = SwitchingWitness(perm=tuple(perm), switch_set=frozenset(
+        w for w, sign in zip(perm, eps) if sign == -1))
+    if not np.array_equal(_signed_permute(g.adj, perm, eps, perm, eps), h.adj):
+        raise RuntimeError("witness failed re-verification")
+    return True, witness
 
 
 def _quadrangle_signs(g) -> tuple[np.ndarray, np.ndarray]:

@@ -136,9 +136,9 @@ def to_bipartite_sr2se(w: WeighingMatrix) -> SignedGraph:
     if not inter <= {0, 2}:
         raise StructureError(
             f"intersection numbers {sorted(inter)} violate the zero-two property")
-    if not is_proper(w):
-        raise StructureError("matrix is improper: the bipartite graph disconnects")
     g = _support_bipartite(w)
+    if not is_connected(g):  # ``is_proper``, on the graph returned
+        raise StructureError("matrix is improper: the bipartite graph disconnects")
     cert = certify_two_sym(g)
     if not (cert and cert.lambda_sq == w.r):
         raise RuntimeError("bipartite graph failed its A^2 = r I certificate")
@@ -182,9 +182,9 @@ class EquivalenceWitness:
     def verify(self, m: WeighingMatrix, n: WeighingMatrix) -> bool:
         """True iff M = P N Q, checked by indexing, not by products: M's
         entry (i, q_perm[j]) must be p_signs[i] * q_signs[j] times N's entry
-        (p_perm[i], j).  ValueError unless both perms are permutations of
-        range(n).  P N Q is built from N's rows in ``p_perm`` order, so
-        neither perm is inverted."""
+        (p_perm[i], j).  ``core._signed_permute`` reads the perms and signs.
+        P N Q is built from N's rows in ``p_perm`` order, so neither perm is
+        inverted."""
         rows = n.entries[_permutation(self.p_perm, n.n)]
         return np.array_equal(
             _signed_permute(rows, range(n.n), self.p_signs, self.q_perm, self.q_signs),

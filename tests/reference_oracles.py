@@ -30,7 +30,7 @@ import numpy as np
 
 import rectaspec.search as search
 from rectaspec._kernel import run_search
-from rectaspec.core import _as_underlying, _bits
+from rectaspec.core import _bits, underlying
 
 
 def search_signatures_dfs(g, node_budget=None, order_seed=None):
@@ -69,7 +69,7 @@ def naive_signature_classes(g) -> int:
     scan, and class counting from closing the solution set under single
     switches and automorphisms.  Only sensible for tiny graphs.
     """
-    u = _as_underlying(g)
+    u = underlying(g)
     n = u.n
     edges = u.edges()
     m = len(edges)

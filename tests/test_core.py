@@ -10,6 +10,7 @@ from rectaspec.core import (StructureError, StructureReport, _mask_bits, _row_ma
                             disjoint_union, is_rectagraph, quadrangle_count,
                             quadrangles)
 from rectaspec.exactlinalg import exact_matmul
+from rectaspec.extension import GramWitness
 from rectaspec.switching import relabel, switch
 from reference_oracles import brute_force_quadrangles
 
@@ -105,6 +106,52 @@ def test_underlying_erases_signs():
     u = rs.underlying(tetra)
     assert u.degrees == (3, 3, 3, 3)
     assert np.all(np.abs(tetra.adj) == u.adj)
+
+
+# the pairs of every bad edge list this file gives SignedGraph.from_edges,
+# and of every bad end that INTEGER_ENTRY_POINTS reads
+BAD_EDGE_PAIRS = [[(0, 1), (0, 1)], [(0, 1), (1, 0)], [(0, 0)], [(0, 3)], [(-1, 1)],
+                  [(True, 1)], [(2.0, 1)], [(0, True)], [(0, 2.0)], [("0", 1)]]
+
+
+@pytest.mark.parametrize("pairs", BAD_EDGE_PAIRS, ids=str)
+def test_both_graph_types_refuse_an_edge_list_alike(pairs):
+    refusals = []
+    for make, edges in ((rs.SignedGraph.from_edges, [(u, v, 1) for u, v in pairs]),
+                        (rs.UnderlyingGraph.from_edges, pairs)):
+        with pytest.raises((TypeError, ValueError)) as info:
+            make(3, edges)
+        refusals.append((info.type, str(info.value)))
+    assert refusals[0] == refusals[1]
+
+
+def test_underlying_edge_list_builds_one_graph(monkeypatch):
+    # it built a SignedGraph, then took np.abs of it for a second graph
+    copies = []
+    real = rs.core._exact_copy
+    monkeypatch.setattr(rs.core, "_exact_copy", lambda *a: copies.append(a) or real(*a))
+    u = rs.UnderlyingGraph.from_edges(4, [(0, 1), (3, 2), (1, 3)])
+    assert type(u) is rs.UnderlyingGraph and len(copies) == 1
+
+
+def test_both_graph_types_read_one_edge_list():
+    for g in (rs.catalog("R4.1"), rs.catalog("Q4"), rs.hypercube(3)):
+        triples = [(u, v, int(g.adj[u, v])) for u, v in zip(*np.nonzero(np.triu(g.adj)))]
+        expect = triples if type(g) is rs.SignedGraph else [t[:2] for t in triples]
+        edges = g.edges()
+        assert edges == expect and "_edges" in vars(g)
+        assert all(type(x) is int for edge in edges for x in edge)
+        assert type(g).from_edges(g.n, edges) == g
+
+
+def test_underlying_takes_either_graph_type_and_nothing_else():
+    u = rs.hypercube(3)
+    assert rs.underlying(u) is u
+    assert rs.underlying(rs.signed_cube(3)) == u
+    for other in (u.adj, rs.WeighingMatrix(np.eye(2, dtype=int)), None):
+        with pytest.raises(TypeError, match="^underlying takes a SignedGraph or an "
+                                            "UnderlyingGraph, not "):
+            rs.underlying(other)
 
 
 def test_structure_report_k22():
@@ -408,6 +455,8 @@ INTEGER_ENTRY_POINTS = {
         ("sign", lambda v: rs.SignedGraph.from_edges(3, [(0, 1, v)])),
     "UnderlyingGraph.from_edges-u":
         ("u", lambda v: rs.UnderlyingGraph.from_edges(3, [(v, 1)])),
+    "UnderlyingGraph.from_edges-v":
+        ("v", lambda v: rs.UnderlyingGraph.from_edges(3, [(0, v)])),
     "scheme_layout-base": ("base", lambda v: rs.switching.scheme_layout(rs.hypercube(3), base=v)),
     "schem_normal_form-base": ("base", lambda v: rs.schem_normal_form(rs.signed_cube(3), base=v)),
     "search_signatures-node_budget":
@@ -450,3 +499,107 @@ def test_counts_refuse_bools_and_floats(entry, value):
     name, call = INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(TypeError, match=rf"^{name} must be an integer"):
         call(value)
+
+
+def _bad_indices(size: int, base: list) -> dict:
+    """``base`` (``size`` entries) spoiled each way the integer rule refuses:
+    Python bools that would pass as 0 and 1, NumPy bools among ints,
+    integral floats, a non-integer, and NumPy bool and float arrays."""
+    return {"bool": [True, False] + base[2:], "numpy-bool-entry": [np.True_] + base[1:],
+            "float": [float(x) for x in base], "non-integer": [0.5] + base[1:],
+            "numpy-bool": np.arange(size) % 2 == 0,
+            "numpy-float": np.asarray(base, dtype=float)}
+
+
+def _kernel_order(order):
+    problem = rs.search.build_signature_problem(rs.hypercube(4))
+    return rs.search.kernel_arguments(problem, order=order)
+
+
+def _eye_witness(**changes):
+    """EquivalenceWitness.verify of the identity witness of I4 against
+    itself, with ``changes`` to its fields."""
+    w = rs.WeighingMatrix(np.eye(4, dtype=int))
+    ident, ones = tuple(range(4)), (1,) * 4
+    fields = dict(p_perm=ident, p_signs=ones, q_perm=ident, q_signs=ones) | changes
+    return rs.weighing.EquivalenceWitness(**fields).verify(w, w)
+
+
+# (size, call) for every entry point that reads a permutation, and for
+# every one that reads a sign vector, through core._index_array
+PERMUTATION_ENTRY_POINTS = {
+    "relabel": (4, lambda p: relabel(rs.catalog("T"), p)),
+    "relabel-underlying": (8, lambda p: relabel(rs.hypercube(3), p)),
+    "kernel_arguments-order": (16, _kernel_order),  # Q4 has 16 free edges
+    "GramWitness.apply": (4, lambda p: GramWitness(p, (1,) * 4).apply(np.eye(4))),
+    "EquivalenceWitness.verify-p_perm": (4, lambda p: _eye_witness(p_perm=p)),
+    "EquivalenceWitness.verify-q_perm": (4, lambda p: _eye_witness(q_perm=p)),
+}
+SIGN_ENTRY_POINTS = {
+    "GramWitness.apply": lambda s: GramWitness(tuple(range(4)), s).apply(np.eye(4)),
+    "EquivalenceWitness.verify-p_signs": lambda s: _eye_witness(p_signs=s),
+    "EquivalenceWitness.verify-q_signs": lambda s: _eye_witness(q_signs=s),
+}
+# (argument name, graph, call) for every entry point that reads a vertex
+# set through core._vertex_set
+VERTEX_SET_ENTRY_POINTS = {
+    "switch": ("switch set vertex", lambda: rs.catalog("T"), switch),
+    "delete_vertices": ("vertex to delete", lambda: rs.catalog("T"), rs.delete_vertices),
+    "delete_vertices-underlying": ("vertex to delete", lambda: rs.hypercube(3), rs.delete_vertices),
+}
+BAD_KINDS = sorted(_bad_indices(4, [0, 1, 2, 3]))
+
+
+@pytest.mark.parametrize("kind", BAD_KINDS)
+@pytest.mark.parametrize("entry", sorted(PERMUTATION_ENTRY_POINTS))
+def test_permutations_refuse_bools_and_floats(entry, kind):
+    # relabel(g, [True, False, 2, 3]) and the witnesses with such perms
+    # were taken as the permutation (1, 0, 2, 3); [1.0, 0.0, 2.0, 3.0] too
+    size, call = PERMUTATION_ENTRY_POINTS[entry]
+    ident = list(range(size))
+    assert call(ident) is not None
+    with pytest.raises(TypeError, match="^perm entries must be integers"):
+        call(_bad_indices(size, ident)[kind])
+
+
+@pytest.mark.parametrize("kind", BAD_KINDS)
+@pytest.mark.parametrize("entry", sorted(SIGN_ENTRY_POINTS))
+def test_sign_vectors_refuse_bools_and_floats(entry, kind):
+    call = SIGN_ENTRY_POINTS[entry]
+    ones = [1, 1, 1, 1]
+    assert call(ones) is not None
+    with pytest.raises(TypeError, match="^sign entries must be integers"):
+        call(_bad_indices(4, ones)[kind])
+
+
+@pytest.mark.parametrize("entry", sorted(SIGN_ENTRY_POINTS))
+def test_sign_vectors_refuse_other_values(entry):
+    call = SIGN_ENTRY_POINTS[entry]
+    for signs in ([1, 1, 0, 1], [1, 2, 1, 1], [-2, 1, 1, 1], [1, 1, 1], [1] * 5,
+                  np.array([1, 1, 1, -128], dtype=np.int8)):
+        with pytest.raises(ValueError, match=r"^signs must give each index -1 or \+1$"):
+            call(signs)
+
+
+@pytest.mark.parametrize("vertices", [{True}, [np.False_], [2.0], [0.5], np.array([True]),
+                                      np.array([2.0]), ["1"]],
+                         ids=["bool", "numpy-bool-entry", "float", "non-integer",
+                              "numpy-bool", "numpy-float", "str"])
+@pytest.mark.parametrize("entry", sorted(VERTEX_SET_ENTRY_POINTS))
+def test_vertex_sets_refuse_bools_and_floats(entry, vertices):
+    # switch(g, {True}) switched vertex 1, delete_vertices(g, [2.0]) deleted
+    # vertex 2
+    name, graph, call = VERTEX_SET_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer"):
+        call(graph(), vertices)
+
+
+@pytest.mark.parametrize("entry", sorted(VERTEX_SET_ENTRY_POINTS))
+def test_vertex_sets_read_integers_by_one_rule(entry):
+    name, graph, call = VERTEX_SET_ENTRY_POINTS[entry]
+    g = graph()
+    assert call(g, [np.int64(1), np.uint8(2)]) == call(g, {1, 2}) == call(g, np.array([2, 1]))
+    assert call(g, []) == call(g, set())
+    for outside in ([g.n, 1], [1, -1], np.array([g.n + 5])):
+        with pytest.raises(ValueError, match=rf"^{name} -?\d+ outside range\({g.n}\)$"):
+            call(g, outside)

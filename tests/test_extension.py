@@ -134,6 +134,18 @@ class TestClassifyGram:
         with pytest.raises(ValueError, match="not a permutation"):
             GramWitness(perm, (1,) * len(perm)).apply(np.eye(2, dtype=np.int64))
 
+    @pytest.mark.parametrize("signs", [(1, 0), (2, 1), (1, -2)])
+    def test_sign_outside_plus_minus_one_raises(self, signs):
+        # a sign 0 zeroed a row and column, a sign 2 doubled them
+        with pytest.raises(ValueError, match=r"-1 or \+1"):
+            GramWitness((1, 0), signs).apply(np.eye(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("perm", [(True, False), (1.0, 0.0), np.array([1.0, 0.0]),
+                                      np.array([True, False])])
+    def test_witness_perm_is_read_as_integers(self, perm):
+        with pytest.raises(TypeError, match="^perm entries must be integers"):
+            GramWitness(perm, (1, 1)).apply(np.eye(2, dtype=np.int64))
+
     def test_eigen_candidates_match_brute_force(self):
         # up to sign, the candidates are every x in {0, +-1}^n with M x = q x
         rng = random.Random(9)

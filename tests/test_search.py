@@ -202,6 +202,16 @@ class TestSignatureSearch:
         with pytest.raises(TypeError):
             search.solve_parity_system(problem, [0] * 16)
 
+    def test_problem_reads_either_graph_type_and_nothing_else(self):
+        # a bare matrix died with AttributeError on 'spanning_forest'
+        u = rs.hypercube(4)
+        for g in (u.adj, u.adj.tolist(), rs.WeighingMatrix(np.eye(2, dtype=int))):
+            with pytest.raises(TypeError, match="^underlying takes a SignedGraph"):
+                search.search_signatures(g)
+        built = [build_signature_problem(g) for g in (u, rs.signed_cube(4))]
+        assert built[0].graph == built[1].graph
+        assert built[0].labelling == built[1].labelling
+
     @pytest.mark.parametrize("order", [[0] * 16, list(range(15))],
                              ids=["repeated", "short"])
     def test_kernel_order_must_be_a_permutation(self, order):

@@ -148,6 +148,26 @@ def test_integers_read_only_in_core():
     assert found == []
 
 
+def _range_call(node) -> bool:
+    """Whether ``node`` calls the builtin ``range``."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+
+
+def test_vertex_membership_checked_only_in_core():
+    """``core._vertex_set`` alone checks a vertex against range(n), and
+    ``core._permutation`` a permutation: no other module writes
+    ``in range(...)``, ``not in range(...)`` or a set method such as
+    ``issubset`` on a range."""
+    set_methods = {"issubset", "issuperset", "isdisjoint", "difference", "intersection"}
+    found = [place for place, node in _outside_core()
+             if isinstance(node, ast.Compare)
+             and any(isinstance(op, (ast.In, ast.NotIn)) and _range_call(right)
+                     for op, right in zip(node.ops, node.comparators))
+             or isinstance(node, ast.Call) and getattr(node.func, "attr", None) in set_methods
+             and any(_range_call(arg) for arg in node.args)]
+    assert found == []
+
+
 def _shape_index(node):
     """i for an ast node ``<expr>.shape[i]`` with a constant i, else None."""
     if (isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "shape"

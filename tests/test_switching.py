@@ -313,11 +313,23 @@ class TestMatcherAgainstVf2:
 
     def test_failed_reverification_raises(self, monkeypatch):
         # one vertex switched alone, and the non-adjacent vertices 0 and 3
-        # swapped: each keeps the support and negates two edges
+        # swapped: each keeps the support and negates two edges; both
+        # deciders take their "yes" through the one re-check
         for found in (([0, 1, 2, 3], [1, -1, 1, 1]), ([3, 1, 2, 0], [1, 1, 1, 1])):
             monkeypatch.setattr(switching, "_sign_match", lambda g, h, split=0: found)
-            with pytest.raises(RuntimeError, match="re-verification"):
-                switching_match(rs.signed_cube(2), rs.signed_cube(2))
+            for decide in (switching_match, rs.switching_isomorphic):
+                with pytest.raises(RuntimeError, match="re-verification"):
+                    decide(rs.signed_cube(2), rs.signed_cube(2))
+
+    def test_isomorphic_yes_is_the_matchers(self, monkeypatch):
+        g = rs.catalog("R4.1")
+        h = apply_signed_permutation(g, [3, 0, 1, 2] + list(range(4, g.n)), {0, 5})
+        answer = switching_match(g, h)
+        assert answer[0] and rs.switching_isomorphic(g, h) == answer
+        monkeypatch.setattr(switching, "switching_match", lambda g, h: ("yes", "witness"))
+        assert rs.switching_isomorphic(g, h) == ("yes", "witness")
+        with pytest.raises(TypeError, match="^switching_isomorphic takes two SignedGraph"):
+            rs.switching_isomorphic(g, g.adj)
 
 
 def random_signed_graph(rng, n):

@@ -200,8 +200,22 @@ class TestBipartiteCorrespondence:
         assert rep.connected and rep.bipartite and rep.zero_two
 
     def test_improper_faults(self):
-        with pytest.raises(StructureError, match="improper"):
+        with pytest.raises(StructureError, match="^matrix is improper: the bipartite "
+                                                 "graph disconnects$"):
             rs.to_bipartite_sr2se(rs.verify_weighing(np.eye(2, dtype=int)))
+        with pytest.raises(StructureError, match=r"^intersection numbers \[4\] "
+                                                 "violate the zero-two property$"):
+            rs.to_bipartite_sr2se(rs.verify_weighing(H4))
+
+    def test_support_graph_built_once(self, monkeypatch):
+        # is_proper built it, then the certificate built it again
+        w = searched_12_5()
+        built = []
+        real = rs.weighing._support_bipartite
+        monkeypatch.setattr(rs.weighing, "_support_bipartite",
+                            lambda m: built.append(m) or real(m))
+        g = rs.to_bipartite_sr2se(w)
+        assert built == [w] and g == real(w)
 
     def test_from_bipartite_small_cubes(self):
         for r in (2, 3, 4):
@@ -391,6 +405,30 @@ class TestWitnessVerify:
             witness = EquivalenceWitness(p_perm, ones, q_perm, ones)
             with pytest.raises(ValueError, match="not a permutation"):
                 witness.verify(h4, h4)
+
+    @pytest.mark.parametrize("bad", [(1, 0, 1, 1), (1, 1, 2, 1), (-2, 1, 1, 1)])
+    def test_sign_outside_plus_minus_one_raises(self, bad):
+        # a sign 2 doubled a row and a sign 0 zeroed one, so the witness
+        # failed without saying why
+        h4 = rs.verify_weighing(H4)
+        identity, ones = tuple(range(4)), (1, 1, 1, 1)
+        for witness in (EquivalenceWitness(identity, bad, identity, ones),
+                        EquivalenceWitness(identity, ones, identity, bad)):
+            with pytest.raises(ValueError, match=r"-1 or \+1"):
+                witness.verify(h4, h4)
+
+    def test_perms_and_signs_are_read_as_integers(self):
+        # (True, False, 2, 3) was taken as the swap (1, 0, 2, 3)
+        h4 = rs.verify_weighing(H4)
+        identity, ones = (0, 1, 2, 3), (1, 1, 1, 1)
+        for bad in ((True, False, 2, 3), (0.0, 1.0, 2.0, 3.0), np.arange(4.0)):
+            for fields in ((bad, ones, identity, ones), (identity, ones, bad, ones)):
+                with pytest.raises(TypeError, match="^perm entries must be integers"):
+                    EquivalenceWitness(*fields).verify(h4, h4)
+        for bad in ((True,) * 4, (1.0,) * 4, np.ones(4, dtype=bool)):
+            for fields in ((identity, bad, identity, ones), (identity, ones, identity, bad)):
+                with pytest.raises(TypeError, match="^sign entries must be integers"):
+                    EquivalenceWitness(*fields).verify(h4, h4)
 
 
 def direct_sum(*blocks) -> rs.WeighingMatrix:
